@@ -1,10 +1,10 @@
 """Multi-sided C0 Coons patches: transfinite surfaces from boundary loops."""
 
 from .curves import BezierCurve
-from .domain import DomainPolygon, build_domain, local_params
+from .domain import DomainPolygon, local_params
 from .loop import BoundaryLoop, make_loop, opposite_curve
 from .mesher import TriMesh, mesh_patch, tessellate_domain
-from .ribbon import Ribbon, make_ribbon
+from .ribbon import Ribbon
 from .surface import Patch, make_patch
 
 __all__ = [
@@ -14,11 +14,9 @@ __all__ = [
     "Patch",
     "Ribbon",
     "TriMesh",
-    "build_domain",
     "local_params",
     "make_loop",
     "make_patch",
-    "make_ribbon",
     "mesh_patch",
     "opposite_curve",
     "tessellate_domain",

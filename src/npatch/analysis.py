@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DomainError, NumericError
-from .mesher import TriMesh, mesh_patch, tessellate_domain
+from .mesher import TriMesh, mesh_patch, sample_boundary, tessellate_domain
 from .surface import Patch
 
 # central-difference step in domain units (circumradius 1): balances
@@ -186,37 +186,20 @@ def harmonic_fill(loop, m, residual_tol=1e-10):
     dm = tessellate_domain(DomainPolygon(loop.n), m)
     nv = len(dm.vertices)
     pos = np.zeros((nv, 3))
+    pos[dm.boundary.index] = sample_boundary(loop, dm.boundary)
     boundary = np.zeros(nv, dtype=bool)
-    for v, (side, t) in dm.boundary_tags.items():
-        pos[v] = loop.side(side).eval(t)
-        boundary[v] = True
+    boundary[dm.boundary.index] = True
 
-    edges = dm.edges()
     interior = np.nonzero(~boundary)[0]
-    col = np.full(nv, -1)
-    col[interior] = np.arange(len(interior))
     scale = loop.bbox_diagonal()
 
     # graph Laplacian rows for interior vertices: deg*x_v - sum(neighbors)
-    rows_a, cols_a, vals_a = [], [], []
-    rhs = np.zeros((len(interior), 3))
-    deg = np.zeros(nv)
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-        for u, v in ((a, b), (b, a)):
-            if boundary[u]:
-                continue
-            if boundary[v]:
-                rhs[col[u]] += pos[v]
-            else:
-                rows_a.append(col[u])
-                cols_a.append(col[v])
-                vals_a.append(-1.0)
-    rows_a.extend(col[interior])
-    cols_a.extend(col[interior])
-    vals_a.extend(deg[interior])
-    a_mat = sp.csr_matrix((vals_a, (rows_a, cols_a)), shape=(len(interior),) * 2)
+    edges = dm.edges()
+    u, v = np.vstack([edges, edges[:, ::-1]]).T
+    adjacency = sp.csr_matrix((np.ones(u.size), (u, v)), shape=(nv, nv))
+    deg = np.bincount(u, minlength=nv).astype(float)
+    a_mat = (sp.diags(deg) - adjacency).tocsr()[interior][:, interior]
+    rhs = adjacency[interior][:, boundary] @ pos[boundary]
 
     x0 = np.mean(pos[boundary], axis=0)
     maxiter = 10 * max(len(interior), 1)
@@ -235,13 +218,10 @@ def harmonic_fill(loop, m, residual_tol=1e-10):
     pos[interior] = sol
 
     # verify the umbrella condition directly
-    nb_sum = np.zeros((nv, 3))
-    for a, b in edges:
-        nb_sum[a] += pos[b]
-        nb_sum[b] += pos[a]
+    nb_sum = adjacency @ pos
     resid = pos[interior] - nb_sum[interior] / deg[interior, None]
     worst = float(np.abs(resid).max())
     if worst > residual_tol * max(scale, 1.0):
         raise NumericError("umbrella residual %.3e above tolerance" % worst)
 
-    return TriMesh(pos, dm.triangles, boundary_tags=dm.boundary_tags)
+    return TriMesh(pos, dm.triangles, boundary=dm.boundary)

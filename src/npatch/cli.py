@@ -17,6 +17,8 @@ from .mesher import mesh_patch
 from .surface import make_patch
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+# integer options checked in main, so that a bad value is an input error (exit 1)
+POSITIVE = {"m": "-m", "count": "--count"}
 
 
 def _point_str(p):
@@ -128,6 +130,9 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        for dest, flag in POSITIVE.items():
+            if getattr(args, dest, 1) < 1:
+                raise SchemaError("%s must be >= 1, got %d" % (flag, getattr(args, dest)))
         return args.fn(args)
     except (ParseError, SchemaError, ClosureError, DomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,5 +1,7 @@
 """Bezier space curves: the only curve primitive used by the rest of the package."""
 
+from math import comb
+
 import numpy as np
 
 from .errors import DomainError
@@ -23,25 +25,37 @@ class BezierCurve:
             raise ValueError("control points must be finite")
         pts.setflags(write=False)
         self.control_points = pts
+        self._binomials = np.array(
+            [comb(self.degree, j) for j in range(pts.shape[0])], dtype=float)[:, None]
 
     @property
     def degree(self):
         return self.control_points.shape[0] - 1
 
     def eval(self, t):
-        """Point at parameter t in [0, 1] (de Casteljau)."""
+        """Point at parameter t in [0, 1]."""
         return self.eval_many(np.asarray([t]))[0]
 
     def eval_many(self, t):
-        """Vectorized de Casteljau: t of shape (k,) -> points of shape (k, 3)."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        """Bernstein-basis evaluation: t of shape (k,) -> points of shape (k, 3).
+
+        Basis row B[j] = C(d, j) t^j (1 - t)^(d - j) comes from running
+        products of t and 1 - t; the points are B^T @ control_points.
+        """
+        t = np.asarray(t, dtype=float).reshape(-1)
+        if not np.all((t >= 0.0) & (t <= 1.0)):
             raise DomainError("curve parameter outside [0, 1]")
-        b = np.broadcast_to(self.control_points, (t.size,) + self.control_points.shape).copy()
-        w = t.reshape(-1, 1, 1)
-        for _ in range(self.degree):
-            b = (1.0 - w) * b[:, :-1] + w * b[:, 1:]
-        return b[:, 0]
+        powers = np.empty((2, self.degree + 1, t.size))  # t^j and (1 - t)^j
+        powers[:, 0] = 1.0
+        if self.degree:
+            powers[0, 1] = t
+            np.subtract(1.0, t, out=powers[1, 1])
+        for j in range(1, self.degree):
+            np.multiply(powers[:, j], powers[:, 1], out=powers[:, j + 1])
+        basis = powers[0]
+        basis *= self._binomials
+        basis *= powers[1, ::-1]
+        return basis.T @ self.control_points
 
     def end_derivative(self, end):
         """First derivative vector at 'start' (t=0) or 'end' (t=1).

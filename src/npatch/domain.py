@@ -36,6 +36,8 @@ class DomainPolygon:
         # outward unit normal of edge i (spanning vertex i-1 -> vertex i)
         mids = 0.5 * (np.roll(self.vertices, 1, axis=0) + self.vertices)
         self.edge_normals = mids / np.linalg.norm(mids, axis=1, keepdims=True)
+        # row i: the edges vertex i does not lie on (it lies on edges i, i+1)
+        self._off_edges = [[j for j in range(n) if j not in (i, (i + 1) % n)] for i in range(n)]
 
     def edge_point(self, i, t):
         """Domain point on edge i at edge parameter t."""
@@ -44,10 +46,13 @@ class DomainPolygon:
     def edge_distances_many(self, points):
         """Perpendicular distances to all edge lines, shape (k, n).
 
-        Points must lie inside or on the closed polygon; distances within
-        EPS_GEOM of an edge snap to 0, making on-edge evaluation exact.
+        Points must be finite and lie inside or on the closed polygon;
+        distances within EPS_GEOM of an edge snap to 0, making on-edge
+        evaluation exact.
         """
         points = np.asarray(points, dtype=float)
+        if not np.all(np.isfinite(points)):
+            raise DomainError("domain point is not finite")
         d = self.apothem - points @ self.edge_normals.T
         if np.any(d < -EPS_GEOM):
             raise DomainError("point outside the domain polygon")
@@ -63,17 +68,14 @@ class DomainPolygon:
         lambda_i is proportional to the product of distances to every
         edge vertex i does not lie on (vertex i lies on edges i and i+1).
         The product form is evaluated directly even on the boundary:
-        there exactly two numerators stay nonzero, which is benign.
+        there exactly two numerators stay nonzero, which is benign.  The
+        result is the transpose of a side-major (n, k) array.
         """
-        d = self.edge_distances_many(points)
-        n = self.n
-        num = np.empty_like(d)
-        for i in range(n):
-            masked = d.copy()
-            masked[:, i] = 1.0
-            masked[:, (i + 1) % n] = 1.0
-            num[:, i] = masked.prod(axis=1)
-        return num / num.sum(axis=1, keepdims=True)
+        d = np.ascontiguousarray(self.edge_distances_many(points).T)
+        num = np.empty(d.shape)
+        for i, others in enumerate(self._off_edges):
+            num[i] = d[others].prod(axis=0)
+        return (num / num.sum(axis=0)).T
 
     def wachspress(self, p):
         return self.wachspress_many(np.asarray(p, dtype=float)[None])[0]
@@ -103,7 +105,3 @@ def local_params(lam):
     with np.errstate(invalid="ignore", divide="ignore"):
         s = np.where(valid, lam / np.where(valid, den, 1.0), np.nan)
     return LocalParams(s, d, valid)
-
-
-def build_domain(n):
-    return DomainPolygon(n)

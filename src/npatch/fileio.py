@@ -27,8 +27,14 @@ from .loop import make_loop
 from .mesher import TriMesh
 
 
-def _fmt(x):
-    return "%.9g" % x
+def _records(template, rows):
+    """One `template % row` line per row, newline-joined, formatted in one call."""
+    rows = np.asarray(rows)
+    return "\n".join([template] * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _join(blocks):
+    return "\n".join(block for block in blocks if block) + "\n"
 
 
 def read_loop(text):
@@ -89,21 +95,15 @@ def write_loop(loop):
 
 def write_obj(mesh, contour_set=None):
     """Indexed-mesh OBJ text; optional contour polylines as `l` elements."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append("v %s %s %s" % (_fmt(v[0]), _fmt(v[1]), _fmt(v[2])))
-    for t in mesh.triangles:
-        lines.append("f %d %d %d" % (t[0] + 1, t[1] + 1, t[2] + 1))
+    blocks = [_records("v %.9g %.9g %.9g", mesh.vertices),
+              _records("f %d %d %d", mesh.triangles + 1)]
     if contour_set is not None:
         base = len(mesh.vertices)
         for poly in contour_set.polylines:
-            idx = []
-            for p in poly:
-                lines.append("v %s %s %s" % (_fmt(p[0]), _fmt(p[1]), _fmt(p[2])))
-                base += 1
-                idx.append(str(base))
-            lines.append("l " + " ".join(idx))
-    return "\n".join(lines) + "\n"
+            blocks.append(_records("v %.9g %.9g %.9g", poly))
+            blocks.append("l " + " ".join(map(str, range(base + 1, base + len(poly) + 1))))
+            base += len(poly)
+    return _join(blocks)
 
 
 def read_obj(text):
@@ -126,9 +126,9 @@ def read_obj(text):
 
 def write_ply_scalar(mesh):
     """ASCII PLY with a per-vertex `quality` scalar."""
-    if mesh.scalar is None:
-        raise SchemaError("mesh has no scalar channel")
-    lines = [
+    if mesh.scalar is None or len(mesh.scalar) != len(mesh.vertices):
+        raise SchemaError("mesh needs a scalar channel with one value per vertex")
+    header = [
         "ply",
         "format ascii 1.0",
         "element vertex %d" % len(mesh.vertices),
@@ -140,11 +140,10 @@ def write_ply_scalar(mesh):
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    for v, q in zip(mesh.vertices, mesh.scalar):
-        lines.append("%s %s %s %s" % (_fmt(v[0]), _fmt(v[1]), _fmt(v[2]), _fmt(q)))
-    for t in mesh.triangles:
-        lines.append("3 %d %d %d" % (t[0], t[1], t[2]))
-    return "\n".join(lines) + "\n"
+    return _join(header + [
+        _records("%.9g %.9g %.9g %.9g", np.column_stack([mesh.vertices, mesh.scalar])),
+        _records("3 %d %d %d", mesh.triangles),
+    ])
 
 
 def read_ply_scalar(text):
@@ -152,23 +151,20 @@ def read_ply_scalar(text):
     lines = text.splitlines()
     if not lines or lines[0] != "ply":
         raise ParseError("not a PLY file", line=1)
-    nv = nf = None
-    body = None
-    for k, line in enumerate(lines):
-        if line.startswith("element vertex"):
-            nv = int(line.split()[2])
-        elif line.startswith("element face"):
-            nf = int(line.split()[2])
-        elif line == "end_header":
-            body = k + 1
-            break
-    if body is None or nv is None or nf is None:
+    if "end_header" not in lines:
         raise ParseError("malformed PLY header")
-    verts = np.array(
-        [[float(x) for x in lines[body + i].split()] for i in range(nv)]
-    )
-    tris = np.array(
-        [[int(x) for x in lines[body + nv + i].split()[1:]] for i in range(nf)],
-        dtype=int,
-    ).reshape(-1, 3)
+    body = lines.index("end_header") + 1
+    try:
+        counts = {p[1]: int(p[2]) for p in map(str.split, lines[:body]) if p[:1] == ["element"]}
+        nv, nf = counts["vertex"], counts["face"]
+        if min(nv, nf) < 0:
+            raise ParseError("negative PLY element count")
+        records = lines[body:body + nv + nf]
+        if len(records) < nv + nf:
+            raise ParseError("truncated PLY body: %d of %d records" % (len(records), nv + nf))
+        verts = np.array([[float(x) for x in r.split()] for r in records[:nv]]).reshape(nv, 4)
+        tris = np.array([[int(x) for x in r.split()[1:]] for r in records[nv:]],
+                        dtype=int).reshape(nf, 3)
+    except (IndexError, KeyError, ValueError) as exc:
+        raise ParseError("malformed PLY: %s %s" % (type(exc).__name__, exc)) from None
     return TriMesh(verts[:, :3], tris, scalar=verts[:, 3])

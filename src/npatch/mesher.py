@@ -1,19 +1,24 @@
 """Concentric-ring tessellation of the domain polygon and patch meshing."""
 
+from collections import namedtuple
+
 import numpy as np
+
+Boundary = namedtuple("Boundary", "index side t")
+Boundary.__doc__ = """Boundary vertices: indices, 0-based side and edge parameter t, shape (k,)."""
 
 
 class TriMesh:
     """Indexed triangle mesh (2D or 3D vertices).
 
-    boundary_tags maps a vertex index to (side, t) for vertices lying
-    on the domain boundary; scalar is an optional per-vertex channel.
+    boundary is a Boundary table of the vertices lying on the domain
+    boundary (None when unknown); scalar is an optional per-vertex channel.
     """
 
-    def __init__(self, vertices, triangles, boundary_tags=None, scalar=None):
+    def __init__(self, vertices, triangles, boundary=None, scalar=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
-        self.boundary_tags = boundary_tags or {}
+        self.boundary = boundary
         self.scalar = None if scalar is None else np.asarray(scalar, dtype=float)
 
     def edges(self):
@@ -24,84 +29,69 @@ class TriMesh:
         return np.unique(e, axis=0)
 
 
-def _march_strip(outer, inner, triangles):
-    """Triangulate between two vertex chains by monotone marching.
-
-    Chains run in the same direction; outer is the longer (or equal)
-    ring.  Advancing whichever chain's next normalized step is smaller
-    keeps the strip triangles well-shaped and the result deterministic.
-    """
-    i = j = 0
-    no = len(outer) - 1
-    ni = len(inner) - 1
-    while i < no or j < ni:
-        if j == ni:
-            adv_outer = True
-        elif i == no:
-            adv_outer = False
-        else:
-            adv_outer = (i + 1) * ni <= (j + 1) * no
-        if adv_outer:
-            triangles.append((outer[i], outer[i + 1], inner[j]))
-            i += 1
-        else:
-            triangles.append((outer[i], inner[j + 1], inner[j]))
-            j += 1
-
-
 def tessellate_domain(poly, m):
     """Ring tessellation of the regular n-gon: m subdivisions per side.
 
     Ring l (l = m..1) is the polygon scaled by l/m about the center
     with l vertices per edge; ring 0 is the center point.  Ring m's
-    vertices carry (side, t) boundary tags with uniform t.  Triangle
-    count is n*m*m.
+    vertices form the boundary table, with uniform t.  Triangle count
+    is n*m*m.
+
+    The strip between rings l and l-1 on one side merges its l outer and
+    l-1 inner steps by their normalized ends (i+1)/l and (j+1)/(l-1),
+    ties to the outer step; the count of the other chain's steps before
+    a step (a floor division) gives its triangle and slot.
     """
     if m < 1:
         raise ValueError("resolution m must be >= 1")
     n = poly.n
-    verts = [np.zeros(2)]
-    rings = {0: [0]}  # ring level -> list of global vertex indices (CCW)
-    tags = {}
-    for level in range(1, m + 1):
-        scale = level / m
-        idx = []
-        for i in range(n):
-            a = poly.vertices[(i - 1) % n]
-            b = poly.vertices[i]
-            for k in range(level):
-                t = k / level
-                idx.append(len(verts))
-                verts.append(scale * ((1.0 - t) * a + t * b))
-                if level == m:
-                    tags[idx[-1]] = (i, t)
-        rings[level] = idx
+    levels = np.arange(1, m + 1)
 
-    triangles = []
-    for level in range(1, m + 1):
-        out_ring = rings[level]
-        in_ring = rings[level - 1]
-        lo = len(out_ring)
-        li = len(in_ring)
-        for i in range(n):
-            outer = [out_ring[(i * level + k) % lo] for k in range(level + 1)]
-            if level == 1:
-                inner = [in_ring[0]]
-            else:
-                inner = [in_ring[(i * (level - 1) + k) % li] for k in range(level)]
-            _march_strip(outer, inner, triangles)
+    def ring_vertex(level, k):
+        # cyclic vertex k of ring `level`; ring 0 is the center
+        return n * level * (level - 1) // 2 + (level > 0) + k % np.maximum(n * level, 1)
 
-    return TriMesh(np.array(verts), np.array(triangles), boundary_tags=tags)
+    level = np.repeat(levels, n * levels)
+    side, k = np.divmod(np.arange(level.size) - n * level * (level - 1) // 2, level)
+    t = k / level
+    ring = (level / m)[:, None] * (
+        (1.0 - t)[:, None] * poly.vertices[side - 1] + t[:, None] * poly.vertices[side])
+    on_boundary = level == m
+    boundary = Boundary(1 + np.nonzero(on_boundary)[0], side[on_boundary], t[on_boundary])
+
+    # steps of one side's strip at level lev: outer i < lev, then inner j < lev-1
+    lev = np.repeat(levels, 2 * levels - 1)
+    step = np.arange(lev.size) - (lev - 1) ** 2
+    inner = step >= lev
+    j = step - lev
+    a = np.where(inner, (j + 1) * lev // np.maximum(lev - 1, 1), step)  # outer steps before
+    b = np.where(inner, j, np.maximum(((step + 1) * (lev - 1) - 1) // lev, 0))  # inner steps before
+    s = np.arange(n)[:, None]
+    triangles = np.empty((n * m * m, 3), dtype=int)
+    triangles[n * (lev - 1) ** 2 + s * (2 * lev - 1) + a + b] = np.stack([
+        ring_vertex(lev, s * lev + a),
+        np.where(inner, ring_vertex(lev - 1, s * (lev - 1) + b + 1), ring_vertex(lev, s * lev + a + 1)),
+        ring_vertex(lev - 1, s * (lev - 1) + b),
+    ], axis=-1)
+    return TriMesh(np.vstack([np.zeros((1, 2)), ring]), triangles, boundary=boundary)
+
+
+def sample_boundary(loop, boundary):
+    """Side-curve points at a boundary table's (side, t) entries, shape (k, 3)."""
+    points = np.empty((boundary.side.size, 3))
+    for i, curve in enumerate(loop.sides):
+        on = boundary.side == i
+        points[on] = curve.eval_many(boundary.t[on])
+    return points
 
 
 def mesh_patch(patch, m):
     """Map the domain tessellation through the patch.
 
-    Boundary-tagged vertices are evaluated directly on their boundary
-    curve so the mesh boundary lies exactly on the input curves.
+    Boundary vertices are evaluated directly on their boundary curve so
+    the mesh boundary lies exactly on the input curves.
     """
     dm = tessellate_domain(patch.domain, m)
     pts = patch.eval_many(dm.vertices)
-    for v, (side, t) in dm.boundary_tags.items():
-        pts[v] = patch.loop.side(side).eval(t)
-    return TriMesh(pts, dm.triangles, boundary_tags=dm.boundary_tags)
+    pts[dm.boundary.index] = sample_boundary(patch.loop, dm.boundary)
+    return TriMesh(pts, dm.triangles, boundary=dm.boundary)

@@ -38,7 +38,7 @@ class Ribbon:
         """
         s = np.asarray(s, dtype=float)
         d = np.asarray(d, dtype=float)
-        if np.any((s < 0) | (s > 1)) or np.any((d < 0) | (d > 1)):
+        if not np.all((s >= 0) & (s <= 1) & (d >= 0) & (d <= 1)):
             raise DomainError("ribbon parameters outside [0, 1]")
         sc = s[:, None]
         dc = d[:, None]
@@ -51,7 +51,3 @@ class Ribbon:
             + sc * dc * self.c11
         )
         return ruled_d + ruled_s - corner
-
-
-def make_ribbon(loop, i):
-    return Ribbon(loop, i)

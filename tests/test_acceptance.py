@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from conftest import random_interior_points
 
-from npatch import (BezierCurve, DomainPolygon, local_params, make_loop,
-                    make_patch, make_ribbon, mesh_patch, tessellate_domain)
+from npatch import (BezierCurve, DomainPolygon, Ribbon, local_params,
+                    make_loop, make_patch, mesh_patch, tessellate_domain)
 from npatch.analysis import (curvature_map, dirichlet_energy, harmonic_fill,
                              mean_curvature)
 from npatch.fixtures import pentagon_loop, random_loop
@@ -101,7 +101,7 @@ def test_criterion_6_ribbon_identities():
     for n in (3, 4, 5, 6, 8):
         loop = random_loop(n, 3, np.random.default_rng(6000 + n))
         for i in range(n):
-            r = make_ribbon(loop, i)
+            r = Ribbon(loop, i)
             worst = max(worst, np.abs(
                 r.eval_many(t, zeros) - loop.side(i).eval_many(t)).max())
             worst = max(worst, np.abs(
@@ -134,7 +134,7 @@ def test_criterion_8_harmonic_baseline():
     assert np.array_equal(harmonic.triangles, patch_mesh.triangles)
 
     # umbrella residual, re-checked here against the 1e-9 criterion
-    boundary = set(harmonic.boundary_tags)
+    boundary = set(harmonic.boundary.index.tolist())
     nbr = {}
     for tri in harmonic.triangles:
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
@@ -188,7 +188,7 @@ def test_criterion_10_mesh_integrity():
             ok &= f == n * m * m
             ok &= v - len(uniq) + f == 1
             ok &= set(np.unique(counts)) <= {1, 2}
-            for vi, (side, t) in mesh.boundary_tags.items():
+            for vi, side, t in zip(*mesh.boundary):
                 worst_boundary = max(worst_boundary, np.abs(
                     mesh.vertices[vi] - loop.side(side).eval(t)).max())
     ok &= worst_boundary <= 1e-15

@@ -126,7 +126,7 @@ def test_harmonic_planar_loop():
 def test_harmonic_umbrella_and_max_principle():
     loop = pentagon_loop()
     mesh = harmonic_fill(loop, 6)
-    boundary = set(mesh.boundary_tags)
+    boundary = set(mesh.boundary.index.tolist())
     nbr = {}
     for tri in mesh.triangles:
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):

@@ -74,6 +74,27 @@ def test_eval_missing_flags(square_file, capsys):
     assert main(["eval", square_file]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--uv", "nan,0"], ["--uv", "0,inf"], ["--side", "1", "--t", "nan"],
+])
+def test_eval_non_finite_input(square_file, capsys, argv):
+    assert main(["eval", square_file] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "-m", "0"], ["harmonic", "-m", "-1"], ["curvature", "-m", "0"],
+    ["contours", "-m", "0"], ["contours", "--count", "0"],
+])
+def test_resolution_and_count_at_least_one(square_file, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([argv[0], square_file] + argv[1:] + ["-o", str(out)]) == 1
+    assert ">= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mesh(square_file, tmp_path, capsys):
     out = tmp_path / "mesh.obj"
     assert main(["mesh", square_file, "-m", "4", "-o", str(out)]) == 0

@@ -59,6 +59,10 @@ def test_parameter_out_of_range():
         c.eval(-0.01)
     with pytest.raises(DomainError):
         c.eval(1.01)
+    with pytest.raises(DomainError):
+        c.eval(np.nan)
+    with pytest.raises(DomainError):
+        c.eval_many([0.5, np.nan])
 
 
 def test_end_derivative_segment():

@@ -105,6 +105,9 @@ def test_ply_requires_scalar():
     mesh = TriMesh(np.eye(3), np.array([[0, 1, 2]]))
     with pytest.raises(SchemaError):
         write_ply_scalar(mesh)
+    mesh.scalar = np.zeros(2)
+    with pytest.raises(SchemaError):
+        write_ply_scalar(mesh)
 
 
 def test_ply_roundtrip_zeros():
@@ -124,6 +127,32 @@ def test_ply_roundtrip_random_mesh():
     assert np.abs(again.scalar - mesh.scalar).max() <= 1e-7
     # write(read(write(x))) is byte-identical
     assert write_ply_scalar(again) == write_ply_scalar(read_ply_scalar(text))
+
+
+@pytest.mark.parametrize("cut", [1, 2, 5])
+def test_ply_truncated_body(cut):
+    rng = np.random.default_rng(93)
+    mesh = TriMesh(rng.normal(size=(4, 3)), np.array([[0, 1, 2], [1, 2, 3]]),
+                   scalar=rng.normal(size=4))
+    lines = write_ply_scalar(mesh).splitlines()
+    with pytest.raises(ParseError, match="truncated"):
+        read_ply_scalar("\n".join(lines[:-cut]) + "\n")
+
+
+@pytest.mark.parametrize("old,new", [
+    ("element vertex 3", "element vertex three"),
+    ("element face 1", "element face"),
+    ("element face 1", "element face -1"),
+    ("element vertex 3", "element vertices 3"),
+    ("0 0 1 0", "0 0 1"),
+    ("3 0 1 2", "3 0 1 x"),
+])
+def test_ply_malformed_records(old, new):
+    mesh = TriMesh(np.eye(3), np.array([[0, 1, 2]]), scalar=np.zeros(3))
+    text = write_ply_scalar(mesh)
+    assert old in text
+    with pytest.raises(ParseError):
+        read_ply_scalar(text.replace(old, new))
 
 
 def test_curvature_ply_planar_loop():

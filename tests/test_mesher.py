@@ -56,23 +56,27 @@ def test_no_degenerate_triangles(m):
     assert np.all(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] > 0)
 
 
-def test_boundary_tags_cover_rings():
+def test_boundary_table_covers_outer_ring():
     n, m = 5, 4
     mesh = tessellate_domain(DomainPolygon(n), m)
-    assert len(mesh.boundary_tags) == n * m
+    index, side, t = mesh.boundary
+    assert len(index) == len(side) == len(t) == n * m
+    assert sorted(index) == list(range(len(mesh.vertices) - n * m, len(mesh.vertices)))
     by_side = {}
-    for v, (side, t) in mesh.boundary_tags.items():
-        by_side.setdefault(side, []).append(t)
+    for s, tt in zip(side.tolist(), t.tolist()):
+        by_side.setdefault(s, []).append(tt)
     assert sorted(by_side) == list(range(n))
-    for side, ts in by_side.items():
+    for s, ts in by_side.items():
         assert sorted(ts) == [k / m for k in range(m)]
+    for v, s, tt in zip(index, side, t):
+        assert np.abs(mesh.vertices[v] - DomainPolygon(n).edge_point(s, tt)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n,m", [(3, 2), (5, 8), (8, 4)])
 def test_boundary_vertices_exactly_on_curves(n, m):
     loop = random_loop(n, 3, np.random.default_rng(70 + n))
     mesh = mesh_patch(make_patch(loop), m)
-    for v, (side, t) in mesh.boundary_tags.items():
+    for v, side, t in zip(*mesh.boundary):
         assert np.abs(mesh.vertices[v] - loop.side(side).eval(t)).max() <= 1e-15
 
 

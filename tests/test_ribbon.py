@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import random_affine
 
-from npatch import BezierCurve, make_loop, make_ribbon
+from npatch import BezierCurve, Ribbon, make_loop
 from npatch.errors import DomainError
 from npatch.fixtures import random_loop, square_loop
 
@@ -12,7 +12,7 @@ def test_boundary_reproduction(n):
     loop = random_loop(n, 3, np.random.default_rng(20 + n))
     t = np.linspace(0, 1, 100)
     for i in range(n):
-        r = make_ribbon(loop, i)
+        r = Ribbon(loop, i)
         zeros = np.zeros_like(t)
         ones = np.ones_like(t)
         assert np.abs(r.eval_many(t, zeros) - loop.side(i).eval_many(t)).max() <= 1e-12
@@ -22,7 +22,7 @@ def test_boundary_reproduction(n):
 
 
 def test_square_center():
-    r = make_ribbon(square_loop(), 0)
+    r = Ribbon(square_loop(), 0)
     assert np.allclose(r.eval(0.5, 0.5), (0.5, 0.5, 0), atol=1e-14)
 
 
@@ -34,7 +34,7 @@ def test_planar_loop_stays_planar():
     ])
     rng = np.random.default_rng(32)
     for i in range(5):
-        r = make_ribbon(flat, i)
+        r = Ribbon(flat, i)
         s = rng.uniform(0, 1, 200)
         d = rng.uniform(0, 1, 200)
         assert np.abs(r.eval_many(s, d)[:, 2]).max() <= 1e-12
@@ -51,22 +51,26 @@ def test_affine_equivariance():
         s = rng.uniform(0, 1, 50)
         d = rng.uniform(0, 1, 50)
         for i in (0, 3):
-            direct = make_ribbon(mapped, i).eval_many(s, d)
-            routed = make_ribbon(loop, i).eval_many(s, d) @ a.T + b
+            direct = Ribbon(mapped, i).eval_many(s, d)
+            routed = Ribbon(loop, i).eval_many(s, d) @ a.T + b
             assert np.abs(direct - routed).max() <= 1e-10
 
 
 def test_parameters_out_of_range():
-    r = make_ribbon(square_loop(), 0)
+    r = Ribbon(square_loop(), 0)
     with pytest.raises(DomainError):
         r.eval(1.2, 0.5)
     with pytest.raises(DomainError):
         r.eval(0.5, -0.2)
+    with pytest.raises(DomainError):
+        r.eval(np.nan, 0.5)
+    with pytest.raises(DomainError):
+        r.eval(0.5, np.nan)
 
 
 def test_triangle_far_side_is_point():
     loop = random_loop(3, 3, np.random.default_rng(34))
-    r = make_ribbon(loop, 1)
+    r = Ribbon(loop, 1)
     t = np.linspace(0, 1, 20)
     far = r.eval_many(t, np.ones_like(t))
     assert np.abs(far - far[0]).max() <= 1e-12

@@ -67,6 +67,29 @@ def test_blend_partition_of_unity(n):
     assert np.abs(blend.sum(axis=1) - 1).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+def test_matches_per_ribbon_sum(n):
+    # reference: S = sum over valid sides of R_i(s_i, d_i) (1 - d_i) / 2,
+    # one Ribbon evaluation per side
+    loop = random_loop(n, 5, np.random.default_rng(63 + n))
+    patch = make_patch(loop)
+    poly = patch.domain
+    pts = np.vstack([
+        random_interior_points(np.random.default_rng(64), poly, 400),
+        poly.vertices, 0.5 * (poly.vertices + np.roll(poly.vertices, 1, axis=0)),
+        poly.vertices * (1 - 1e-9), np.zeros((1, 2)),
+    ])
+    lp = local_params(poly.wachspress_many(pts))
+    want = np.zeros((len(pts), 3))
+    for i, ribbon in enumerate(patch.ribbons):
+        v = lp.valid[:, i]
+        s, d = lp.s[v, i], lp.d[v, i]
+        want[v] += ribbon.eval_many(s, d) * (0.5 * (1 - d))[:, None]
+    tol = 1e-13 * loop.bbox_diagonal()
+    assert np.abs(patch.eval_many(pts) - want).max() <= tol
+    assert np.abs(patch.eval(pts[0]) - want[0]).max() <= tol
+
+
 def test_square_matches_classical_coons():
     rng = np.random.default_rng(62)
     loop = random_loop(4, 3, rng)
