@@ -8,6 +8,14 @@ Tessellation and writer output must match bit for bit.  Patch vertices
 depend on the order of floating-point operations in the evaluator, so
 they are compared with an absolute tolerance of PATCH_TOL times the
 loop's bounding-box diagonal.
+
+The analysis outputs on every bundled fixture are recorded too:
+`curvature_map` scalars (m = 3, 6) within CURVATURE_TOL, digests of the
+`harmonic_fill` vertices (m = 6, 20), and in `golden_contours.json` the
+`contours` polylines (z axis, 5 levels, m = 10, 20), grouped by level.
+A level must yield the same polylines up to order and direction (a
+closed one may start anywhere), points within CONTOUR_TOL times the
+bounding-box diagonal.
 """
 
 import hashlib
@@ -18,16 +26,20 @@ import numpy as np
 import pytest
 
 from npatch import DomainPolygon, make_patch, mesh_patch, tessellate_domain
-from npatch.analysis import ContourSet
+from npatch.analysis import ContourSet, contours, curvature_map, harmonic_fill
 from npatch.fileio import read_loop, write_obj, write_ply_scalar
 from npatch.fixtures import FIXTURE_DIR
 from npatch.mesher import TriMesh
 
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
+CONTOURS = json.loads((Path(__file__).parent / "golden_contours.json").read_text())
 MS = (1, 2, 7, 30)
 FIXTURES = sorted(p.stem for p in FIXTURE_DIR.glob("*.json"))
 # about 450 ulps of the unit length scale
 PATCH_TOL = 1e-13
+# finite-difference curvature: rounding of the 2nd differences is eps/h^2 ~ 2e-8
+CURVATURE_TOL = 1e-6
+CONTOUR_TOL = 1e-13
 
 
 def _sha(data):
@@ -83,3 +95,49 @@ def test_patch_vertices(name, m):
 @pytest.mark.parametrize("key", ["obj", "obj_contours", "obj_empty", "ply", "ply_empty"])
 def test_writer_bytes(key):
     assert _sha(dict(writer_cases())[key].encode()) == GOLDEN["writers"][key]
+
+
+@pytest.mark.parametrize("m", (3, 6))
+@pytest.mark.parametrize("name", FIXTURES)
+def test_curvature_scalars(name, m):
+    got = curvature_map(make_patch(_load(name)), m).scalar
+    assert np.abs(got - GOLDEN["curvature"]["%s,%d" % (name, m)]).max() <= CURVATURE_TOL
+
+
+@pytest.mark.parametrize("m", (6, 20))
+@pytest.mark.parametrize("name", FIXTURES)
+def test_harmonic_vertices(name, m):
+    got = harmonic_fill(_load(name), m).vertices
+    assert _sha(np.ascontiguousarray(got, dtype="<f8").tobytes()) == GOLDEN["harmonic"]["%s,%d" % (name, m)]
+
+
+def _same_polyline(a, b, tol):
+    """a equals b or b reversed; for a closed a, any rotation of b too."""
+    if a.shape != b.shape:
+        return False
+    if np.abs(a[0] - a[-1]).max() <= tol:
+        ring = b[:-1]
+        candidates = [np.roll(r, -k, axis=0) for r in (ring, ring[::-1]) for k in range(len(ring))]
+        candidates = [np.vstack([c, c[:1]]) for c in candidates]
+    else:
+        candidates = [b, b[::-1]]
+    return any(np.abs(a - c).max() <= tol for c in candidates)
+
+
+@pytest.mark.parametrize("m", (10, 20))
+@pytest.mark.parametrize("name", FIXTURES)
+def test_contour_polylines(name, m):
+    loop = _load(name)
+    want = CONTOURS["%s,%d" % (name, m)]
+    cs = contours(mesh_patch(make_patch(loop), m), np.array([0.0, 0.0, 1.0]), 5)
+    assert cs.levels == want["levels"]
+    got = [[] for _ in cs.levels]
+    for poly in cs.polylines:
+        got[int(np.abs(np.array(cs.levels) - poly[0, 2]).argmin())].append(poly)
+    tol = CONTOUR_TOL * loop.bbox_diagonal()
+    for level_got, level_want in zip(got, want["polylines"]):
+        assert len(level_got) == len(level_want)
+        for w in map(np.array, level_want):
+            match = [k for k, g in enumerate(level_got) if _same_polyline(w, g, tol)]
+            assert match
+            level_got.pop(match[0])
