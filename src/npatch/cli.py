@@ -67,9 +67,8 @@ def _cmd_mesh(args):
 
 
 def _cmd_harmonic(args):
-    loop = _load(args.loop)
-    harmonic = analysis.harmonic_fill(loop, args.m)
-    patch_mesh = mesh_patch(make_patch(loop), args.m)
+    patch_mesh = mesh_patch(make_patch(_load(args.loop)), args.m)
+    harmonic = analysis.harmonic_fill(patch_mesh)
     Path(args.output).write_text(fileio.write_obj(harmonic))
     print("dirichlet energy harmonic: %.9g" % analysis.dirichlet_energy(harmonic))
     print("dirichlet energy patch: %.9g" % analysis.dirichlet_energy(patch_mesh))

@@ -18,6 +18,7 @@ own vertices.  PLY output: ASCII, per-vertex double property `quality`.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -37,6 +38,11 @@ def _join(blocks):
     return "\n".join(block for block in blocks if block) + "\n"
 
 
+def _is_number(x):
+    """A finite JSON number; true/false parse as bool, an int subclass."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def read_loop(text):
     """Parse and validate a loop document; returns a welded BoundaryLoop."""
     try:
@@ -45,6 +51,9 @@ def read_loop(text):
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
+    version = doc.get("version", 1)
+    if version != 1 or isinstance(version, bool):
+        raise SchemaError("version: only version 1 is supported, got %r" % (version,))
     sides = doc.get("sides")
     if not isinstance(sides, list):
         raise SchemaError("sides: missing or not a list")
@@ -56,7 +65,7 @@ def read_loop(text):
             raise SchemaError("sides[%d]: must be an object" % k)
         degree = side.get("degree")
         cps = side.get("control_points")
-        if not isinstance(degree, int) or degree < 0:
+        if type(degree) is not int or degree < 0:  # bool is an int subclass
             raise SchemaError("sides[%d].degree: need a non-negative integer" % k)
         if not isinstance(cps, list):
             raise SchemaError("sides[%d].control_points: missing or not a list" % k)
@@ -67,7 +76,7 @@ def read_loop(text):
             )
         for j, p in enumerate(cps):
             if not (isinstance(p, list) and len(p) == 3
-                    and all(isinstance(c, (int, float)) for c in p)):
+                    and all(_is_number(c) for c in p)):
                 raise SchemaError(
                     "sides[%d].control_points[%d]: need [x, y, z]" % (k, j)
                 )
@@ -76,8 +85,8 @@ def read_loop(text):
         except ValueError as exc:
             raise SchemaError("sides[%d]: %s" % (k, exc)) from exc
     tol = doc.get("weld_tolerance")
-    if tol is not None and not isinstance(tol, (int, float)):
-        raise SchemaError("weld_tolerance: must be a number")
+    if tol is not None and not (_is_number(tol) and tol >= 0):
+        raise SchemaError("weld_tolerance: need a finite number >= 0")
     return make_loop(curves, weld_tolerance=tol)
 
 
@@ -111,16 +120,21 @@ def read_obj(text):
     verts, tris = [], []
     for ln, raw in enumerate(text.splitlines(), 1):
         parts = raw.split()
-        if not parts:
+        if parts[:1] not in (["v"], ["f"]):
             continue
-        if parts[0] == "v":
-            if len(parts) != 4:
-                raise ParseError("bad vertex record", line=ln)
-            verts.append([float(x) for x in parts[1:]])
-        elif parts[0] == "f":
-            if len(parts) != 4:
-                raise ParseError("bad face record", line=ln)
-            tris.append([int(x.split("/")[0]) - 1 for x in parts[1:]])
+        kind = "vertex" if parts[0] == "v" else "face"
+        if len(parts) != 4:
+            raise ParseError("bad %s record" % kind, line=ln)
+        try:
+            if kind == "vertex":
+                verts.append([float(x) for x in parts[1:]])
+                continue
+            face = [int(x.split("/")[0]) for x in parts[1:]]
+        except ValueError:
+            raise ParseError("non-numeric field in %s record" % kind, line=ln) from None
+        if not all(1 <= k <= len(verts) for k in face):
+            raise ParseError("face index out of range 1..%d" % len(verts), line=ln)
+        tris.append([k - 1 for k in face])
     return TriMesh(np.array(verts), np.array(tris, dtype=int).reshape(-1, 3))
 
 

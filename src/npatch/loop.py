@@ -38,13 +38,12 @@ class BoundaryLoop:
         return np.vstack([c.control_points for c in self.sides])
 
     def bbox_diagonal(self):
-        pts = self.control_points()
-        return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+        return _bbox_diagonal(self.sides)
 
 
-def default_weld_tolerance(curves):
+def _bbox_diagonal(curves):
     pts = np.vstack([c.control_points for c in curves])
-    return 1e-9 * float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
 
 def make_loop(curves, weld_tolerance=None):
@@ -52,7 +51,7 @@ def make_loop(curves, weld_tolerance=None):
     if len(curves) < 3:
         raise ClosureError("need at least 3 sides, got %d" % len(curves))
     if weld_tolerance is None:
-        weld_tolerance = default_weld_tolerance(curves)
+        weld_tolerance = 1e-9 * _bbox_diagonal(curves)
     if weld_tolerance < 0:
         raise ValueError("weld_tolerance must be >= 0")
 

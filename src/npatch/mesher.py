@@ -22,11 +22,15 @@ class TriMesh:
         self.scalar = None if scalar is None else np.asarray(scalar, dtype=float)
 
     def edges(self):
-        """Unique undirected edges as a sorted (E, 2) array."""
+        """Unique undirected edges as a sorted (E, 2) array, and the (T, 3)
+        edge ids of each triangle's sides (corners 0-1, 1-2, 2-0)."""
         t = self.triangles
         e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         e.sort(axis=1)
-        return np.unique(e, axis=0)
+        # one integer key per edge: a 1-D unique is far cheaper than unique(axis=0)
+        nv = len(self.vertices)
+        keys, ids = np.unique(e[:, 0] * nv + e[:, 1], return_inverse=True)
+        return np.column_stack(np.divmod(keys, nv)), ids.reshape(3, -1).T
 
 
 def tessellate_domain(poly, m):

@@ -118,7 +118,7 @@ def test_criterion_7_planarity():
     flat = make_loop([BezierCurve(c.control_points * [1, 1, 0]) for c in loop.sides])
     patch = make_patch(flat)
     z_patch = np.abs(mesh_patch(patch, 10).vertices[:, 2]).max()
-    z_harm = np.abs(harmonic_fill(flat, 8).vertices[:, 2]).max()
+    z_harm = np.abs(harmonic_fill(mesh_patch(make_patch(flat), 8)).vertices[:, 2]).max()
     cmap = curvature_map(patch, 6)
     h_max = np.abs(cmap.scalar).max()
     ok = z_patch <= 1e-9 and z_harm <= 1e-9 and h_max <= 1e-6
@@ -129,7 +129,7 @@ def test_criterion_7_planarity():
 def test_criterion_8_harmonic_baseline():
     loop = pentagon_loop()
     m = 10
-    harmonic = harmonic_fill(loop, m)  # raises if umbrella residual too large
+    harmonic = harmonic_fill(mesh_patch(make_patch(loop), m))  # raises if umbrella residual too large
     patch_mesh = mesh_patch(make_patch(loop), m)
     assert np.array_equal(harmonic.triangles, patch_mesh.triangles)
 

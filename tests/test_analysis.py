@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from conftest import random_interior_points
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch
 from npatch.analysis import (contours, curvature_map, dirichlet_energy,
                              harmonic_fill, mean_curvature, pull_inward)
 from npatch.errors import DomainError
-from npatch.fixtures import pentagon_loop, random_loop
+from npatch.fixtures import pentagon_loop, random_loop, square_loop
 
 
 def test_curvature_plane():
@@ -52,11 +55,36 @@ def test_patch_boundary_margin_enforced():
         mean_curvature(patch, near_edge)
 
 
+def test_patch_boundary_margin_enforced_batch():
+    patch = make_patch(pentagon_loop())
+    points = np.array([[0.0, 0.0], [0.2, -0.1], patch.domain.edge_point(0, 0.5) * 0.99999])
+    assert mean_curvature(patch, points[:2]).shape == (2,)
+    with pytest.raises(DomainError):
+        mean_curvature(patch, points)
+
+
+def test_mean_curvature_batch_matches_points():
+    rng = np.random.default_rng(31)
+    patch = make_patch(random_loop(6, 3, rng))
+    points = 0.9 * random_interior_points(rng, patch.domain, 25)
+    batch = mean_curvature(patch, points)
+    single = [mean_curvature(patch, q) for q in points]
+    assert np.abs(batch - single).max() <= 1e-6
+
+
 def test_pull_inward():
     poly = DomainPolygon(5)
     for t in (0.0, 0.3, 0.9):
         q = pull_inward(poly, poly.edge_point(2, t), 0.01)
         assert poly.edge_distances(q).min() >= 0.01 - 1e-12
+
+
+def test_pull_inward_batch_matches_rows():
+    poly = DomainPolygon(5)
+    points = np.array([poly.edge_point(i, t) for i in range(5) for t in (0.0, 0.3, 0.9)]
+                      + [[0.0, 0.0], [0.1, -0.2]])
+    rows = [pull_inward(poly, q, 0.01) for q in points]
+    assert np.array_equal(pull_inward(poly, points, 0.01), rows)
 
 
 def test_curvature_map_planar_loop():
@@ -115,17 +143,41 @@ def test_contour_points_on_plane_and_boundary():
         assert closed or len(poly) >= 2
 
 
+def test_closed_contours_close_bitwise():
+    # the square fixture with every side bowed up by 1: the two top levels
+    # circle the crown
+    loop = make_loop([BezierCurve([c.control_points[0], c.eval(0.5) + [0, 0, 1],
+                                   c.control_points[-1]]) for c in square_loop().sides])
+    cs = contours(mesh_patch(make_patch(loop), 12), np.array([0.0, 0, 1.0]), 5)
+    closed = [poly for poly in cs.polylines if np.allclose(poly[0], poly[-1])]
+    assert len(closed) == 2
+    assert all(np.array_equal(poly[0], poly[-1]) for poly in closed)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(n=st.integers(3, 12), degree=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       axis=st.sampled_from(np.eye(3).tolist()))
+def test_contours_on_level_planes(n, degree, seed, axis):
+    loop = random_loop(n, degree, np.random.default_rng(seed))
+    cs = contours(mesh_patch(make_patch(loop), 8), np.array(axis), 5)
+    levels = np.array(cs.levels)
+    for poly in cs.polylines:
+        proj = poly @ cs.axis
+        level = levels[np.abs(levels - proj[0]).argmin()]
+        assert np.abs(proj - level).max() <= 1e-12 * loop.bbox_diagonal()
+
+
 def test_harmonic_planar_loop():
     flat = make_loop([
         BezierCurve(c.control_points * [1, 1, 0]) for c in pentagon_loop().sides
     ])
-    mesh = harmonic_fill(flat, 6)
+    mesh = harmonic_fill(mesh_patch(make_patch(flat), 6))
     assert np.abs(mesh.vertices[:, 2]).max() <= 1e-9
 
 
 def test_harmonic_umbrella_and_max_principle():
     loop = pentagon_loop()
-    mesh = harmonic_fill(loop, 6)
+    mesh = harmonic_fill(mesh_patch(make_patch(loop), 6))
     boundary = set(mesh.boundary.index.tolist())
     nbr = {}
     for tri in mesh.triangles:
@@ -148,7 +200,7 @@ def test_harmonic_umbrella_and_max_principle():
 def test_harmonic_energy_below_patch_energy():
     loop = pentagon_loop()
     m = 8
-    harmonic = harmonic_fill(loop, m)
+    harmonic = harmonic_fill(mesh_patch(make_patch(loop), m))
     patch_mesh = mesh_patch(make_patch(loop), m)
     assert np.array_equal(harmonic.triangles, patch_mesh.triangles)
     e_h = dirichlet_energy(harmonic)
@@ -159,5 +211,5 @@ def test_harmonic_energy_below_patch_energy():
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_harmonic_other_fixtures(n):
     loop = random_loop(n, 3, np.random.default_rng(80 + n))
-    mesh = harmonic_fill(loop, 5)
+    mesh = harmonic_fill(mesh_patch(make_patch(loop), 5))
     assert np.all(np.isfinite(mesh.vertices))

@@ -53,6 +53,16 @@ def test_check_closure_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("weld_tolerance", -1e-6), ("version", 7)])
+def test_check_invalid_document_field(tmp_path, capsys, field, value):
+    doc = json.loads(write_loop(square_loop()))
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: %s" % field)
+
+
 def test_eval_edge_midpoint(square_file, capsys):
     assert main(["eval", square_file, "--side", "1", "--t", "0.5"]) == 0
     got = np.array([float(x) for x in capsys.readouterr().out.split()])

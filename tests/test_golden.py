@@ -107,7 +107,7 @@ def test_curvature_scalars(name, m):
 @pytest.mark.parametrize("m", (6, 20))
 @pytest.mark.parametrize("name", FIXTURES)
 def test_harmonic_vertices(name, m):
-    got = harmonic_fill(_load(name), m).vertices
+    got = harmonic_fill(mesh_patch(make_patch(_load(name)), m)).vertices
     assert _sha(np.ascontiguousarray(got, dtype="<f8").tobytes()) == GOLDEN["harmonic"]["%s,%d" % (name, m)]
 
 

@@ -57,6 +57,45 @@ def test_closure_error_propagates():
         read_loop(json.dumps(doc))
 
 
+def _gap_doc(**fields):
+    """SQUARE_DOC with a 5-unit gap at corner 1 and the given top-level fields."""
+    doc = json.loads(SQUARE_DOC)
+    doc["sides"][0]["control_points"][-1][0] += 5.0
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), True, -1e-6])
+def test_weld_tolerance_must_be_finite_non_negative(tol):
+    with pytest.raises(SchemaError, match="weld_tolerance"):
+        read_loop(_gap_doc(weld_tolerance=tol))
+
+
+@pytest.mark.parametrize("where", ["degree", "coordinate"])
+def test_boolean_is_not_a_number(where):
+    doc = json.loads(SQUARE_DOC)
+    if where == "degree":
+        doc["sides"][0]["degree"] = True
+    else:
+        doc["sides"][0]["control_points"][0][2] = True
+    with pytest.raises(SchemaError, match=r"sides\[0\]"):
+        read_loop(json.dumps(doc))
+
+
+@pytest.mark.parametrize("version", [7, 2, "1", True])
+def test_unsupported_version(version):
+    doc = json.loads(SQUARE_DOC)
+    doc["version"] = version
+    with pytest.raises(SchemaError, match="version"):
+        read_loop(json.dumps(doc))
+
+
+def test_missing_version_accepted():
+    doc = json.loads(SQUARE_DOC)
+    del doc["version"]
+    assert read_loop(json.dumps(doc)).n == 4
+
+
 def test_loop_document_roundtrip():
     loop = random_loop(5, 3, np.random.default_rng(90))
     again = read_loop(write_loop(loop))
@@ -99,6 +138,21 @@ def test_obj_contours_appended():
     # empty contour set adds nothing
     cs.polylines = []
     assert "l " not in write_obj(mesh, cs)
+
+
+TRIANGLE_OBJ = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+
+@pytest.mark.parametrize("record", ["v 1 2 x", "f 1 2 x"])
+def test_obj_non_numeric_field(record):
+    with pytest.raises(ParseError, match="non-numeric.*line 4"):
+        read_obj(TRIANGLE_OBJ + record)
+
+
+@pytest.mark.parametrize("face", ["f 0 1 2", "f 1 2 4", "f -1 1 2", "f 1/1 2/2 9/9"])
+def test_obj_face_index_out_of_range(face):
+    with pytest.raises(ParseError, match="out of range 1..3.*line 4"):
+        read_obj(TRIANGLE_OBJ + face)
 
 
 def test_ply_requires_scalar():
