@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, SchemaError
 from .mesher import TriMesh, mesh_patch, tessellate_domain
 from .surface import Patch
 
@@ -14,6 +14,8 @@ CURVATURE_STEP = 1e-4
 # 9-point stencil offsets in units of h: center, +-x, +-y, then the diagonals
 STENCIL = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1],
                     [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
+# largest umbrella residual harmonic_fill accepts, relative to max(1, boundary scale)
+UMBRELLA_TOL = 1e-10
 
 
 def mean_curvature(surface, p, h=CURVATURE_STEP):
@@ -61,7 +63,7 @@ def pull_inward(poly, p, margin):
     return p * np.clip(limit.min(axis=-1), 0.0, 1.0)[..., None]
 
 
-def curvature_map(patch, m, h=CURVATURE_STEP):
+def curvature_map(patch, m):
     """Patch mesh with per-vertex mean curvature as the scalar channel.
 
     Vertices too close to the domain boundary are sampled at the nearest
@@ -69,8 +71,9 @@ def curvature_map(patch, m, h=CURVATURE_STEP):
     """
     mesh = mesh_patch(patch, m)
     # margin strictly above the 2h precondition, rounding-safe
-    points = pull_inward(patch.domain, tessellate_domain(patch.domain, m).vertices, 2.5 * h)
-    mesh.scalar = mean_curvature(patch, points, h)
+    points = pull_inward(patch.domain, tessellate_domain(patch.domain, m).vertices,
+                         2.5 * CURVATURE_STEP)
+    mesh.scalar = mean_curvature(patch, points)
     return mesh
 
 
@@ -126,7 +129,7 @@ def contours(mesh, axis, count):
     on a bitwise copy of its first point.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise DomainError("count must be >= 1")
     axis = np.asarray(axis, dtype=float)
     proj = mesh.vertices @ axis
     lo, hi = proj.min(), proj.max()
@@ -154,15 +157,18 @@ def dirichlet_energy(mesh):
     return float((d * d).sum())
 
 
-def harmonic_fill(mesh, residual_tol=1e-10):
+def harmonic_fill(mesh):
     """Discrete 'soap film' on a mesh's connectivity, boundary fixed.
 
     The vertices listed in mesh.boundary keep their positions (for a
     mesh_patch result, the boundary curve samples) and every other
     vertex is solved to be the average of its neighbors (conjugate
     gradients on the SPD interior system, per coordinate).  The length
-    scale of the tolerances is the boundary's bounding-box diagonal.
+    scale of the tolerances is the boundary's bounding-box diagonal.  A
+    mesh without interior vertices is returned unchanged.
     """
+    if mesh.boundary is None or len(mesh.boundary.index) == 0:
+        raise SchemaError("harmonic_fill needs a mesh with a boundary table")
     nv = len(mesh.vertices)
     pos = mesh.vertices.copy()
     boundary = np.zeros(nv, dtype=bool)
@@ -198,8 +204,8 @@ def harmonic_fill(mesh, residual_tol=1e-10):
     # verify the umbrella condition directly
     nb_sum = adjacency @ pos
     resid = pos[interior] - nb_sum[interior] / deg[interior, None]
-    worst = float(np.abs(resid).max())
-    if worst > residual_tol * max(scale, 1.0):
+    worst = float(np.abs(resid).max(initial=0.0))
+    if not worst <= UMBRELLA_TOL * max(scale, 1.0):  # NaN too
         raise NumericError("umbrella residual %.3e above tolerance" % worst)
 
     return TriMesh(pos, mesh.triangles, boundary=mesh.boundary)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Side indices are 1-based on the command line (converted at this
-boundary).  Exit codes: 0 ok, 1 user/input error, 2 numeric failure.
+boundary).  Exit codes: 0 ok, 1 input or OS error, 2 numeric failure (see errors).
 """
 
 import argparse
@@ -11,14 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, fileio
-from .errors import (ClosureError, DomainError, NumericError, ParseError,
-                     SchemaError)
+from .errors import DomainError, NPatchError, NumericError, SchemaError
 from .mesher import mesh_patch
 from .surface import make_patch
 
 AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
-# integer options checked in main, so that a bad value is an input error (exit 1)
-POSITIVE = {"m": "-m", "count": "--count"}
 
 
 def _point_str(p):
@@ -26,7 +23,7 @@ def _point_str(p):
 
 
 def _load(path):
-    return fileio.read_loop(Path(path).read_text())
+    return fileio.read_loop(Path(path).read_bytes())
 
 
 def _cmd_check(args):
@@ -129,19 +126,13 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        for dest, flag in POSITIVE.items():
-            if getattr(args, dest, 1) < 1:
-                raise SchemaError("%s must be >= 1, got %d" % (flag, getattr(args, dest)))
         return args.fn(args)
-    except (ParseError, SchemaError, ClosureError, DomainError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except NumericError as exc:
         print("numeric error: %s" % exc, file=sys.stderr)
         return 2
+    except (NPatchError, OSError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,12 +17,10 @@ class BezierCurve:
 
     def __init__(self, control_points):
         pts = np.array(control_points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError("control points must be an (k, 3) array, k >= 1")
-        if pts.shape[0] < 1:
-            raise ValueError("need at least one control point")
+        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
+            raise DomainError("control points must be an (k, 3) array, k >= 1")
         if not np.all(np.isfinite(pts)):
-            raise ValueError("control points must be finite")
+            raise DomainError("control points must be finite")
         pts.setflags(write=False)
         self.control_points = pts
         self._binomials = np.array(
@@ -69,7 +67,7 @@ class BezierCurve:
             return self.degree * (p[1] - p[0])
         if end == "end":
             return self.degree * (p[-1] - p[-2])
-        raise ValueError("end must be 'start' or 'end'")
+        raise DomainError("end must be 'start' or 'end'")
 
     def start_point(self):
         return self.control_points[0]

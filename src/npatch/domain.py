@@ -28,7 +28,7 @@ class DomainPolygon:
 
     def __init__(self, n):
         if n < 3:
-            raise ValueError("polygon needs n >= 3 sides, got %d" % n)
+            raise DomainError("polygon needs n >= 3 sides, got %d" % n)
         self.n = n
         angles = np.pi / 2 + 2 * np.pi * np.arange(n) / n
         self.vertices = np.column_stack([np.cos(angles), np.sin(angles)])

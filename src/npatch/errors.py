@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by the whole package."""
+"""Exception hierarchy shared by the whole package: every library check raises
+an NPatchError.  The CLI exits with 2 on a NumericError, 1 on any other."""
 
 
 class NPatchError(Exception):
@@ -24,8 +25,8 @@ class ClosureError(NPatchError):
     """Boundary loop corners do not meet within tolerance."""
 
 
-class DomainError(NPatchError):
-    """Parameter or point outside its admissible domain."""
+class DomainError(NPatchError, ValueError):
+    """Parameter or point outside its admissible domain (a ValueError too)."""
 
 
 class NumericError(NPatchError):

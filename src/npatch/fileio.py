@@ -18,7 +18,7 @@ own vertices.  PLY output: ASCII, per-vertex double property `quality`.
 """
 
 import json
-import math
+import sys
 
 import numpy as np
 
@@ -39,16 +39,20 @@ def _join(blocks):
 
 
 def _is_number(x):
-    """A finite JSON number; true/false parse as bool, an int subclass."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A JSON number within the float range: not true/false (bool), NaN,
+    infinity or an int too large for a float."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
 def read_loop(text):
-    """Parse and validate a loop document; returns a welded BoundaryLoop."""
+    """Parse and validate a loop document (str, or bytes in a JSON encoding);
+    returns a welded BoundaryLoop."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:  # bad bytes, over-long int, deep nesting
+        raise ParseError("unreadable JSON: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
     version = doc.get("version", 1)
@@ -78,12 +82,9 @@ def read_loop(text):
             if not (isinstance(p, list) and len(p) == 3
                     and all(_is_number(c) for c in p)):
                 raise SchemaError(
-                    "sides[%d].control_points[%d]: need [x, y, z]" % (k, j)
+                    "sides[%d].control_points[%d]: need [x, y, z] of finite numbers" % (k, j)
                 )
-        try:
-            curves.append(BezierCurve(cps))
-        except ValueError as exc:
-            raise SchemaError("sides[%d]: %s" % (k, exc)) from exc
+        curves.append(BezierCurve(cps))
     tol = doc.get("weld_tolerance")
     if tol is not None and not (_is_number(tol) and tol >= 0):
         raise SchemaError("weld_tolerance: need a finite number >= 0")
@@ -179,6 +180,6 @@ def read_ply_scalar(text):
         verts = np.array([[float(x) for x in r.split()] for r in records[:nv]]).reshape(nv, 4)
         tris = np.array([[int(x) for x in r.split()[1:]] for r in records[nv:]],
                         dtype=int).reshape(nf, 3)
-    except (IndexError, KeyError, ValueError) as exc:
+    except (IndexError, KeyError, OverflowError, ValueError) as exc:
         raise ParseError("malformed PLY: %s %s" % (type(exc).__name__, exc)) from None
     return TriMesh(verts[:, :3], tris, scalar=verts[:, 3])

@@ -10,21 +10,22 @@ from pathlib import Path
 import numpy as np
 
 from .curves import BezierCurve
+from .errors import DomainError
 from .loop import make_loop
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
-def _chord_curve(a, b, degree):
-    """Degree-d curve whose control points sample the straight chord a->b."""
+def _chord(a, b, degree):
+    """degree + 1 control points sampling the straight chord a->b uniformly."""
     t = np.linspace(0.0, 1.0, degree + 1)[:, None]
-    return BezierCurve((1.0 - t) * np.asarray(a) + t * np.asarray(b))
+    return (1.0 - t) * np.asarray(a) + t * np.asarray(b)
 
 
-def polygon_corners(n, radius=1.0):
+def polygon_corners(n):
+    """Corners of the regular n-gon in the unit circle, in the z = 0 plane."""
     angles = np.pi / 2 + 2 * np.pi * np.arange(n) / n
-    return np.column_stack([radius * np.cos(angles), radius * np.sin(angles),
-                            np.zeros(n)])
+    return np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)])
 
 
 def straight_loop(corners, degree=1):
@@ -32,7 +33,7 @@ def straight_loop(corners, degree=1):
     corners = np.asarray(corners, dtype=float)
     n = len(corners)
     return make_loop(
-        [_chord_curve(corners[(i - 1) % n], corners[i], degree) for i in range(n)]
+        [BezierCurve(_chord(corners[(i - 1) % n], corners[i], degree)) for i in range(n)]
     )
 
 
@@ -45,24 +46,22 @@ def square_loop():
     return straight_loop(c)
 
 
-def pentagon_loop(raise_z=0.8):
-    """Regular pentagon with one raised corner; cubic sides along the chords."""
+def pentagon_loop():
+    """Regular pentagon with one corner raised to z = 0.8; cubic sides along the chords."""
     corners = polygon_corners(5)
-    corners[0, 2] = raise_z
+    corners[0, 2] = 0.8
     return straight_loop(corners, degree=3)
 
 
-def wavy_loop(n, seed=0, z_amp=0.35, degree=3):
-    """n-sided loop with sinusoidally displaced corners and bowed cubic sides."""
+def wavy_loop(n, seed=0):
+    """n-sided loop: corners displaced in z (amplitude 0.35), bowed cubic sides."""
     rng = np.random.default_rng(seed)
     corners = polygon_corners(n)
-    corners[:, 2] = z_amp * np.sin(np.linspace(0, 2 * np.pi, n, endpoint=False) * 2)
+    corners[:, 2] = 0.35 * np.sin(np.linspace(0, 2 * np.pi, n, endpoint=False) * 2)
     curves = []
     for i in range(n):
-        a, b = corners[(i - 1) % n], corners[i]
-        t = np.linspace(0.0, 1.0, degree + 1)[:, None]
-        pts = (1.0 - t) * a + t * b
-        pts[1:-1] += rng.normal(scale=0.08, size=(degree - 1, 3))
+        pts = _chord(corners[(i - 1) % n], corners[i], 3)
+        pts[1:-1] += rng.normal(scale=0.08, size=(2, 3))
         curves.append(BezierCurve(pts))
     return make_loop(curves)
 
@@ -78,18 +77,18 @@ def pocket_loops():
     }
 
 
-def random_loop(n, degree, rng, z_amp=0.4, jitter=0.15):
-    """Seeded random closed loop: perturbed n-gon corners, jittered interiors."""
+def random_loop(n, degree, rng):
+    """Seeded random closed loop: perturbed n-gon corners (|z| <= 0.4), jittered interiors."""
+    if degree < 1:
+        raise DomainError("random_loop needs degree >= 1: a degree-0 side "
+                          "cannot join two distinct corners")
     corners = polygon_corners(n)
     corners[:, :2] += rng.normal(scale=0.05, size=(n, 2))
-    corners[:, 2] = rng.uniform(-z_amp, z_amp, size=n)
+    corners[:, 2] = rng.uniform(-0.4, 0.4, size=n)
     curves = []
     for i in range(n):
-        a, b = corners[(i - 1) % n], corners[i]
-        t = np.linspace(0.0, 1.0, degree + 1)[:, None]
-        pts = (1.0 - t) * a + t * b
-        if degree > 1:
-            pts[1:-1] += rng.normal(scale=jitter, size=(degree - 1, 3))
+        pts = _chord(corners[(i - 1) % n], corners[i], degree)
+        pts[1:-1] += rng.normal(scale=0.15, size=(degree - 1, 3))
         curves.append(BezierCurve(pts))
     return make_loop(curves)
 

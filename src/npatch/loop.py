@@ -7,7 +7,7 @@ the 1-based indices it presents to users.
 import numpy as np
 
 from .curves import BezierCurve
-from .errors import ClosureError
+from .errors import ClosureError, DomainError
 
 
 class BoundaryLoop:
@@ -52,8 +52,8 @@ def make_loop(curves, weld_tolerance=None):
         raise ClosureError("need at least 3 sides, got %d" % len(curves))
     if weld_tolerance is None:
         weld_tolerance = 1e-9 * _bbox_diagonal(curves)
-    if weld_tolerance < 0:
-        raise ValueError("weld_tolerance must be >= 0")
+    if not weld_tolerance >= 0:  # NaN too
+        raise DomainError("weld_tolerance must be >= 0, got %r" % (weld_tolerance,))
 
     n = len(curves)
     gaps = np.empty(n)

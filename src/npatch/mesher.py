@@ -4,6 +4,8 @@ from collections import namedtuple
 
 import numpy as np
 
+from .errors import DomainError
+
 Boundary = namedtuple("Boundary", "index side t")
 Boundary.__doc__ = """Boundary vertices: indices, 0-based side and edge parameter t, shape (k,)."""
 
@@ -47,7 +49,7 @@ def tessellate_domain(poly, m):
     a step (a floor division) gives its triangle and slot.
     """
     if m < 1:
-        raise ValueError("resolution m must be >= 1")
+        raise DomainError("resolution m must be >= 1")
     n = poly.n
     levels = np.arange(1, m + 1)
 

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch
 from npatch.analysis import (contours, curvature_map, dirichlet_energy,
                              harmonic_fill, mean_curvature, pull_inward)
-from npatch.errors import DomainError
+from npatch.errors import DomainError, NumericError, SchemaError
+from npatch.fileio import read_obj, write_obj
+from npatch.mesher import Boundary
 from npatch.fixtures import pentagon_loop, random_loop, square_loop
 
 
@@ -213,3 +215,32 @@ def test_harmonic_other_fixtures(n):
     loop = random_loop(n, 3, np.random.default_rng(80 + n))
     mesh = harmonic_fill(mesh_patch(make_patch(loop), 5))
     assert np.all(np.isfinite(mesh.vertices))
+
+
+def _triangle_mesh(vertices, pinned):
+    """One triangle plus any extra vertices; the first `pinned` vertices are boundary."""
+    index = np.arange(pinned)
+    return TriMesh(vertices, [[0, 1, 2]], boundary=Boundary(index, index, np.zeros(pinned)))
+
+
+@pytest.mark.parametrize("source", ["read_obj", "empty table"])
+def test_harmonic_needs_boundary_table(source):
+    if source == "read_obj":
+        mesh = read_obj(write_obj(mesh_patch(make_patch(square_loop()), 3)))
+        assert mesh.boundary is None
+    else:
+        mesh = _triangle_mesh(np.eye(3), 0)
+    with pytest.raises(SchemaError, match="boundary"):
+        harmonic_fill(mesh)
+
+
+def test_harmonic_without_interior_vertices_is_unchanged():
+    mesh = _triangle_mesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 1]]), 3)
+    assert np.array_equal(harmonic_fill(mesh).vertices, mesh.vertices)
+
+
+def test_harmonic_isolated_interior_vertex_is_numeric_error():
+    # no neighbors to average: the umbrella residual is NaN, not a pass
+    mesh = _triangle_mesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 1], [5, 5, 5]]), 3)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        harmonic_fill(mesh)

@@ -160,3 +160,41 @@ def test_bundled_fixture_files():
                      "pocket4.json", "pocket5.json", "pocket6.json",
                      "square.json", "triangle.json"]
     assert main(["check", str(FIXTURE_DIR / "pocket6.json")]) == 0
+
+
+@pytest.mark.parametrize("case", [
+    "directory input", "non-UTF-8 input", "integer beyond float range", "directory output",
+])
+def test_os_and_decoding_errors_exit_1(square_file, tmp_path, capsys, case):
+    doc = json.loads(write_loop(square_loop()))
+    doc["sides"][1]["control_points"][0][2] = 10**400
+    path = tmp_path / "loop.json"
+    path.write_bytes({
+        "non-UTF-8 input": b'{"version": 1, "sides": "\xe9"}',
+        "integer beyond float range": json.dumps(doc).encode(),
+    }.get(case, b""))
+    argv = {
+        "directory input": ["check", str(tmp_path)],
+        "non-UTF-8 input": ["check", str(path)],
+        "integer beyond float range": ["check", str(path)],
+        "directory output": ["mesh", square_file, "-m", "2", "-o", str(tmp_path)],
+    }[case]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
+def test_numeric_error_exits_2(pentagon_file, tmp_path, capsys, monkeypatch):
+    from npatch import analysis
+    from npatch.errors import NumericError
+
+    def fail(mesh):
+        raise NumericError("no convergence")
+
+    monkeypatch.setattr(analysis, "harmonic_fill", fail)
+    out = tmp_path / "harm.obj"
+    assert main(["harmonic", pentagon_file, "-m", "4", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "numeric error: no convergence\n"
+    assert not out.exists()

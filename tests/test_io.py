@@ -1,11 +1,14 @@
 import json
+from contextlib import suppress
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npatch import DomainPolygon, TriMesh, make_patch, mesh_patch, tessellate_domain
 from npatch.analysis import contours, curvature_map
-from npatch.errors import ClosureError, ParseError, SchemaError
+from npatch.errors import ClosureError, NPatchError, ParseError, SchemaError
 from npatch.fileio import (read_loop, read_obj, read_ply_scalar, write_loop,
                            write_obj, write_ply_scalar)
 from npatch.fixtures import pentagon_loop, random_loop, square_loop
@@ -225,3 +228,139 @@ def test_deterministic_output():
     a = write_obj(mesh_patch(make_patch(loop), 5))
     b = write_obj(mesh_patch(make_patch(loop), 5))
     assert a == b
+
+
+@pytest.mark.parametrize("field, path", [
+    (r"sides\[1\].control_points\[0\]", ("sides", 1, "control_points", 0, 2)),
+    ("weld_tolerance", ("weld_tolerance",)),
+], ids=["coordinate", "weld_tolerance"])
+def test_integer_beyond_float_range(field, path):
+    doc = json.loads(SQUARE_DOC)
+    doc["weld_tolerance"] = 1e-9
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = 10**400
+    with pytest.raises(SchemaError, match=field):
+        read_loop(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,  # nested past the parser's recursion limit
+    '{"version": 1%s}' % ("0" * 5000),  # integer literal over Python's digit limit
+    b'{"version": 1, "sides": "\xe9"}',  # Latin-1 bytes, not UTF-8
+], ids=["deep_nesting", "long_integer", "latin1_bytes"])
+def test_unreadable_json_is_parse_error(text):
+    with pytest.raises(ParseError):
+        read_loop(text)
+
+
+def _paths(node, path=()):
+    """Every key/index path into a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, path + (key,))
+
+
+LOOP_DOCS = [dict(json.loads(write_loop(loop)), weld_tolerance=1e-9)
+             for loop in (square_loop(), pentagon_loop())]
+SPECIAL_VALUES = [10**400, -10**400, float("nan"), float("inf"), True, None, "1"]
+JSON_VALUES = st.one_of(
+    st.sampled_from(SPECIAL_VALUES + [2**63, float("-inf"), False, "", -1, 0, 1e308,
+                                      [], {}, [0, 0], [[0, 0, 0]]]),
+    st.integers(), st.floats(), st.text(max_size=4),
+)
+
+
+DELETE = object()
+
+
+def _replace(doc, path, value):
+    """A copy of doc with the node at path set to value (removed for DELETE)."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def test_read_loop_special_value_in_every_field():
+    for doc in LOOP_DOCS:
+        for path in _paths(doc):
+            for value in SPECIAL_VALUES:
+                with suppress(NPatchError):
+                    read_loop(json.dumps(_replace(doc, path, value)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), base=st.sampled_from(range(len(LOOP_DOCS))),
+       count=st.integers(1, 3))
+def test_read_loop_mutations_raise_only_npatch_error(data, base, count):
+    doc = LOOP_DOCS[base]
+    for _ in range(count):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        doc = _replace(doc, path, data.draw(st.one_of(st.just(DELETE), JSON_VALUES)))
+    with suppress(NPatchError):
+        read_loop(json.dumps(doc))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(raw=st.one_of(st.text(), st.binary()))
+def test_read_loop_arbitrary_input_raises_only_npatch_error(raw):
+    with suppress(NPatchError):
+        read_loop(raw)
+
+
+OBJ_FIELDS = st.one_of(st.integers(-2, 6).map(str), st.floats().map(repr),
+                       st.sampled_from(["1/1", "2//3", "/", "x", "1e999", "nan"]),
+                       st.text(max_size=3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(records=st.lists(st.tuples(st.sampled_from(["v", "f", "l", "#", "vn", ""]),
+                                  st.lists(OBJ_FIELDS, max_size=5)), max_size=8))
+def test_read_obj_raises_only_npatch_error(records):
+    text = TRIANGLE_OBJ + "\n".join(" ".join([kind] + fields) for kind, fields in records)
+    with suppress(NPatchError):
+        read_obj(text)
+
+
+PLY_TEXT = write_ply_scalar(TriMesh(np.eye(3), np.array([[0, 1, 2]]), scalar=np.arange(3.0)))
+PLY_TOKENS = st.one_of(st.integers().map(str), st.floats().map(repr),
+                       st.sampled_from(["element", "vertex", "face", "end_header", "ply",
+                                        "99999999999999999999999", "-1", ""]),
+                       st.text(max_size=3))
+
+
+def test_ply_face_index_beyond_int64():
+    with pytest.raises(ParseError):
+        read_ply_scalar(PLY_TEXT.replace("3 0 1 2", "3 0 1 %d" % 2**70))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), count=st.integers(1, 4))
+def test_read_ply_scalar_raises_only_npatch_error(data, count):
+    lines = PLY_TEXT.splitlines()
+    for _ in range(count):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        action = data.draw(st.sampled_from(["token", "delete", "duplicate", "truncate"]))
+        if action == "token":
+            tokens = lines[k].split() or [""]
+            tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(PLY_TOKENS)
+            lines[k] = " ".join(tokens)
+        elif action == "delete":
+            del lines[k]
+        elif action == "duplicate":
+            lines.insert(k, lines[k])
+        else:
+            lines = lines[:k]
+        if not lines:
+            break
+    with suppress(NPatchError):
+        read_ply_scalar("\n".join(lines) + "\n")
