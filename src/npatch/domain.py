@@ -40,7 +40,9 @@ class DomainPolygon:
         self._off_edges = [[j for j in range(n) if j not in (i, (i + 1) % n)] for i in range(n)]
 
     def edge_point(self, i, t):
-        """Domain point on edge i at edge parameter t."""
+        """Domain point on edge i at edge parameter t; arrays i and t
+        broadcast to points of shape (..., 2)."""
+        t = np.asarray(t, dtype=float)[..., None]
         return (1.0 - t) * self.vertices[(i - 1) % self.n] + t * self.vertices[i % self.n]
 
     def edge_distances_many(self, points):
@@ -59,9 +61,6 @@ class DomainPolygon:
         d[np.abs(d) <= EPS_GEOM] = 0.0
         return d
 
-    def edge_distances(self, p):
-        return self.edge_distances_many(np.asarray(p, dtype=float)[None])[0]
-
     def wachspress_many(self, points):
         """Wachspress coordinates at each point, shape (k, n).
 
@@ -76,9 +75,6 @@ class DomainPolygon:
         for i, others in enumerate(self._off_edges):
             num[i] = d[others].prod(axis=0)
         return (num / num.sum(axis=0)).T
-
-    def wachspress(self, p):
-        return self.wachspress_many(np.asarray(p, dtype=float)[None])[0]
 
 
 class LocalParams:

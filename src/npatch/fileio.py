@@ -182,4 +182,6 @@ def read_ply_scalar(text):
                         dtype=int).reshape(nf, 3)
     except (IndexError, KeyError, OverflowError, ValueError) as exc:
         raise ParseError("malformed PLY: %s %s" % (type(exc).__name__, exc)) from None
+    if np.any((tris < 0) | (tris >= nv)):
+        raise ParseError("face index out of range 0..%d" % (nv - 1))
     return TriMesh(verts[:, :3], tris, scalar=verts[:, 3])

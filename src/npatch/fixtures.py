@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import BezierCurve
+from .domain import DomainPolygon
 from .errors import DomainError
 from .loop import make_loop
 
@@ -23,9 +24,8 @@ def _chord(a, b, degree):
 
 
 def polygon_corners(n):
-    """Corners of the regular n-gon in the unit circle, in the z = 0 plane."""
-    angles = np.pi / 2 + 2 * np.pi * np.arange(n) / n
-    return np.column_stack([np.cos(angles), np.sin(angles), np.zeros(n)])
+    """The domain n-gon's vertices, in the z = 0 plane."""
+    return np.column_stack([DomainPolygon(n).vertices, np.zeros(n)])
 
 
 def straight_loop(corners, degree=1):

@@ -4,6 +4,8 @@ Side indices are 0-based throughout the library; the CLI converts from
 the 1-based indices it presents to users.
 """
 
+import math
+
 import numpy as np
 
 from .curves import BezierCurve
@@ -43,7 +45,7 @@ class BoundaryLoop:
 
 def _bbox_diagonal(curves):
     pts = np.vstack([c.control_points for c in curves])
-    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    return math.dist(pts.max(axis=0), pts.min(axis=0))  # scaled: inf only when the diagonal is
 
 
 def make_loop(curves, weld_tolerance=None):
@@ -52,13 +54,14 @@ def make_loop(curves, weld_tolerance=None):
         raise ClosureError("need at least 3 sides, got %d" % len(curves))
     if weld_tolerance is None:
         weld_tolerance = 1e-9 * _bbox_diagonal(curves)
+        if math.isinf(weld_tolerance):
+            raise DomainError("control points span more than the float range")
     if not weld_tolerance >= 0:  # NaN too
         raise DomainError("weld_tolerance must be >= 0, got %r" % (weld_tolerance,))
 
     n = len(curves)
-    gaps = np.empty(n)
-    for i in range(n):
-        gaps[i] = np.linalg.norm(curves[i].end_point() - curves[(i + 1) % n].start_point())
+    gaps = np.array([math.dist(curves[i].end_point(), curves[(i + 1) % n].start_point())
+                     for i in range(n)])
     bad = np.nonzero(gaps > weld_tolerance)[0]
     if bad.size:
         i = int(bad[0])
@@ -68,7 +71,7 @@ def make_loop(curves, weld_tolerance=None):
         )
 
     corners = [
-        0.5 * (curves[i].end_point() + curves[(i + 1) % n].start_point())
+        0.5 * curves[i].end_point() + 0.5 * curves[(i + 1) % n].start_point()  # no overflow
         for i in range(n)
     ]
     welded = []

@@ -60,8 +60,7 @@ def tessellate_domain(poly, m):
     level = np.repeat(levels, n * levels)
     side, k = np.divmod(np.arange(level.size) - n * level * (level - 1) // 2, level)
     t = k / level
-    ring = (level / m)[:, None] * (
-        (1.0 - t)[:, None] * poly.vertices[side - 1] + t[:, None] * poly.vertices[side])
+    ring = (level / m)[:, None] * poly.edge_point(side, t)
     on_boundary = level == m
     boundary = Boundary(1 + np.nonzero(on_boundary)[0], side[on_boundary], t[on_boundary])
 

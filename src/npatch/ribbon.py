@@ -16,7 +16,6 @@ class Ribbon:
     """Four-sided Coons patch bundling three consecutive loop sides."""
 
     def __init__(self, loop, i):
-        self.index = i
         self.prev = loop.side(i - 1)
         self.base = loop.side(i)
         self.next = loop.side(i + 1)
@@ -26,9 +25,6 @@ class Ribbon:
         self.c01 = self.prev.start_point()   # C_{i-1}(0)
         self.c10 = self.base.end_point()     # C_i(1)
         self.c11 = self.next.end_point()     # C_{i+1}(1)
-
-    def eval(self, s, d):
-        return self.eval_many(np.asarray([s]), np.asarray([d]))[0]
 
     def eval_many(self, s, d):
         """Bilinearly blended Coons sum at parameter arrays s, d in [0, 1].

@@ -76,9 +76,8 @@ def test_mean_curvature_batch_matches_points():
 
 def test_pull_inward():
     poly = DomainPolygon(5)
-    for t in (0.0, 0.3, 0.9):
-        q = pull_inward(poly, poly.edge_point(2, t), 0.01)
-        assert poly.edge_distances(q).min() >= 0.01 - 1e-12
+    q = pull_inward(poly, poly.edge_point(2, [0.0, 0.3, 0.9]), 0.01)
+    assert poly.edge_distances_many(q).min() >= 0.01 - 1e-12
 
 
 def test_pull_inward_batch_matches_rows():

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import scaled_square_doc
 
 from npatch.cli import main
 from npatch.fileio import read_obj, read_ply_scalar, write_loop
@@ -51,6 +52,14 @@ def test_check_closure_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["check", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale, gap", [(1e200, 1e195), (1e308, 0.0)])
+def test_check_huge_coordinates(tmp_path, capsys, scale, gap):
+    path = tmp_path / "huge.json"
+    path.write_text(scaled_square_doc(scale, gap))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("field, value", [("weld_tolerance", -1e-6), ("version", 7)])

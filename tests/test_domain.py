@@ -32,21 +32,20 @@ def test_rejects_small_n():
 @pytest.mark.parametrize("n", [3, 4, 5, 7])
 def test_center_distances_equal_apothem(n):
     poly = DomainPolygon(n)
-    d = poly.edge_distances(np.zeros(2))
+    d = poly.edge_distances_many(np.zeros((1, 2)))
     assert np.allclose(d, np.cos(np.pi / n), atol=1e-15)
 
 
 def test_edge_midpoint_distance_zero():
     poly = DomainPolygon(5)
-    for i in range(5):
-        mid = poly.edge_point(i, 0.5)
-        assert poly.edge_distances(mid)[i] == 0.0
+    mids = poly.edge_point(np.arange(5), 0.5)
+    assert np.all(np.diag(poly.edge_distances_many(mids)) == 0.0)
 
 
 def test_square_distances_hand_case():
     poly = DomainPolygon(4)
     # square rotated 45 deg, apothem sqrt(2)/2; offset point along +x
-    d = poly.edge_distances(np.array([0.1, 0.0]))
+    d = poly.edge_distances_many(np.array([[0.1, 0.0]]))[0]
     a = np.sqrt(2) / 2
     s = 0.1 * np.sqrt(2) / 2
     # edges 0 and 3 face +x-ish, edges 1 and 2 face -x-ish
@@ -57,40 +56,35 @@ def test_square_distances_hand_case():
 def test_outside_point_rejected():
     poly = DomainPolygon(4)
     with pytest.raises(DomainError):
-        poly.edge_distances(np.array([1.0, 1.0]))
+        poly.edge_distances_many(np.array([[1.0, 1.0]]))
     with pytest.raises(DomainError):
-        poly.wachspress(np.array([0.0, 1.01]))
+        poly.wachspress_many(np.array([[0.0, 1.01]]))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 10])
 def test_wachspress_center(n):
-    lam = DomainPolygon(n).wachspress(np.zeros(2))
+    lam = DomainPolygon(n).wachspress_many(np.zeros((1, 2)))
     assert np.allclose(lam, 1.0 / n, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_wachspress_vertices(n):
     poly = DomainPolygon(n)
-    for k in range(n):
-        lam = poly.wachspress(poly.vertices[k])
-        expected = np.zeros(n)
-        expected[k] = 1.0
-        assert np.allclose(lam, expected, atol=1e-14)
+    lam = poly.wachspress_many(poly.vertices)
+    assert np.allclose(lam, np.eye(n), atol=1e-14)
 
 
 def test_wachspress_square_equals_bilinear():
     # on a square Wachspress coincides with bilinear coordinates
     poly = DomainPolygon(4)
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        a, b = rng.uniform(0, 1, size=2)
-        # bilinear point over vertex cycle v0..v3
-        w = np.array([(1 - a) * (1 - b), a * (1 - b), a * b, (1 - a) * b])
-        p = w @ poly.vertices
-        assert np.allclose(poly.wachspress(p), w, atol=1e-12)
+    a, b = rng.uniform(0, 1, size=(2, 50))
+    # bilinear points over vertex cycle v0..v3
+    w = np.column_stack([(1 - a) * (1 - b), a * (1 - b), a * b, (1 - a) * b])
+    assert np.allclose(poly.wachspress_many(w @ poly.vertices), w, atol=1e-12)
     # edge midpoint case: the two edge vertices get 1/2
     mid = 0.5 * (poly.vertices[0] + poly.vertices[1])
-    assert np.allclose(poly.wachspress(mid), [0.5, 0.5, 0, 0], atol=1e-14)
+    assert np.allclose(poly.wachspress_many(mid[None]), [0.5, 0.5, 0, 0], atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 10])
@@ -119,7 +113,7 @@ def test_edge_lambda_linear_in_arclength(n):
 def test_local_params_center():
     for n in (3, 4, 5, 7):
         poly = DomainPolygon(n)
-        lp = local_params(poly.wachspress(np.zeros(2)))
+        lp = local_params(poly.wachspress_many(np.zeros((1, 2))))
         assert np.allclose(lp.d, 1 - 2.0 / n, atol=1e-14)
         assert np.allclose(lp.s, 0.5, atol=1e-14)
         assert lp.valid.all()
@@ -127,19 +121,19 @@ def test_local_params_center():
 
 def test_local_params_edge_midpoint():
     poly = DomainPolygon(5)
-    lp = local_params(poly.wachspress(poly.edge_point(2, 0.5)))
-    assert abs(lp.d[2]) <= 1e-12
-    assert abs(lp.s[2] - 0.5) <= 1e-12
+    lp = local_params(poly.wachspress_many(poly.edge_point(2, [0.5])))
+    assert abs(lp.d[0, 2]) <= 1e-12
+    assert abs(lp.s[0, 2] - 0.5) <= 1e-12
 
 
 def test_local_params_far_edge():
     poly = DomainPolygon(6)
-    lp = local_params(poly.wachspress(poly.edge_point(3, 0.25)))
+    lp = local_params(poly.wachspress_many(poly.edge_point(3, [0.25])))
     for i in range(6):
         if i in (2, 3, 4):
             continue
-        assert abs(lp.d[i] - 1) <= 1e-12
-        assert not lp.valid[i]
+        assert abs(lp.d[0, i] - 1) <= 1e-12
+        assert not lp.valid[0, i]
 
 
 @pytest.mark.parametrize("n", range(3, 11))

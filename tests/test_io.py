@@ -3,12 +3,13 @@ from contextlib import suppress
 
 import numpy as np
 import pytest
+from conftest import scaled_square_doc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npatch import DomainPolygon, TriMesh, make_patch, mesh_patch, tessellate_domain
 from npatch.analysis import contours, curvature_map
-from npatch.errors import ClosureError, NPatchError, ParseError, SchemaError
+from npatch.errors import ClosureError, DomainError, NPatchError, ParseError, SchemaError
 from npatch.fileio import (read_loop, read_obj, read_ply_scalar, write_loop,
                            write_obj, write_ply_scalar)
 from npatch.fixtures import pentagon_loop, random_loop, square_loop
@@ -72,6 +73,20 @@ def _gap_doc(**fields):
 def test_weld_tolerance_must_be_finite_non_negative(tol):
     with pytest.raises(SchemaError, match="weld_tolerance"):
         read_loop(_gap_doc(weld_tolerance=tol))
+
+
+@pytest.mark.parametrize("scale, gap, error", [
+    (1e200, 1e195, ClosureError),  # the default tolerance stays finite
+    (1e308, 0.0, DomainError),     # the bounding-box diagonal is past the float range
+])
+def test_default_tolerance_for_huge_coordinates(scale, gap, error):
+    with pytest.raises(error):
+        read_loop(scaled_square_doc(scale, gap))
+
+
+def test_welding_huge_corners_does_not_overflow():
+    loop = read_loop(scaled_square_doc(1e308, weld_tolerance=1e-9))
+    assert np.abs(loop.control_points()).max() == 1e308
 
 
 @pytest.mark.parametrize("where", ["degree", "coordinate"])
@@ -203,6 +218,8 @@ def test_ply_truncated_body(cut):
     ("element vertex 3", "element vertices 3"),
     ("0 0 1 0", "0 0 1"),
     ("3 0 1 2", "3 0 1 x"),
+    ("3 0 1 2", "3 0 1 99"),
+    ("3 0 1 2", "3 0 1 -1"),
 ])
 def test_ply_malformed_records(old, new):
     mesh = TriMesh(np.eye(3), np.array([[0, 1, 2]]), scalar=np.zeros(3))

@@ -23,7 +23,7 @@ def test_boundary_reproduction(n):
 
 def test_square_center():
     r = Ribbon(square_loop(), 0)
-    assert np.allclose(r.eval(0.5, 0.5), (0.5, 0.5, 0), atol=1e-14)
+    assert np.allclose(r.eval_many(np.array([0.5]), np.array([0.5])), (0.5, 0.5, 0), atol=1e-14)
 
 
 def test_planar_loop_stays_planar():
@@ -58,14 +58,9 @@ def test_affine_equivariance():
 
 def test_parameters_out_of_range():
     r = Ribbon(square_loop(), 0)
-    with pytest.raises(DomainError):
-        r.eval(1.2, 0.5)
-    with pytest.raises(DomainError):
-        r.eval(0.5, -0.2)
-    with pytest.raises(DomainError):
-        r.eval(np.nan, 0.5)
-    with pytest.raises(DomainError):
-        r.eval(0.5, np.nan)
+    for s, d in [(1.2, 0.5), (0.5, -0.2), (np.nan, 0.5), (0.5, np.nan)]:
+        with pytest.raises(DomainError):
+            r.eval_many(np.array([s]), np.array([d]))
 
 
 def test_triangle_far_side_is_point():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_affine, random_interior_points
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npatch import BezierCurve, local_params, make_loop, make_patch
 from npatch.errors import DomainError
@@ -122,6 +124,35 @@ def test_affine_equivariance():
         direct = make_patch(mapped).eval_many(pts)
         routed = patch.eval_many(pts) @ a.T + b
         assert np.abs(direct - routed).max() <= 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(3, 16), degree=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_invariants_on_random_loops(n, degree, seed):
+    rng = np.random.default_rng(seed)
+    loop = random_loop(n, degree, rng)
+    patch = make_patch(loop)
+    poly = patch.domain
+    tol = 1e-9 * loop.bbox_diagonal()
+    # boundary and corner interpolation, every side in one batch
+    t = np.linspace(0, 1, 9)
+    on_edges = poly.edge_point(np.repeat(np.arange(n), t.size), np.tile(t, n))
+    want = np.vstack([c.eval_many(t) for c in loop.sides])
+    assert np.abs(patch.eval_many(on_edges) - want).max() <= tol
+    corners = np.array([loop.corner(i) for i in range(n)])
+    assert np.abs(patch.eval_many(poly.vertices) - corners).max() <= 1e-12
+    # Wachspress and blend-weight partition of unity
+    pts = random_interior_points(rng, poly, 50)
+    lam = poly.wachspress_many(pts)
+    assert np.abs(lam.sum(axis=1) - 1).max() <= 1e-12
+    blend = 0.5 * (1.0 - local_params(lam).d)
+    assert np.abs(blend.sum(axis=1) - 1).max() <= 1e-12
+    # affine equivariance
+    a, b = random_affine(rng)
+    mapped = make_loop([BezierCurve(c.control_points @ a.T + b) for c in loop.sides])
+    direct = make_patch(mapped).eval_many(pts)
+    routed = patch.eval_many(pts) @ a.T + b
+    assert np.abs(direct - routed).max() <= 1e-9
 
 
 def test_continuity_across_skip_threshold():
