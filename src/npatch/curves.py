@@ -1,6 +1,6 @@
 """Bezier space curves: the only curve primitive used by the rest of the package."""
 
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -59,15 +59,19 @@ class BezierCurve:
         """First derivative vector at 'start' (t=0) or 'end' (t=1).
 
         A degree-0 curve has no direction; the zero vector is returned.
+        A derivative beyond the float range raises DomainError.
         """
         p = self.control_points
         if self.degree == 0:
             return np.zeros(3)
-        if end == "start":
-            return self.degree * (p[1] - p[0])
-        if end == "end":
-            return self.degree * (p[-1] - p[-2])
-        raise DomainError("end must be 'start' or 'end'")
+        if end not in ("start", "end"):
+            raise DomainError("end must be 'start' or 'end'")
+        a, b = (p[0], p[1]) if end == "start" else (p[-2], p[-1])
+        # in Python floats an overflow gives inf without a numpy warning
+        derivative = [self.degree * (y - x) for x, y in zip(a.tolist(), b.tolist())]
+        if not all(map(isfinite, derivative)):
+            raise DomainError("curve end derivative overflows the float range")
+        return np.array(derivative)
 
     def start_point(self):
         return self.control_points[0]
@@ -77,3 +81,18 @@ class BezierCurve:
 
     def __repr__(self):
         return "BezierCurve(degree=%d)" % self.degree
+
+
+def elevate(points, degree):
+    """Control points of the same Bezier curve(s) at a higher degree.
+
+    points has shape (d + 1, ...) with d <= degree; the result has shape
+    (degree + 1, ...).  Each step is Farin's elevation by one,
+    q_i = a_i p_{i-1} + (1 - a_i) p_i with a_i = i / (d + 1), and keeps
+    the end points bit for bit.
+    """
+    p = np.asarray(points, dtype=float)
+    for d in range(len(p) - 1, degree):
+        a = (np.arange(1, d + 1) / (d + 1)).reshape((-1,) + (1,) * (p.ndim - 1))
+        p = np.concatenate([p[:1], a * p[:-1] + (1.0 - a) * p[1:], p[-1:]])
+    return p

@@ -36,8 +36,8 @@ class DomainPolygon:
         # outward unit normal of edge i (spanning vertex i-1 -> vertex i)
         mids = 0.5 * (np.roll(self.vertices, 1, axis=0) + self.vertices)
         self.edge_normals = mids / np.linalg.norm(mids, axis=1, keepdims=True)
-        # row i: the edges vertex i does not lie on (it lies on edges i, i+1)
-        self._off_edges = [[j for j in range(n) if j not in (i, (i + 1) % n)] for i in range(n)]
+        # row i: the edges vertex i does not lie on (it lies on edges i, i+1), ascending
+        self._off_edges = np.sort((np.arange(n)[:, None] + np.arange(2, n)) % n, axis=1)
 
     def edge_point(self, i, t):
         """Domain point on edge i at edge parameter t; arrays i and t
@@ -67,14 +67,11 @@ class DomainPolygon:
         lambda_i is proportional to the product of distances to every
         edge vertex i does not lie on (vertex i lies on edges i and i+1).
         The product form is evaluated directly even on the boundary:
-        there exactly two numerators stay nonzero, which is benign.  The
-        result is the transpose of a side-major (n, k) array.
+        there exactly two numerators stay nonzero, which is benign.  Rows
+        are points: the products come from one (k, n, n - 2) gather.
         """
-        d = np.ascontiguousarray(self.edge_distances_many(points).T)
-        num = np.empty(d.shape)
-        for i, others in enumerate(self._off_edges):
-            num[i] = d[others].prod(axis=0)
-        return (num / num.sum(axis=0)).T
+        num = self.edge_distances_many(points)[:, self._off_edges].prod(axis=2)
+        return num / num.sum(axis=1, keepdims=True)
 
 
 class LocalParams:

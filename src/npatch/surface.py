@@ -1,9 +1,18 @@
 """The full multi-sided patch: blended sum of the n ribbons."""
 
+from math import comb
+
 import numpy as np
 
+from .curves import elevate
 from .domain import DomainPolygon, local_params
+from .errors import DomainError
 from .ribbon import Ribbon
+
+# curve parameters per evaluation block (points x 4n curve columns): bounds
+# the block's transients, the (points, n, n - 2) Wachspress gather
+# included, whatever n is
+BLOCK_VALUES = 2**14
 
 
 class Patch:
@@ -22,6 +31,25 @@ class Patch:
         corners = np.array([[r.c00, r.c01, r.c10, r.c11] for r in self.ribbons])
         c00, c01, c10, c11 = corners.transpose(1, 0, 2)
         self._corner_basis = (c00, c10 - c00, c01 - c00, c00 - c01 - c10 + c11)
+        # the n sides and the n opposite curves, elevated to the highest degree
+        # D among them; the control tensor (D + 1, 4n, 3) holds in column
+        # block r = 0..3 ribbon i's base, prev, next and opposite curve, and is
+        # kept flattened and transposed, (3, (D + 1) 4n), for the kernel's matmul
+        n = loop.n
+        curves = loop.sides + tuple(r.opp for r in self.ribbons)
+        degree = max(c.degree for c in curves)
+        controls = np.empty((degree + 1, 2 * n, 3))
+        for d in {c.degree for c in curves}:
+            group = [j for j, c in enumerate(curves) if c.degree == d]
+            controls[:, group] = elevate(
+                np.stack([curves[j].control_points for j in group], axis=1), degree)
+        i = np.arange(n)
+        sides = controls[:, :n]
+        self._controls_t = np.concatenate(
+            [sides, sides[:, i - 1], sides[:, (i + 1) % n], controls[:, n:]], axis=1
+        ).reshape(-1, 3).T.copy()
+        self._binomials = np.array([comb(degree, j) for j in range(degree + 1)],
+                                   dtype=float)[:, None, None]
 
     @property
     def n(self):
@@ -35,13 +63,20 @@ class Patch:
         """Surface points at an array of 2D domain points, shape (k, 2) -> (k, 3).
 
         S = sum_i w_i R_i(s_i, d_i), w_i = (1 - d_i)/2 (0 where s_i is
-        undefined), is linear in the curve samples: side curve j is
-        evaluated in one call at s_j, 1 - d_{j+1} and d_{j-1} (base of
-        ribbon j, prev of ribbon j+1, next of ribbon j-1), each opposite
-        curve in another, and the corner terms are matrix products.
+        undefined), is linear in the curve samples.  Per block of
+        BLOCK_VALUES / (4n) points, one Bernstein basis of degree D over
+        all 4n curve columns, scaled by the Coons weights, multiplies the
+        control tensor; the corner terms are matrix products.
         """
         points = np.asarray(points, dtype=float)
-        n, k = self.n, points.shape[0]
+        out = np.empty((len(points), 3))
+        block = max(1, BLOCK_VALUES // (4 * self.n))
+        for start in range(0, len(points), block):
+            out[start:start + block] = self._eval_block(points[start:start + block])
+        return out
+
+    def _eval_block(self, points):
+        k, n, degree = len(points), self.n, len(self._binomials) - 1
         lp = local_params(self.domain.wachspress_many(points))
         # sides with undefined s get weight 0 (and any finite s)
         s, d = lp.s, lp.d
@@ -50,17 +85,26 @@ class Patch:
         w[~lp.valid] = 0.0
         e0, es, ed, esd = self._corner_basis
         out = -(w @ e0 + (w * s) @ es + (w * d) @ ed + (w * s * d) @ esd)
-        # side-major views (wachspress_many stores sides contiguously):
-        # row i holds side i's parameters at every point
+        # curve-major (4n, k) parameters and weights of ribbon i's base, prev,
+        # next and opposite curve
         s, d, w = s.T, d.T, w.T
-        for j, curve in enumerate(self.loop.sides):
-            a, b = (j + 1) % n, j - 1  # curve j is the prev of ribbon a, the next of ribbon b
-            t = np.concatenate([s[j], 1.0 - d[a], d[b]])
-            c = np.concatenate([w[j] * (1.0 - d[j]), w[a] * (1.0 - s[a]), w[b] * s[b]])
-            samples = curve.eval_many(t)
-            samples *= c[:, None]
-            out += samples.reshape(3, k, 3).sum(axis=0)
-            out += (w[j] * d[j])[:, None] * self.ribbons[j].opp.eval_many(1.0 - s[j])
+        t = np.concatenate([s, 1.0 - d, d, 1.0 - s])
+        if not np.all((t >= 0.0) & (t <= 1.0)):
+            raise DomainError("curve parameter outside [0, 1]")
+        c = t.reshape(4, n, k)[[1, 3, 0, 2]]  # Coons weights 1 - d, 1 - s, s, d
+        c *= w
+        powers = np.empty((2, degree + 1, 4 * n, k))  # t^j and (1 - t)^j
+        powers[:, 0] = 1.0
+        if degree:
+            powers[0, 1] = t
+            np.subtract(1.0, t, out=powers[1, 1])
+        for j in range(1, degree):
+            np.multiply(powers[:, j], powers[:, 1], out=powers[:, j + 1])
+        basis = powers[0]
+        basis *= self._binomials
+        basis *= powers[1, ::-1]
+        basis *= c.reshape(4 * n, k)
+        out += (self._controls_t @ basis.reshape(-1, k)).T
         return out
 
     def eval_boundary(self, i, t):

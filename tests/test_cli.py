@@ -62,6 +62,17 @@ def test_check_huge_coordinates(tmp_path, capsys, scale, gap):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_mesh_huge_square_names_the_overflow(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(scaled_square_doc(1e308, weld_tolerance=1e-9))
+    assert main(["mesh", str(path), "-m", "2", "-o", str(tmp_path / "out.obj")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "overflows the float range" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("field, value", [("weld_tolerance", -1e-6), ("version", 7)])
 def test_check_invalid_document_field(tmp_path, capsys, field, value):
     doc = json.loads(write_loop(square_loop()))

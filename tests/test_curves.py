@@ -3,6 +3,7 @@ import pytest
 from conftest import bernstein_eval
 
 from npatch import BezierCurve
+from npatch.curves import elevate
 from npatch.errors import DomainError
 
 CUBIC = [(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)]
@@ -93,3 +94,31 @@ def test_rejects_bad_input():
         BezierCurve([(0, 0, np.nan)])
     with pytest.raises(ValueError):
         BezierCurve([(0, 0)])
+
+
+def test_end_derivative_overflow_is_domain_error():
+    c = BezierCurve([(-1e308, 0, 0), (0, 0, 0), (1e308, 0, 0)])
+    for end in ("start", "end"):
+        with pytest.raises(DomainError, match="overflows the float range"):
+            c.end_derivative(end)
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_elevate_keeps_the_curve(degree):
+    rng = np.random.default_rng(90 + degree)
+    pts = rng.normal(size=(degree + 1, 3))
+    up = elevate(pts, 7)
+    assert up.shape == (8, 3)
+    assert up[0].tobytes() == pts[0].tobytes()
+    assert up[-1].tobytes() == pts[-1].tobytes()
+    if degree == 0:  # a point: every elevated control point is that point
+        assert np.abs(up - pts).max() <= 1e-15 * np.abs(pts).max()
+    else:
+        t = np.linspace(0, 1, 101)
+        err = np.abs(BezierCurve(up).eval_many(t) - BezierCurve(pts).eval_many(t)).max()
+        # evaluation rounds relative to the coordinates, not only to the extent
+        assert err <= 1e-15 * max(np.linalg.norm(np.ptp(pts, axis=0)), np.abs(pts).max())
+    # a stack of curves (degree + 1, m, 3) elevates curve by curve
+    stack = rng.normal(size=(degree + 1, 4, 3))
+    assert np.array_equal(elevate(stack, 7),
+                          np.stack([elevate(stack[:, j], 7) for j in range(4)], axis=1))

@@ -4,12 +4,16 @@ DomainError is also a ValueError, so callers that catch ValueError keep
 working.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from conftest import scaled_square_doc
 
 from npatch import BezierCurve, DomainPolygon, make_loop, make_patch, mesh_patch, tessellate_domain
 from npatch.analysis import contours
 from npatch.errors import DomainError, NPatchError
+from npatch.fileio import read_loop
 from npatch.fixtures import random_loop, square_loop
 
 LINE = [[0.0, 0, 0], [1, 0, 0]]
@@ -34,3 +38,12 @@ def test_library_checks_raise_domain_error(name):
         CHECKS[name]()
     assert isinstance(info.value, NPatchError)
     assert isinstance(info.value, ValueError)
+
+
+def test_patch_of_huge_square_names_the_overflow():
+    # the opposite cubics' end tangents of a +-1e308 square are beyond the float range
+    loop = read_loop(scaled_square_doc(1e308, weld_tolerance=1e-9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows the float range"):
+            make_patch(loop)

@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_affine, random_interior_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npatch import BezierCurve, local_params, make_loop, make_patch
+from npatch import BezierCurve, DomainPolygon, local_params, make_loop, make_patch
 from npatch.errors import DomainError
 from npatch.fixtures import random_loop, square_loop, triangle_loop
+from npatch.surface import BLOCK_VALUES
 
 
 def classical_coons(loop, lam):
@@ -190,3 +193,65 @@ def test_triangle_patch_builds():
     patch = make_patch(triangle_loop())
     assert patch.n == 3
     assert patch.ribbons[0].opp.degree == 0
+
+
+def ribbon_sum(patch, pts):
+    """Per-ribbon oracle: S = sum over valid sides of R_i(s_i, d_i) (1 - d_i) / 2."""
+    lp = local_params(patch.domain.wachspress_many(pts))
+    want = np.zeros((len(pts), 3))
+    for i, ribbon in enumerate(patch.ribbons):
+        v = lp.valid[:, i]
+        s, d = lp.s[v, i], lp.d[v, i]
+        want[v] += ribbon.eval_many(s, d) * (0.5 * (1 - d))[:, None]
+    return want
+
+
+def mixed_degree_loop(n, rng):
+    """Degree-1 sides but side 0, which is a degree-7 curve on the same corners."""
+    sides = list(random_loop(n, 1, rng).sides)
+    a, b = sides[0].control_points
+    t = np.linspace(0, 1, 8)[:, None]
+    pts = (1 - t) * a + t * b
+    pts[1:-1] += rng.normal(scale=0.15, size=(6, 3))
+    sides[0] = BezierCurve(pts)
+    return make_loop(sides)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 12])
+def test_stacked_kernel_on_mixed_degrees(n):
+    # every curve but side 0 is elevated to degree 7: the degree-1 sides and
+    # the opposite curves, cubics for n >= 4 and points for n = 3
+    loop = mixed_degree_loop(n, np.random.default_rng(70 + n))
+    patch = make_patch(loop)
+    assert {r.opp.degree for r in patch.ribbons} == {0 if n == 3 else 3}
+    poly = patch.domain
+    pts = np.vstack([
+        random_interior_points(np.random.default_rng(71), poly, 400),
+        poly.vertices, 0.5 * (poly.vertices + np.roll(poly.vertices, 1, axis=0)),
+        poly.vertices * (1 - 1e-9), np.zeros((1, 2)),
+    ])
+    assert np.abs(patch.eval_many(pts) - ribbon_sum(patch, pts)).max() <= 1e-13 * loop.bbox_diagonal()
+
+
+def test_batch_of_several_blocks_matches_single_points():
+    loop = random_loop(12, 4, np.random.default_rng(72))
+    patch = make_patch(loop)
+    block = BLOCK_VALUES // (4 * patch.n)
+    pts = random_interior_points(np.random.default_rng(73), patch.domain, 3 * block + 7)
+    single = np.array([patch.eval(p) for p in pts])
+    assert np.abs(patch.eval_many(pts) - single).max() <= 1e-14 * loop.bbox_diagonal()
+
+
+def test_huge_degree_seven_loop_evaluates_finitely():
+    # the binomials stay in the basis: control points near 2e307 times
+    # C(7, 3) = 35 would overflow
+    loop = random_loop(5, 7, np.random.default_rng(74))
+    scale = 4e307 / loop.bbox_diagonal()
+    big = make_loop([BezierCurve(c.control_points * scale) for c in loop.sides])
+    assert big.bbox_diagonal() == pytest.approx(4e307)
+    poly = DomainPolygon(5)
+    pts = np.vstack([random_interior_points(np.random.default_rng(75), poly, 200), poly.vertices])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = make_patch(big).eval_many(pts)
+    assert np.isfinite(got).all()
