@@ -23,8 +23,6 @@ class BezierCurve:
             raise DomainError("control points must be finite")
         pts.setflags(write=False)
         self.control_points = pts
-        self._binomials = np.array(
-            [comb(self.degree, j) for j in range(pts.shape[0])], dtype=float)[:, None]
 
     @property
     def degree(self):
@@ -35,25 +33,8 @@ class BezierCurve:
         return self.eval_many(np.asarray([t]))[0]
 
     def eval_many(self, t):
-        """Bernstein-basis evaluation: t of shape (k,) -> points of shape (k, 3).
-
-        Basis row B[j] = C(d, j) t^j (1 - t)^(d - j) comes from running
-        products of t and 1 - t; the points are B^T @ control_points.
-        """
-        t = np.asarray(t, dtype=float).reshape(-1)
-        if not np.all((t >= 0.0) & (t <= 1.0)):
-            raise DomainError("curve parameter outside [0, 1]")
-        powers = np.empty((2, self.degree + 1, t.size))  # t^j and (1 - t)^j
-        powers[:, 0] = 1.0
-        if self.degree:
-            powers[0, 1] = t
-            np.subtract(1.0, t, out=powers[1, 1])
-        for j in range(1, self.degree):
-            np.multiply(powers[:, j], powers[:, 1], out=powers[:, j + 1])
-        basis = powers[0]
-        basis *= self._binomials
-        basis *= powers[1, ::-1]
-        return basis.T @ self.control_points
+        """Bernstein-basis evaluation: t of shape (k,) -> points of shape (k, 3)."""
+        return bernstein(np.reshape(t, -1), self.degree).T @ self.control_points
 
     def end_derivative(self, end):
         """First derivative vector at 'start' (t=0) or 'end' (t=1).
@@ -81,6 +62,30 @@ class BezierCurve:
 
     def __repr__(self):
         return "BezierCurve(degree=%d)" % self.degree
+
+
+def bernstein(t, degree):
+    """Bernstein basis of a degree at parameters t in [0, 1] of any shape.
+
+    Row j, of t's shape, is C(degree, j) t^j (1 - t)^(degree - j), from
+    running products of t and 1 - t; the result has shape
+    (degree + 1,) + t.shape.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t <= 1.0)):
+        raise DomainError("curve parameter outside [0, 1]")
+    powers = np.empty((2, degree + 1) + t.shape)  # t^j and (1 - t)^j
+    powers[:, 0] = 1.0
+    if degree:
+        powers[0, 1] = t
+        np.subtract(1.0, t, out=powers[1, 1])
+    for j in range(1, degree):
+        np.multiply(powers[:, j], powers[:, 1], out=powers[:, j + 1])
+    basis = powers[0]
+    basis *= np.array([comb(degree, j) for j in range(degree + 1)],
+                      dtype=float).reshape((-1,) + (1,) * t.ndim)
+    basis *= powers[1, ::-1]
+    return basis
 
 
 def elevate(points, degree):

@@ -12,6 +12,8 @@ coordinates that survive on edge i, which is what makes the distance
 parameter d_i vanish there and reach 1 on the far edges.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from .errors import DomainError
@@ -74,27 +76,20 @@ class DomainPolygon:
         return num / num.sum(axis=1, keepdims=True)
 
 
-class LocalParams:
-    """Per-side sweep/distance parameters (s_i, d_i) at one or many points.
+LocalParams = namedtuple("LocalParams", "s d valid")
+LocalParams.__doc__ = """Per-side sweep/distance parameters (s_i, d_i) at one or many points.
 
-    Arrays have shape (..., n).  Where lambda_{i-1} + lambda_i falls
-    below EPS_SD, s_i is undefined: s holds NaN and valid is False.  The
-    caller skips those sides; their blend weight vanishes anyway.
-    """
-
-    def __init__(self, s, d, valid):
-        self.s = s
-        self.d = d
-        self.valid = valid
+Arrays have shape (..., n).  Where lambda_{i-1} + lambda_i falls
+below EPS_SD, s_i is undefined: s holds NaN and valid is False.  The
+caller skips those sides; their blend weight vanishes anyway.
+"""
 
 
 def local_params(lam):
     """Compute (s_i, d_i) from Wachspress coordinates (last axis = side)."""
     lam = np.asarray(lam, dtype=float)
-    prev = np.roll(lam, 1, axis=-1)
-    den = prev + lam
+    den = lam[..., np.arange(-1, lam.shape[-1] - 1)] + lam  # lambda_{i-1} + lambda_i
     d = np.clip(1.0 - den, 0.0, 1.0)
     valid = den > EPS_SD
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.where(valid, lam / np.where(valid, den, 1.0), np.nan)
+    s = np.divide(lam, den, out=np.full_like(lam, np.nan), where=valid)
     return LocalParams(s, d, valid)

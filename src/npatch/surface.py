@@ -1,13 +1,11 @@
-"""The full multi-sided patch: blended sum of the n ribbons."""
-
-from math import comb
+"""The full multi-sided patch: blended sum of one Coons ribbon per side."""
 
 import numpy as np
 
-from .curves import elevate
+from .curves import bernstein, elevate
 from .domain import DomainPolygon, local_params
 from .errors import DomainError
-from .ribbon import Ribbon
+from .loop import opposite_curve
 
 # curve parameters per evaluation block (points x 4n curve columns): bounds
 # the block's transients, the (points, n, n - 2) Wachspress gather
@@ -26,18 +24,13 @@ class Patch:
     def __init__(self, loop):
         self.loop = loop
         self.domain = DomainPolygon(loop.n)
-        self.ribbons = [Ribbon(loop, i) for i in range(loop.n)]
-        # bilinear corner terms of all ribbons in the basis 1, s, d, s*d
-        corners = np.array([[r.c00, r.c01, r.c10, r.c11] for r in self.ribbons])
-        c00, c01, c10, c11 = corners.transpose(1, 0, 2)
-        self._corner_basis = (c00, c10 - c00, c01 - c00, c00 - c01 - c10 + c11)
         # the n sides and the n opposite curves, elevated to the highest degree
         # D among them; the control tensor (D + 1, 4n, 3) holds in column
         # block r = 0..3 ribbon i's base, prev, next and opposite curve, and is
         # kept flattened and transposed, (3, (D + 1) 4n), for the kernel's matmul
         n = loop.n
-        curves = loop.sides + tuple(r.opp for r in self.ribbons)
-        degree = max(c.degree for c in curves)
+        curves = loop.sides + tuple(opposite_curve(loop, i) for i in range(n))
+        self._degree = degree = max(c.degree for c in curves)
         controls = np.empty((degree + 1, 2 * n, 3))
         for d in {c.degree for c in curves}:
             group = [j for j, c in enumerate(curves) if c.degree == d]
@@ -48,8 +41,15 @@ class Patch:
         self._controls_t = np.concatenate(
             [sides, sides[:, i - 1], sides[:, (i + 1) % n], controls[:, n:]], axis=1
         ).reshape(-1, 3).T.copy()
-        self._binomials = np.array([comb(degree, j) for j in range(degree + 1)],
-                                   dtype=float)[:, None, None]
+        # ribbon i's bilinear corner terms in the basis 1, s, d, s*d; its
+        # corners c00, c01, c10 and c11 are loop corners i - 1, i - 2, i, i + 1
+        corners = np.array([loop.corner(j) for j in range(n)])[(i[:, None] + [-1, -2, 0, 1]) % n]
+        c00, c01, c10, c11 = corners.transpose(1, 0, 2)
+        try:
+            with np.errstate(over="raise"):
+                self._corner_basis = (c00, c10 - c00, c01 - c00, c00 - c01 - c10 + c11)
+        except FloatingPointError:
+            raise DomainError("patch corner term overflows the float range") from None
 
     @property
     def n(self):
@@ -66,17 +66,22 @@ class Patch:
         undefined), is linear in the curve samples.  Per block of
         BLOCK_VALUES / (4n) points, one Bernstein basis of degree D over
         all 4n curve columns, scaled by the Coons weights, multiplies the
-        control tensor; the corner terms are matrix products.
+        control tensor; the corner terms are matrix products.  A sum past
+        the float range raises DomainError.
         """
         points = np.asarray(points, dtype=float)
         out = np.empty((len(points), 3))
         block = max(1, BLOCK_VALUES // (4 * self.n))
-        for start in range(0, len(points), block):
-            out[start:start + block] = self._eval_block(points[start:start + block])
+        try:
+            with np.errstate(over="raise"):
+                for start in range(0, len(points), block):
+                    out[start:start + block] = self._eval_block(points[start:start + block])
+        except FloatingPointError:
+            raise DomainError("patch evaluation overflows the float range") from None
         return out
 
     def _eval_block(self, points):
-        k, n, degree = len(points), self.n, len(self._binomials) - 1
+        k, n = len(points), self.n
         lp = local_params(self.domain.wachspress_many(points))
         # sides with undefined s get weight 0 (and any finite s)
         s, d = lp.s, lp.d
@@ -89,20 +94,9 @@ class Patch:
         # next and opposite curve
         s, d, w = s.T, d.T, w.T
         t = np.concatenate([s, 1.0 - d, d, 1.0 - s])
-        if not np.all((t >= 0.0) & (t <= 1.0)):
-            raise DomainError("curve parameter outside [0, 1]")
         c = t.reshape(4, n, k)[[1, 3, 0, 2]]  # Coons weights 1 - d, 1 - s, s, d
         c *= w
-        powers = np.empty((2, degree + 1, 4 * n, k))  # t^j and (1 - t)^j
-        powers[:, 0] = 1.0
-        if degree:
-            powers[0, 1] = t
-            np.subtract(1.0, t, out=powers[1, 1])
-        for j in range(1, degree):
-            np.multiply(powers[:, j], powers[:, 1], out=powers[:, j + 1])
-        basis = powers[0]
-        basis *= self._binomials
-        basis *= powers[1, ::-1]
+        basis = bernstein(t, self._degree)
         basis *= c.reshape(4 * n, k)
         out += (self._controls_t @ basis.reshape(-1, k)).T
         return out

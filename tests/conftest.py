@@ -31,6 +31,16 @@ def random_affine(rng):
             return a, rng.normal(size=3)
 
 
+def scaled_doc(loop, scale, **fields):
+    """Loop document of loop with every control point multiplied by scale,
+    with the given top-level fields."""
+    doc = json.loads(write_loop(loop))
+    for side in doc["sides"]:
+        side["control_points"] = [[scale * x for x in p] for p in side["control_points"]]
+    doc.update(fields)
+    return json.dumps(doc)
+
+
 def scaled_square_doc(scale, gap=0.0, **fields):
     """Loop document of the unit-square fixture mapped onto [-scale, scale]^2,
     with side 2's start moved by gap along y and the given top-level fields."""

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import scaled_square_doc
+from conftest import scaled_doc, scaled_square_doc
 
 from npatch.cli import main
 from npatch.fileio import read_obj, read_ply_scalar, write_loop
@@ -65,6 +65,18 @@ def test_check_huge_coordinates(tmp_path, capsys, scale, gap):
 def test_mesh_huge_square_names_the_overflow(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(scaled_square_doc(1e308, weld_tolerance=1e-9))
+    assert main(["mesh", str(path), "-m", "2", "-o", str(tmp_path / "out.obj")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "overflows the float range" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fixture", [triangle_loop, square_loop])
+def test_mesh_near_the_float_range_names_the_overflow(tmp_path, capsys, fixture):
+    path = tmp_path / "huge.json"
+    path.write_text(scaled_doc(fixture(), 0.9e308, weld_tolerance=1e-9))
     assert main(["mesh", str(path), "-m", "2", "-o", str(tmp_path / "out.obj")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -8,13 +8,13 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import scaled_square_doc
+from conftest import scaled_doc, scaled_square_doc
 
 from npatch import BezierCurve, DomainPolygon, make_loop, make_patch, mesh_patch, tessellate_domain
 from npatch.analysis import contours
 from npatch.errors import DomainError, NPatchError
 from npatch.fileio import read_loop
-from npatch.fixtures import random_loop, square_loop
+from npatch.fixtures import random_loop, square_loop, triangle_loop
 
 LINE = [[0.0, 0, 0], [1, 0, 0]]
 
@@ -47,3 +47,21 @@ def test_patch_of_huge_square_names_the_overflow():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="overflows the float range"):
             make_patch(loop)
+
+
+def test_patch_of_huge_triangle_names_the_overflow():
+    # a triangle has no opposite tangents: its corner terms overflow first
+    loop = read_loop(scaled_doc(triangle_loop(), 0.9e308, weld_tolerance=1e-9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows the float range"):
+            make_patch(loop)
+
+
+def test_evaluating_huge_square_names_the_overflow():
+    # the patch builds, but the Coons sums at three of its corners pass the float range
+    patch = make_patch(read_loop(scaled_doc(square_loop(), 0.9e308, weld_tolerance=1e-9)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows the float range"):
+            patch.eval_many(patch.domain.vertices)

@@ -3,7 +3,7 @@ from contextlib import suppress
 
 import numpy as np
 import pytest
-from conftest import scaled_square_doc
+from conftest import random_interior_points, scaled_square_doc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,6 +119,18 @@ def test_loop_document_roundtrip():
     again = read_loop(write_loop(loop))
     for a, b in zip(loop.sides, again.sides):
         assert np.abs(a.control_points - b.control_points).max() <= 1e-15
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(3, 16), degree=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_loop_document_roundtrip_on_random_loops(n, degree, seed):
+    rng = np.random.default_rng(seed)
+    loop = random_loop(n, degree, rng)
+    again = read_loop(write_loop(loop))
+    for a, b in zip(loop.sides, again.sides, strict=True):
+        assert np.array_equal(a.control_points, b.control_points)
+    pts = random_interior_points(rng, DomainPolygon(n), 50)
+    assert np.array_equal(make_patch(again).eval_many(pts), make_patch(loop).eval_many(pts))
 
 
 def test_obj_single_triangle():

@@ -6,7 +6,7 @@ from conftest import random_affine, random_interior_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npatch import BezierCurve, DomainPolygon, local_params, make_loop, make_patch
+from npatch import BezierCurve, DomainPolygon, Ribbon, local_params, make_loop, make_patch
 from npatch.errors import DomainError
 from npatch.fixtures import random_loop, square_loop, triangle_loop
 from npatch.surface import BLOCK_VALUES
@@ -84,12 +84,7 @@ def test_matches_per_ribbon_sum(n):
         poly.vertices, 0.5 * (poly.vertices + np.roll(poly.vertices, 1, axis=0)),
         poly.vertices * (1 - 1e-9), np.zeros((1, 2)),
     ])
-    lp = local_params(poly.wachspress_many(pts))
-    want = np.zeros((len(pts), 3))
-    for i, ribbon in enumerate(patch.ribbons):
-        v = lp.valid[:, i]
-        s, d = lp.s[v, i], lp.d[v, i]
-        want[v] += ribbon.eval_many(s, d) * (0.5 * (1 - d))[:, None]
+    want = ribbon_sum(patch, pts)
     tol = 1e-13 * loop.bbox_diagonal()
     assert np.abs(patch.eval_many(pts) - want).max() <= tol
     assert np.abs(patch.eval(pts[0]) - want[0]).max() <= tol
@@ -158,6 +153,30 @@ def test_invariants_on_random_loops(n, degree, seed):
     assert np.abs(direct - routed).max() <= 1e-9
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(degree=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_square_matches_classical_coons_on_random_loops(degree, seed):
+    # the opposite curve is a cubic with the far side's end tangents, so it is
+    # that side itself only up to degree 3
+    rng = np.random.default_rng(seed)
+    loop = random_loop(4, degree, rng)
+    patch = make_patch(loop)
+    pts = random_interior_points(rng, patch.domain, 50)
+    want = np.array([classical_coons(loop, lam) for lam in patch.domain.wachspress_many(pts)])
+    assert np.abs(patch.eval_many(pts) - want).max() <= 1e-9 * loop.bbox_diagonal()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(3, 16), degree=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_planar_random_loops_give_planar_patches(n, degree, seed):
+    rng = np.random.default_rng(seed)
+    loop = random_loop(n, degree, rng)
+    flat = make_loop([BezierCurve(c.control_points * [1, 1, 0]) for c in loop.sides])
+    patch = make_patch(flat)
+    pts = random_interior_points(rng, patch.domain, 50)
+    assert np.abs(patch.eval_many(pts)[:, 2]).max() <= 1e-12
+
+
 def test_continuity_across_skip_threshold():
     # pairs straddling the s-validity threshold near a far edge must not jump
     loop = random_loop(6, 3, np.random.default_rng(65))
@@ -192,17 +211,17 @@ def test_outside_point_rejected():
 def test_triangle_patch_builds():
     patch = make_patch(triangle_loop())
     assert patch.n == 3
-    assert patch.ribbons[0].opp.degree == 0
+    assert Ribbon(patch.loop, 0).opp.degree == 0
 
 
 def ribbon_sum(patch, pts):
     """Per-ribbon oracle: S = sum over valid sides of R_i(s_i, d_i) (1 - d_i) / 2."""
     lp = local_params(patch.domain.wachspress_many(pts))
     want = np.zeros((len(pts), 3))
-    for i, ribbon in enumerate(patch.ribbons):
+    for i in range(patch.n):
         v = lp.valid[:, i]
         s, d = lp.s[v, i], lp.d[v, i]
-        want[v] += ribbon.eval_many(s, d) * (0.5 * (1 - d))[:, None]
+        want[v] += Ribbon(patch.loop, i).eval_many(s, d) * (0.5 * (1 - d))[:, None]
     return want
 
 
@@ -223,7 +242,7 @@ def test_stacked_kernel_on_mixed_degrees(n):
     # the opposite curves, cubics for n >= 4 and points for n = 3
     loop = mixed_degree_loop(n, np.random.default_rng(70 + n))
     patch = make_patch(loop)
-    assert {r.opp.degree for r in patch.ribbons} == {0 if n == 3 else 3}
+    assert {Ribbon(loop, i).opp.degree for i in range(n)} == {0 if n == 3 else 3}
     poly = patch.domain
     pts = np.vstack([
         random_interior_points(np.random.default_rng(71), poly, 400),
