@@ -59,14 +59,14 @@ def _cmd_eval(args):
 def _cmd_mesh(args):
     patch = make_patch(_load(args.loop))
     mesh = mesh_patch(patch, args.m)
-    Path(args.output).write_text(fileio.write_obj(mesh))
+    Path(args.output).write_text(fileio.write_obj(mesh), newline="\n")
     return 0
 
 
 def _cmd_harmonic(args):
     patch_mesh = mesh_patch(make_patch(_load(args.loop)), args.m)
     harmonic = analysis.harmonic_fill(patch_mesh)
-    Path(args.output).write_text(fileio.write_obj(harmonic))
+    Path(args.output).write_text(fileio.write_obj(harmonic), newline="\n")
     print("dirichlet energy harmonic: %.9g" % analysis.dirichlet_energy(harmonic))
     print("dirichlet energy patch: %.9g" % analysis.dirichlet_energy(patch_mesh))
     return 0
@@ -75,7 +75,7 @@ def _cmd_harmonic(args):
 def _cmd_curvature(args):
     patch = make_patch(_load(args.loop))
     mesh = analysis.curvature_map(patch, args.m)
-    Path(args.output).write_text(fileio.write_ply_scalar(mesh))
+    Path(args.output).write_text(fileio.write_ply_scalar(mesh), newline="\n")
     return 0
 
 
@@ -83,7 +83,7 @@ def _cmd_contours(args):
     patch = make_patch(_load(args.loop))
     mesh = mesh_patch(patch, args.m)
     contour_set = analysis.contours(mesh, np.array(AXES[args.axis]), args.count)
-    Path(args.output).write_text(fileio.write_obj(mesh, contour_set))
+    Path(args.output).write_text(fileio.write_obj(mesh, contour_set), newline="\n")
     return 0
 
 
@@ -123,8 +123,11 @@ def _parser():
     return parser
 
 
+_PARSER = _parser()
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except NumericError as exc:

@@ -12,9 +12,25 @@ Loop document (JSON):
       ]
     }
 
-OBJ output: `v x y z` lines (9 significant digits), `f` lines with
-1-based indices, contour polylines appended as `l` elements with their
-own vertices.  PLY output: ASCII, per-vertex double property `quality`.
+Mesh output is ASCII, one record per line, LF line ends, fields
+separated by one space:
+
+    OBJ   v x y z            per vertex
+          f i j k            per triangle, 1-based indices
+          v x y z ... l i j ...
+                             per contour polyline: its vertices, then its
+                             `l` element of their 1-based indices
+    PLY   header (format ascii 1.0, vertex x y z quality, face list)
+          x y z quality      per vertex
+          3 i j k            per triangle, 0-based indices
+
+Numbers print as Python's `'%.9g' % x` and `'%d' % i`: 9 significant
+digits without trailing zeros or a bare point, in exponent form
+(`1e-05`, `-2.5e+300`) outside 1e-4 <= |x| < 1e9 after rounding, and
+`-0`, `nan`, `inf`, `-inf` as `%g` spells them.  The writers format whole
+arrays at once (see _cells); only nan, inf, nonzero magnitudes outside
+[1e-280, 1e280] and the rare value whose ninth digit lies too close to a
+rounding tie to decide in float64 go through `%`.
 """
 
 import json
@@ -28,14 +44,151 @@ from .loop import make_loop
 from .mesher import TriMesh
 
 
-def _records(template, rows):
-    """One `template % row` line per row, newline-joined, formatted in one call."""
-    rows = np.asarray(rows)
-    return "\n".join([template] * len(rows)) % tuple(rows.ravel().tolist())
+# "%04d" % k as 4 ASCII bytes, one uint32 word per k < 10**4
+_WORDS = np.ascontiguousarray(
+    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+).view(np.uint32)[:, 0]
+# trailing zeros of "%04d" % k (4 for k = 0)
+_TRAILING_ZEROS = sum((np.arange(10000) % 10 ** j == 0).astype(np.uint8) for j in (1, 2, 3, 4))
+# 10.0**k at row k + 300; off by at most an ulp, which moves a 9-digit
+# mantissa by < 1e-7, well inside the 1e-6 tie guard of _cells
+_POW10 = 10.0 ** np.arange(-300, 301)
+# rows of a '%.9g' column: sign, "0.000", the 12 digits of a 9-digit
+# mantissa in 4-digit groups (the first 3 always 0), each digit followed by
+# a slot for the point, then "e+ddd"
+_FLOAT_WIDTH = 35
+# values formatted per pass: small enough for the temporaries to stay in cache
+_BLOCK = 16384
 
 
-def _join(blocks):
-    return "\n".join(block for block in blocks if block) + "\n"
+def _groups(u, count):
+    """(count, len(u)) 4-digit groups of the uint64 values u, most significant first."""
+    groups = np.empty((count, len(u)), np.uint64)
+    for j in range(count - 1, -1, -1):
+        q = u // 10000
+        groups[j] = u - q * 10000
+        u = q
+    return groups
+
+
+def _ascii(groups):
+    """(4 * count, n) ASCII digits of (count, n) 4-digit groups."""
+    count, n = groups.shape
+    digits = _WORDS[groups].view(np.uint8).reshape(count, n, 4).transpose(0, 2, 1)
+    return np.ascontiguousarray(digits).reshape(4 * count, n)
+
+
+def _char(mask, char):
+    """uint8 array: char's ASCII code where mask is True, NUL elsewhere."""
+    return mask.view(np.uint8) * np.uint8(ord(char))
+
+
+def _cells(values):
+    """(width, len(values)) uint8, one column per value: the value as
+    '%.9g' (floats) or '%d' (ints) prints it, with NUL bytes in between;
+    rows that are NUL in every column are left out."""
+    n = len(values)
+    if values.dtype.kind != "f":
+        u = np.abs(values).astype(np.uint64)  # exact for the most negative int64 too
+        count = -(-len(str(u.max() if n else 0)) // 4)
+        cells = np.empty((1 + 4 * count, n), np.uint8)
+        cells[0] = _char(values < 0, "-")
+        keep = u >= 10 ** np.arange(4 * count - 1, -1, -1, dtype=np.uint64)[:, None]
+        keep[-1] = True
+        np.multiply(_ascii(_groups(u, count)), keep.view(np.uint8), out=cells[1:])
+        return cells[cells.any(axis=1)]
+    ax = np.abs(values)
+    ok = (ax >= 1e-280) & (ax <= 1e280)  # False for 0, nan and inf
+    a = np.where(ok, ax, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int16)
+    y = a * _POW10[308 - e]
+    e += y >= 1e9
+    e -= y < 1e8
+    y = a * _POW10[308 - e]  # |x| * 10**(8 - e), in [1e8, 1e9]
+    mant = np.rint(y)
+    # the last digit of a mantissa this close to a tie is left to Python
+    slow = (~ok & (ax != 0)) | (np.abs(np.abs(y - mant) - 0.5) < 1e-6)
+    carry = mant == 1e9
+    e += carry
+    mant = np.where(carry, 1e8, mant) * ok
+    hi = np.floor(mant / 1e8)  # exact: mant is an integer below 2**53
+    mid = np.floor((mant - hi * 1e8) / 1e4)
+    groups = np.array([hi, mid, mant - hi * 1e8 - mid * 1e4]).astype(np.intp)
+    tz = _TRAILING_ZEROS[groups[2]]
+    tz += (tz == 4) * _TRAILING_ZEROS[groups[1]]
+    tz += (tz == 8) * _TRAILING_ZEROS[groups[0]]  # 12 for a zero mantissa
+    sig = 9 - tz.astype(np.int8)  # significant digits
+    sci = (e < -4) | (e >= 9)
+    whole = np.where(sci, 0, e).astype(np.int8)  # mantissa digit before the point
+    zeros = np.where(sci, 0, -e).astype(np.int8)  # below 1: "0." and zeros - 1 more zeros
+    cells = np.zeros((_FLOAT_WIDTH, n), np.uint8)
+    cells[0] = _char(np.signbit(values), "-")
+    cells[1] = _char(zeros > 0, "0")
+    cells[2] = _char(zeros > 0, ".")
+    cells[3:6] = _char(np.arange(1, 4, dtype=np.int8)[:, None] < zeros, "0")
+    # group digit k is mantissa digit k - 3
+    keep = np.arange(-3, 9, dtype=np.int8)[:, None] < np.maximum(sig, whole + 1)
+    keep[:3] = False
+    np.multiply(_ascii(groups), keep.view(np.uint8), out=cells[6:30:2])
+    point = np.where(sig > whole + 1, whole, -1)
+    cells[13:28:2] = _char(np.arange(8, dtype=np.int8)[:, None] == point, ".")
+    i = np.flatnonzero(sci)
+    cells[30, i] = ord("e")
+    cells[31, i] = np.where(e[i] < 0, ord("-"), ord("+"))
+    cells[32:, i] = _ascii(np.abs(e[i])[None])[1:]
+    cells[32, i] *= np.abs(e[i]) >= 100
+    for i in np.flatnonzero(slow):
+        text = b"%.9g" % values[i]
+        cells[:, i] = 0
+        cells[:len(text), i] = np.frombuffer(text, np.uint8)
+    return cells[cells.any(axis=1)]
+
+
+def _line_cells(prefix, table):
+    """(rows, width) NUL-padded uint8: per row of table, prefix and the
+    row's fields (see _cells) separated by spaces, then a newline."""
+    rows, cols = table.shape
+    cells = _cells(table.reshape(-1))
+    width = len(cells) + 1
+    lines = np.empty((rows, len(prefix) + cols * width), np.uint8)
+    lines[:, :len(prefix)] = np.frombuffer(prefix.encode(), np.uint8)
+    fields = lines[:, len(prefix):].reshape(rows, cols, width)
+    fields[..., :-1] = cells.reshape(width - 1, rows, cols).transpose(1, 2, 0)
+    fields[..., -1] = ord(" ")
+    lines[:, -1] = ord("\n")
+    return lines
+
+
+def _text(buf):
+    return buf.tobytes().translate(None, b"\0")
+
+
+def _lines(prefix, table):
+    """_line_cells(prefix, table) as text, formatted _BLOCK values at a time."""
+    step = max(1, _BLOCK // table.shape[1])
+    return b"".join([_text(_line_cells(prefix, table[i:i + step]))
+                     for i in range(0, len(table), step)])
+
+
+def _polyline_text(polylines, base):
+    """OBJ records of polylines whose vertices are numbered from base + 1:
+    each polyline's `v` lines, then its `l` line."""
+    points = np.concatenate([np.empty((0, 3))] + [np.reshape(p, (-1, 3)) for p in polylines])
+    counts = np.array([len(p) for p in polylines])
+    slots = np.maximum(counts, 1)  # an empty polyline still writes "l "
+    first, last = np.cumsum(slots) - slots, np.cumsum(slots) - 1
+    real = np.ones(slots.sum(), bool)
+    real[first[counts == 0]] = False
+    index = _line_cells("l ", base + np.cumsum(real)[:, None])
+    index[~real, 2:-1] = 0
+    index[:, :2] *= np.isin(np.arange(len(index)), first)[:, None]
+    index[:, -1] = ord(" ")
+    index[last, -1] = ord("\n")
+    vertex = _line_cells("v ", points.astype(float))
+    out = np.zeros((len(vertex) + len(index), max(vertex.shape[1], index.shape[1])), np.uint8)
+    out[np.arange(len(vertex)) + np.repeat(first, counts), :vertex.shape[1]] = vertex
+    out[np.arange(len(index)) + np.repeat(np.cumsum(counts), slots), :index.shape[1]] = index
+    return _text(out)
 
 
 def _is_number(x):
@@ -105,15 +258,10 @@ def write_loop(loop):
 
 def write_obj(mesh, contour_set=None):
     """Indexed-mesh OBJ text; optional contour polylines as `l` elements."""
-    blocks = [_records("v %.9g %.9g %.9g", mesh.vertices),
-              _records("f %d %d %d", mesh.triangles + 1)]
-    if contour_set is not None:
-        base = len(mesh.vertices)
-        for poly in contour_set.polylines:
-            blocks.append(_records("v %.9g %.9g %.9g", poly))
-            blocks.append("l " + " ".join(map(str, range(base + 1, base + len(poly) + 1))))
-            base += len(poly)
-    return _join(blocks)
+    blocks = [_lines("v ", mesh.vertices), _lines("f ", mesh.triangles + 1)]
+    if contour_set is not None and len(contour_set.polylines):
+        blocks.append(_polyline_text(contour_set.polylines, len(mesh.vertices)))
+    return (b"".join(blocks) or b"\n").decode("ascii")
 
 
 def read_obj(text):
@@ -155,10 +303,9 @@ def write_ply_scalar(mesh):
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    return _join(header + [
-        _records("%.9g %.9g %.9g %.9g", np.column_stack([mesh.vertices, mesh.scalar])),
-        _records("3 %d %d %d", mesh.triangles),
-    ])
+    return "\n".join(header) + "\n" + (
+        _lines("", np.column_stack([mesh.vertices, mesh.scalar])) + _lines("3 ", mesh.triangles)
+    ).decode("ascii")
 
 
 def read_ply_scalar(text):

@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import scaled_doc, scaled_square_doc
 
+from npatch import make_patch, mesh_patch
+from npatch.analysis import contours, curvature_map, harmonic_fill
 from npatch.cli import main
-from npatch.fileio import read_obj, read_ply_scalar, write_loop
+from npatch.fileio import read_loop, read_obj, read_ply_scalar, write_loop, write_obj, write_ply_scalar
 from npatch.fixtures import pentagon_loop, square_loop, triangle_loop
 
 
@@ -176,6 +179,21 @@ def test_outputs_deterministic(pentagon_file, tmp_path):
     main(["mesh", pentagon_file, "-m", "6", "-o", str(a)])
     main(["mesh", pentagon_file, "-m", "6", "-o", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["mesh", "harmonic", "curvature", "contours"])
+def test_output_file_holds_the_writer_bytes(pentagon_file, tmp_path, command):
+    out = tmp_path / "out"
+    assert main([command, pentagon_file, "-m", "5", "-o", str(out)]) == 0
+    patch = make_patch(read_loop(Path(pentagon_file).read_bytes()))
+    mesh = mesh_patch(patch, 5)
+    text = {
+        "mesh": lambda: write_obj(mesh),
+        "harmonic": lambda: write_obj(harmonic_fill(mesh)),
+        "curvature": lambda: write_ply_scalar(curvature_map(patch, 5)),
+        "contours": lambda: write_obj(mesh, contours(mesh, np.array([0.0, 0.0, 1.0]), 10)),
+    }[command]()
+    assert out.read_bytes() == text.encode()
 
 
 def test_triangle_fixture_roundtrip(tmp_path):

@@ -2,16 +2,21 @@
 
 `reference_obj` and `reference_ply` format every record with a Python
 `%` template (`%.9g` for coordinates and scalars, `%d` for indices), one
-field at a time.  The package writers must produce the same bytes.
+field at a time.  The package writers must produce the same bytes, and
+their field formatter must print every float as `'%.9g' % x` and every
+int as `'%d' % i`.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npatch import make_patch, mesh_patch
-from npatch.analysis import contours, curvature_map
-from npatch.fileio import read_loop, write_obj, write_ply_scalar
+from npatch.analysis import ContourSet, contours, curvature_map
+from npatch.fileio import _lines, read_loop, write_obj, write_ply_scalar
 from npatch.fixtures import FIXTURE_DIR
+from npatch.mesher import TriMesh
 
 FIXTURES = sorted(p.stem for p in FIXTURE_DIR.glob("*.json"))
 
@@ -66,3 +71,55 @@ def test_writers_match_reference_on_fixtures(name, m):
     assert write_obj(mesh, contour_set).encode() == reference_obj(mesh, contour_set).encode()
     scalar_mesh = curvature_map(patch, m)
     assert write_ply_scalar(scalar_mesh).encode() == reference_ply(scalar_mesh).encode()
+
+
+def test_empty_polylines_match_reference():
+    mesh = TriMesh(np.eye(3), [[0, 1, 2]])
+    polylines = [np.zeros((0, 3)), np.ones((2, 3)), np.zeros((0, 3))]
+    contour_set = ContourSet([0, 0, 1], [0.5], polylines)
+    assert write_obj(mesh, contour_set) == reference_obj(mesh, contour_set)
+
+
+def _fields(values, dtype):
+    """The formatter's text of each value, as the writers print a field."""
+    return _lines("", np.array(values, dtype=dtype)[:, None]).decode("ascii").split("\n")[:-1]
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
+                  1e-5, 9.9999999949e-5, 1e-4, 999999999.4, 999999999.5, 1e9,
+                  0.5, 1.5, -2.5, 123456788.5, 0.1, 1.0 / 3.0, 2.0 ** -1074,
+                  float("nan"), float("inf"), float("-inf")]
+HALFWAY_FLOATS = [(k + 0.5) * 10.0 ** -j for j in range(13)
+                  for k in (0, 1, 12, 9999, 12345678, 99999999, 123456789, 999999999, 4294967295)]
+SPECIAL_INTS = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, -5, -1, 2**63 - 1, -2**63]
+
+
+def _random_floats():
+    rng = np.random.default_rng(20200226)
+    bits = rng.integers(0, 2**63, 20000, dtype=np.int64) * rng.choice([-1, 1], 20000)
+    decimals = rng.integers(10**8, 10**11, 20000) * 10.0 ** rng.integers(-30, 30, 20000)
+    powers = 10.0 ** rng.integers(-300, 300, 5000)
+    return np.concatenate([bits.view(float), decimals, powers,
+                           np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+
+
+@pytest.mark.parametrize("values", [SPECIAL_FLOATS, HALFWAY_FLOATS, _random_floats()],
+                         ids=["special", "halfway", "random"])
+def test_float_fields_print_as_percent_g(values):
+    assert _fields(values, float) == ["%.9g" % x for x in np.asarray(values).tolist()]
+
+
+def test_int_fields_print_as_percent_d():
+    assert _fields(SPECIAL_INTS, np.int64) == ["%d" % i for i in SPECIAL_INTS]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=40))
+def test_any_float_field_prints_as_percent_g(values):
+    assert _fields(values, float) == ["%.9g" % x for x in values]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=40))
+def test_any_int_field_prints_as_percent_d(values):
+    assert _fields(values, np.int64) == ["%d" % i for i in values]
