@@ -44,12 +44,13 @@ from .loop import make_loop
 from .mesher import TriMesh
 
 
-# "%04d" % k as 4 ASCII bytes, one uint32 word per k < 10**4
-_WORDS = np.ascontiguousarray(
-    np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
-).view(np.uint32)[:, 0]
+# the 4 decimal digits of each k < 10**4, most significant first: (4, 10**4)
+_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+# "%04d" % k as 4 ASCII bytes in one uint32 word (byte order plays no part:
+# the words are only gathered, then viewed as bytes again)
+_WORDS = np.ascontiguousarray((_DIGITS + np.uint8(ord("0"))).T).view(np.uint32)[:, 0]
 # trailing zeros of "%04d" % k (4 for k = 0)
-_TRAILING_ZEROS = sum((np.arange(10000) % 10 ** j == 0).astype(np.uint8) for j in (1, 2, 3, 4))
+_TRAILING_ZEROS = np.logical_and.accumulate(_DIGITS[::-1] == 0).sum(axis=0, dtype=np.uint8)
 # 10.0**k at row k + 300; off by at most an ulp, which moves a 9-digit
 # mantissa by < 1e-7, well inside the 1e-6 tie guard of _cells
 _POW10 = 10.0 ** np.arange(-300, 301)
@@ -57,13 +58,14 @@ _POW10 = 10.0 ** np.arange(-300, 301)
 # mantissa in 4-digit groups (the first 3 always 0), each digit followed by
 # a slot for the point, then "e+ddd"
 _FLOAT_WIDTH = 35
-# values formatted per pass: small enough for the temporaries to stay in cache
-_BLOCK = 16384
+# values formatted per pass: bounds the temporaries to about a megabyte
+# while keeping numpy's per-call cost small
+_BLOCK = 32768
 
 
 def _groups(u, count):
-    """(count, len(u)) 4-digit groups of the uint64 values u, most significant first."""
-    groups = np.empty((count, len(u)), np.uint64)
+    """(count, len(u)) 4-digit groups of the unsigned ints u, most significant first."""
+    groups = np.empty((count, len(u)), np.intp)
     for j in range(count - 1, -1, -1):
         q = u // 10000
         groups[j] = u - q * 10000
@@ -83,37 +85,32 @@ def _char(mask, char):
     return mask.view(np.uint8) * np.uint8(ord(char))
 
 
-def _cells(values):
-    """(width, len(values)) uint8, one column per value: the value as
-    '%.9g' (floats) or '%d' (ints) prints it, with NUL bytes in between;
-    rows that are NUL in every column are left out."""
+def _int_cells(values):
+    """(rows, n) uint8: sign, then the digits of |values| without leading zeros."""
+    u = np.abs(values).astype(np.uint64)  # exact for the most negative int64 too
+    count = -(-len(str(u.max() if len(u) else 0)) // 4)
+    keep = u >= 10 ** np.arange(4 * count - 1, -1, -1, dtype=np.uint64)[:, None]
+    keep[-1] = True
+    return np.vstack([_char(values < 0, "-"), _ascii(_groups(u, count)) * keep.view(np.uint8)])
+
+
+def _float_cells(values):
+    """(_FLOAT_WIDTH, n) uint8 columns of '%.9g' % values, and the mask of
+    the values left to Python: nan, inf, nonzero magnitudes outside
+    [1e-280, 1e280], and mantissas within 1e-6 of a rounding tie."""
     n = len(values)
-    if values.dtype.kind != "f":
-        u = np.abs(values).astype(np.uint64)  # exact for the most negative int64 too
-        count = -(-len(str(u.max() if n else 0)) // 4)
-        cells = np.empty((1 + 4 * count, n), np.uint8)
-        cells[0] = _char(values < 0, "-")
-        keep = u >= 10 ** np.arange(4 * count - 1, -1, -1, dtype=np.uint64)[:, None]
-        keep[-1] = True
-        np.multiply(_ascii(_groups(u, count)), keep.view(np.uint8), out=cells[1:])
-        return cells[cells.any(axis=1)]
     ax = np.abs(values)
-    ok = (ax >= 1e-280) & (ax <= 1e280)  # False for 0, nan and inf
+    ok = (ax >= 1e-280) & (ax <= 1e280)
     a = np.where(ok, ax, 1.0)
     e = np.floor(np.log10(a)).astype(np.int16)
-    y = a * _POW10[308 - e]
-    e += y >= 1e9
-    e -= y < 1e8
     y = a * _POW10[308 - e]  # |x| * 10**(8 - e), in [1e8, 1e9]
+    # e is off by one only within a few ulps of a power of ten, where the
+    # 9-digit mantissa rounds to 1e8 (right) or 1e9 (carried into e)
     mant = np.rint(y)
-    # the last digit of a mantissa this close to a tie is left to Python
     slow = (~ok & (ax != 0)) | (np.abs(np.abs(y - mant) - 0.5) < 1e-6)
     carry = mant == 1e9
     e += carry
-    mant = np.where(carry, 1e8, mant) * ok
-    hi = np.floor(mant / 1e8)  # exact: mant is an integer below 2**53
-    mid = np.floor((mant - hi * 1e8) / 1e4)
-    groups = np.array([hi, mid, mant - hi * 1e8 - mid * 1e4]).astype(np.intp)
+    groups = _groups((np.where(carry, 1e8, mant) * ok).astype(np.uint32), 3)
     tz = _TRAILING_ZEROS[groups[2]]
     tz += (tz == 4) * _TRAILING_ZEROS[groups[1]]
     tz += (tz == 8) * _TRAILING_ZEROS[groups[0]]  # 12 for a zero mantissa
@@ -137,29 +134,45 @@ def _cells(values):
     cells[31, i] = np.where(e[i] < 0, ord("-"), ord("+"))
     cells[32:, i] = _ascii(np.abs(e[i])[None])[1:]
     cells[32, i] *= np.abs(e[i]) >= 100
+    return cells, slow
+
+
+def _cells(values):
+    """(width, len(values)) uint8, one column per value: the value as
+    '%.9g' (floats) or '%d' (ints) prints it, with NUL bytes in between
+    (rows that are NUL in every column are left out), then a space."""
+    if values.dtype.kind == "f":
+        cells, slow = _float_cells(values)
+    else:
+        cells, slow = _int_cells(values), ()
     for i in np.flatnonzero(slow):
         text = b"%.9g" % values[i]
         cells[:, i] = 0
         cells[:len(text), i] = np.frombuffer(text, np.uint8)
-    return cells[cells.any(axis=1)]
+    return np.vstack([cells[cells.any(axis=1)], np.full(len(values), ord(" "), np.uint8)])
 
 
 def _line_cells(prefix, table):
     """(rows, width) NUL-padded uint8: per row of table, prefix and the
     row's fields (see _cells) separated by spaces, then a newline."""
     rows, cols = table.shape
-    cells = _cells(table.reshape(-1))
-    width = len(cells) + 1
+    values = table.reshape(-1)
+    low = values.min() if len(values) else 0
+    if values.dtype.kind != "f" and int(values.max(initial=low)) - int(low) < len(values):
+        # vertex indices: format each number in their range once, then gather
+        fields = np.take(_cells(np.arange(low, values.max() + 1)).T, values - low, axis=0)
+    else:
+        fields = _cells(values).T
+    width = fields.shape[1]
     lines = np.empty((rows, len(prefix) + cols * width), np.uint8)
     lines[:, :len(prefix)] = np.frombuffer(prefix.encode(), np.uint8)
-    fields = lines[:, len(prefix):].reshape(rows, cols, width)
-    fields[..., :-1] = cells.reshape(width - 1, rows, cols).transpose(1, 2, 0)
-    fields[..., -1] = ord(" ")
+    lines[:, len(prefix):].reshape(rows, cols, width)[:] = fields.reshape(rows, cols, width)
     lines[:, -1] = ord("\n")
     return lines
 
 
 def _text(buf):
+    """The bytes of buf without its NUL padding."""
     return buf.tobytes().translate(None, b"\0")
 
 
@@ -179,12 +192,15 @@ def _polyline_text(polylines, base):
     first, last = np.cumsum(slots) - slots, np.cumsum(slots) - 1
     real = np.ones(slots.sum(), bool)
     real[first[counts == 0]] = False
+    # one `l` field per slot: "l " before the first, a newline after the last
     index = _line_cells("l ", base + np.cumsum(real)[:, None])
     index[~real, 2:-1] = 0
-    index[:, :2] *= np.isin(np.arange(len(index)), first)[:, None]
+    index[:, :2] = 0
+    index[first, :2] = np.frombuffer(b"l ", np.uint8)
     index[:, -1] = ord(" ")
     index[last, -1] = ord("\n")
-    vertex = _line_cells("v ", points.astype(float))
+    vertex = _line_cells("v ", points)
+    # each polyline's vertex lines, then its index fields
     out = np.zeros((len(vertex) + len(index), max(vertex.shape[1], index.shape[1])), np.uint8)
     out[np.arange(len(vertex)) + np.repeat(first, counts), :vertex.shape[1]] = vertex
     out[np.arange(len(index)) + np.repeat(np.cumsum(counts), slots), :index.shape[1]] = index
