@@ -183,11 +183,22 @@ def _lines(prefix, table):
                      for i in range(0, len(table), step)])
 
 
+def _table(array, name):
+    """array as an (n, 3) table, one record per row; SchemaError if it is not one."""
+    array = np.asarray(array)
+    if array.size == 0:
+        return array.reshape(0, 3)
+    if array.shape[1:] != (3,):
+        raise SchemaError("%s: need an (n, 3) array, got shape %s" % (name, array.shape))
+    return array
+
+
 def _polyline_text(polylines, base):
     """OBJ records of polylines whose vertices are numbered from base + 1:
     each polyline's `v` lines, then its `l` line."""
-    points = np.concatenate([np.empty((0, 3))] + [np.reshape(p, (-1, 3)) for p in polylines])
-    counts = np.array([len(p) for p in polylines])
+    tables = [_table(p, "contour polyline") for p in polylines]
+    points = np.concatenate([np.empty((0, 3))] + tables)
+    counts = np.array([len(p) for p in tables])
     slots = np.maximum(counts, 1)  # an empty polyline still writes "l "
     first, last = np.cumsum(slots) - slots, np.cumsum(slots) - 1
     real = np.ones(slots.sum(), bool)
@@ -273,10 +284,12 @@ def write_loop(loop):
 
 
 def write_obj(mesh, contour_set=None):
-    """Indexed-mesh OBJ text; optional contour polylines as `l` elements."""
-    blocks = [_lines("v ", mesh.vertices), _lines("f ", mesh.triangles + 1)]
+    """Indexed-mesh OBJ text; optional contour polylines as `l` elements.
+    Vertices, triangles and polylines must be (n, 3) arrays (SchemaError)."""
+    vertices = _table(mesh.vertices, "vertices")
+    blocks = [_lines("v ", vertices), _lines("f ", _table(mesh.triangles, "triangles") + 1)]
     if contour_set is not None and len(contour_set.polylines):
-        blocks.append(_polyline_text(contour_set.polylines, len(mesh.vertices)))
+        blocks.append(_polyline_text(contour_set.polylines, len(vertices)))
     return (b"".join(blocks) or b"\n").decode("ascii")
 
 
@@ -304,23 +317,24 @@ def read_obj(text):
 
 
 def write_ply_scalar(mesh):
-    """ASCII PLY with a per-vertex `quality` scalar."""
-    if mesh.scalar is None or len(mesh.scalar) != len(mesh.vertices):
+    """ASCII PLY with a per-vertex `quality` scalar; (n, 3) vertices and triangles."""
+    vertices, triangles = _table(mesh.vertices, "vertices"), _table(mesh.triangles, "triangles")
+    if mesh.scalar is None or len(mesh.scalar) != len(vertices):
         raise SchemaError("mesh needs a scalar channel with one value per vertex")
     header = [
         "ply",
         "format ascii 1.0",
-        "element vertex %d" % len(mesh.vertices),
+        "element vertex %d" % len(vertices),
         "property double x",
         "property double y",
         "property double z",
         "property double quality",
-        "element face %d" % len(mesh.triangles),
+        "element face %d" % len(triangles),
         "property list uchar int vertex_indices",
         "end_header",
     ]
     return "\n".join(header) + "\n" + (
-        _lines("", np.column_stack([mesh.vertices, mesh.scalar])) + _lines("3 ", mesh.triangles)
+        _lines("", np.column_stack([vertices, mesh.scalar])) + _lines("3 ", triangles)
     ).decode("ascii")
 
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from npatch import make_patch, mesh_patch
 from npatch.analysis import ContourSet, contours, curvature_map
-from npatch.fileio import _lines, read_loop, write_obj, write_ply_scalar
+from npatch.errors import SchemaError
+from npatch.fileio import _lines, read_loop, read_obj, write_obj, write_ply_scalar
 from npatch.fixtures import FIXTURE_DIR
 from npatch.mesher import TriMesh
 
@@ -73,11 +74,27 @@ def test_writers_match_reference_on_fixtures(name, m):
     assert write_ply_scalar(scalar_mesh).encode() == reference_ply(scalar_mesh).encode()
 
 
-def test_empty_polylines_match_reference():
+def test_empty_arrays_match_reference():
     mesh = TriMesh(np.eye(3), [[0, 1, 2]])
-    polylines = [np.zeros((0, 3)), np.ones((2, 3)), np.zeros((0, 3))]
+    polylines = [np.zeros((0, 3)), np.ones((2, 3)), []]
     contour_set = ContourSet([0, 0, 1], [0.5], polylines)
     assert write_obj(mesh, contour_set) == reference_obj(mesh, contour_set)
+    empty = read_obj("")  # 1-d vertex and (0, 3) triangle arrays
+    assert write_obj(empty) == reference_obj(empty) == "\n"
+    empty.scalar = np.zeros(0)
+    assert write_ply_scalar(empty) == reference_ply(empty)
+
+
+@pytest.mark.parametrize("case", ["planar vertices", "quad faces", "planar polyline"])
+def test_writers_reject_records_of_other_widths(case):
+    mesh = TriMesh(np.zeros((4, 2 if case == "planar vertices" else 3)),
+                   [[0, 1, 2, 3]] if case == "quad faces" else [[0, 1, 2]], scalar=np.zeros(4))
+    contour_set = ContourSet([0, 0, 1], [0.5], [np.zeros((3, 2 if case == "planar polyline" else 3))])
+    with pytest.raises(SchemaError):
+        write_obj(mesh, contour_set)
+    if case != "planar polyline":
+        with pytest.raises(SchemaError):
+            write_ply_scalar(mesh)
 
 
 def _fields(values, dtype):
