@@ -52,7 +52,7 @@ _WORDS = np.ascontiguousarray((_DIGITS + np.uint8(ord("0"))).T).view(np.uint32)[
 # trailing zeros of "%04d" % k (4 for k = 0)
 _TRAILING_ZEROS = np.logical_and.accumulate(_DIGITS[::-1] == 0).sum(axis=0, dtype=np.uint8)
 # 10.0**k at row k + 300; off by at most an ulp, which moves a 9-digit
-# mantissa by < 1e-7, well inside the 1e-6 tie guard of _cells
+# mantissa by < 1e-7, well inside the 1e-6 tie guard of _float_cells
 _POW10 = 10.0 ** np.arange(-300, 301)
 # rows of a '%.9g' column: sign, "0.000", the 12 digits of a 9-digit
 # mantissa in 4-digit groups (the first 3 always 0), each digit followed by
@@ -177,7 +177,7 @@ def _text(buf):
 
 
 def _lines(prefix, table):
-    """_line_cells(prefix, table) as text, formatted _BLOCK values at a time."""
+    """_line_cells(prefix, table) as ASCII bytes, formatted _BLOCK values at a time."""
     step = max(1, _BLOCK // table.shape[1])
     return b"".join([_text(_line_cells(prefix, table[i:i + step]))
                      for i in range(0, len(table), step)])
