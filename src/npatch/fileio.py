@@ -87,6 +87,8 @@ def _char(mask, char):
 
 def _int_cells(values):
     """(rows, n) uint8: sign, then the digits of |values| without leading zeros."""
+    if values.dtype.kind == "i":  # the abs of a narrower int's minimum wraps
+        values = values.astype(np.int64, copy=False)
     u = np.abs(values).astype(np.uint64)  # exact for the most negative int64 too
     count = -(-len(str(u.max() if len(u) else 0)) // 4)
     keep = u >= 10 ** np.arange(4 * count - 1, -1, -1, dtype=np.uint64)[:, None]
@@ -157,12 +159,7 @@ def _line_cells(prefix, table):
     row's fields (see _cells) separated by spaces, then a newline."""
     rows, cols = table.shape
     values = table.reshape(-1)
-    low = values.min() if len(values) else 0
-    if values.dtype.kind != "f" and int(values.max(initial=low)) - int(low) < len(values):
-        # vertex indices: format each number in their range once, then gather
-        fields = np.take(_cells(np.arange(low, values.max() + 1)).T, values - low, axis=0)
-    else:
-        fields = _cells(values).T
+    fields = _cells(values).T
     width = fields.shape[1]
     lines = np.empty((rows, len(prefix) + cols * width), np.uint8)
     lines[:, :len(prefix)] = np.frombuffer(prefix.encode(), np.uint8)

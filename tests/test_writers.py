@@ -128,6 +128,13 @@ def test_float_fields_print_as_percent_g(values):
 
 def test_int_fields_print_as_percent_d():
     assert _fields(SPECIAL_INTS, np.int64) == ["%d" % i for i in SPECIAL_INTS]
+    # each int type's limits, alone and with neighbours (a short span of
+    # values that ends at the type's maximum, as index tables have)
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64):
+        low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
+        for values in ([high], [high - 1, high], [high, high, high - 2], [low], [low, low + 1],
+                       [low, high], list(range(low, low + 256))):
+            assert _fields(values, dtype) == ["%d" % i for i in values], (dtype, values)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
