@@ -86,68 +86,108 @@ class ContourSet:
         self.polylines = polylines  # list of (k, 3) arrays
 
 
-def _chains(segments, size):
-    """Node chains of the graph whose edges are segments, (k, 2) ids < size.
-
-    Open chains come first, each walked from its lower-id end (a node of
-    degree 1), then cycles from their lowest id; a cycle's chain ends on
-    its first node.
-    """
-    deg = np.bincount(segments.ravel(), minlength=size)
-    incident = (np.argsort(segments.ravel(), kind="stable") // 2).tolist()
-    start = np.concatenate([[0], np.cumsum(deg)]).tolist()
-    # start order: degree-1 nodes by id, then every other node by id
-    key = segments + size * (deg[segments] != 1)
-    ends = segments.tolist()
-    used = np.zeros(len(segments), dtype=bool)
-    chains = []
-    while not used.all():
-        node = int(segments.flat[np.where(used[:, None], 2 * size, key).argmin()])
-        chain = [node]
-        while True:
-            free = [s for s in incident[start[node]:start[node + 1]] if not used[s]]
-            if not free:
-                break
-            used[free[0]] = True
-            a, b = ends[free[0]]
-            node = b if a == node else a
-            chain.append(node)
-        chains.append(chain)
-    return chains
+def _runs(first, size):
+    """Owner and value of every item when owner i holds first[i] .. first[i] + size[i] - 1."""
+    owner = np.repeat(np.arange(len(size)), size)
+    return owner, np.arange(len(owner)) + (first + size - np.cumsum(size))[owner]
 
 
 def contours(mesh, axis, count):
     """Marching-triangles isolines of (axis . vertex) on a triangle mesh.
 
     Levels are uniformly spaced strictly inside the projection range
-    (endpoints would yield degenerate contours).  Per level, each
-    crossed edge is cut once, interpolating from its lower to its higher
-    vertex index, and each crossed triangle joins its two cut edges by a
-    segment.  Segments are chained by edge id: open polylines first, each
-    from its lower-id end, then cycles from their lowest edge id.  So
-    adjacent segments share identical points, and a closed polyline ends
-    on a bitwise copy of its first point.
+    (endpoints would yield degenerate contours).  A triangle is crossed
+    at a level when min < level <= max over its vertex projections; its
+    two cut sides, in side order (corners 0-1, 1-2, 2-0), make one
+    segment.  Each cut edge is cut once per level, interpolating from its
+    lower to its higher vertex index, so adjacent segments share
+    identical points.  Chains go level by level: open polylines first,
+    each from its lower-id end, then cycles from their lowest edge id,
+    leaving it by its lower-index triangle's segment; a closed polyline
+    ends on a bitwise copy of its first point.
+
+    Raises DomainError when the levels are not finite (a vertex or the
+    axis is not finite, or the projection range passes the float range)
+    and SchemaError when a crossed triangle repeats a vertex or a cut
+    edge is shared by more than two triangles.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
     axis = np.asarray(axis, dtype=float)
-    proj = mesh.vertices @ axis
-    lo, hi = proj.min(), proj.max()
-    levels = [lo + (hi - lo) * (k + 1) / (count + 1) for k in range(count)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = mesh.vertices @ axis
+        lo, hi = proj.min(), proj.max()
+        levels = lo + (hi - lo) * np.arange(1, count + 1) / (count + 1)
+    if not np.all(np.isfinite(levels)):
+        raise DomainError("contour levels are not finite: a vertex or the axis is not finite, "
+                          "or the projection range passes the float range")
 
-    edges, tri_edges = mesh.edges()
-    polylines = []
-    for level in levels:
-        below = proj < level
-        cut = below[edges[:, 0]] != below[edges[:, 1]]
-        a, b = edges[cut].T
-        t = (level - proj[a]) / (proj[b] - proj[a])
-        points = np.empty((len(edges), 3))
-        points[cut] = mesh.vertices[a] + t[:, None] * (mesh.vertices[b] - mesh.vertices[a])
-        # a crossed triangle has exactly two cut sides: row-major, they pair up
-        segments = tri_edges[cut[tri_edges]].reshape(-1, 2)
-        polylines.extend(points[chain] for chain in _chains(segments, len(edges)))
-    return ContourSet(axis, levels, polylines)
+    # step[v] levels lie at or below vertex v, so v is below level k exactly when step[v] <= k
+    step = np.searchsorted(levels, proj, side="right")
+    # crossed (triangle, level) pairs in segment order: by level, then by triangle
+    tri_step = np.take(step, mesh.triangles.T)  # C order: fast reductions over axis 0
+    lower = tri_step.min(axis=0)
+    tri, lev = _runs(lower, tri_step.max(axis=0) - lower)
+    order = np.argsort(lev * len(lower) + tri)
+    corners, lev = mesh.triangles[tri[order]], lev[order]
+    below = step[corners] <= lev[:, None]
+    side = np.nonzero(below != below[:, [1, 2, 0]])[1]
+    row = np.arange(len(side)) // 2
+    a, b = corners[row, side], corners[row, (side + 1) % 3]
+    nv = len(mesh.vertices)
+    cut, edge = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True)
+
+    # one node per (cut edge, level), numbered by edge id, then level
+    a, b = np.divmod(cut, nv)
+    first = np.minimum(step[a], step[b])
+    size = np.maximum(step[a], step[b]) - first
+    tail = (np.cumsum(size) - size - first)[edge.ravel()] + lev[row]
+    if np.any(tail[::2] == tail[1::2]):
+        raise SchemaError("a crossed triangle repeats a vertex")
+    owner, node_lev = _runs(first, size)
+    a, b = a[owner], b[owner]
+    t = (levels[node_lev] - proj[a]) / (proj[b] - proj[a])
+    start = mesh.vertices[a]
+    points = start + t[:, None] * (mesh.vertices[b] - start)
+    nodes = len(points)
+    deg = np.bincount(tail, minlength=nodes)[tail]
+    if deg.max(initial=0) > 2:
+        raise SchemaError("an edge cut by a level is shared by more than two triangles")
+
+    # arc h runs along segment h // 2 from node tail[h] to node tail[h ^ 1]; its
+    # successor leaves that node by the other segment, or turns back at a chain end,
+    # so an open chain and its reverse form one cycle, a closed chain two
+    arc = np.arange(len(tail))
+    partner = np.bincount(tail, arc, nodes).astype(np.intp)[tail] - arc * (deg - 1)
+    succ = partner[arc ^ 1]
+    # ring key: chain ends first, then nodes by id; bit 0 on a node's lower segment
+    key = 2 * (tail + nodes * (deg == 2)) + (arc > partner)
+    # pointer doubling: min over the next 2**r arcs of key * 2**rounds + distance
+    rounds = int(2 * np.bincount(lev).max(initial=0)).bit_length()
+    ring = key << rounds
+    for r in range(rounds):
+        ring = np.minimum(ring, ring[succ] + (1 << r))
+        succ = succ[succ]
+    ring, ahead = np.divmod(ring, 1 << rounds)
+    length = np.bincount(ring)[ring]
+    pos = (length - ahead) % length
+    closed = ring >= 2 * nodes
+    # keep the direction that leaves the start: the lower end of an open chain,
+    # the lower segment at a cycle's lowest node
+    keep = np.flatnonzero((ring % 2 == 0) & (closed | (2 * pos < length)))
+    ring, pos, span = ring[keep], pos[keep], np.where(closed, length, length // 2)[keep]
+    # chains by level, then open before closed, then start node; laid out end to end
+    first = np.flatnonzero(pos == 0)
+    first = first[np.lexsort((ring[first], lev[keep[first] // 2]))]
+    stop = np.cumsum(span[first] + 1)
+    base = np.empty(4 * nodes, np.intp)
+    base[ring[first]] = stop - span[first] - 1
+    at = base[ring] + pos
+    seq = np.empty(len(keep) + len(first), np.intp)
+    seq[at] = tail[keep]
+    last = pos == span - 1
+    seq[at[last] + 1] = tail[keep[last] ^ 1]
+    return ContourSet(axis, levels, np.split(points[seq], stop)[:-1])
 
 
 def dirichlet_energy(mesh):
