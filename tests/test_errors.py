@@ -10,13 +10,19 @@ import numpy as np
 import pytest
 from conftest import scaled_doc, scaled_square_doc
 
-from npatch import BezierCurve, DomainPolygon, make_loop, make_patch, mesh_patch, tessellate_domain
+from npatch import (BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch,
+                    tessellate_domain)
 from npatch.analysis import contours
-from npatch.errors import DomainError, NPatchError
+from npatch.errors import DomainError, NPatchError, SchemaError
 from npatch.fileio import read_loop
 from npatch.fixtures import random_loop, square_loop, triangle_loop
 
 LINE = [[0.0, 0, 0], [1, 0, 0]]
+TRIANGLE = [[0.0, 0, 0], [1, 0, 0], [0, 1, 1]]
+
+
+def _contours_of(vertices, triangles=((0, 1, 2),), axis=(0, 0, 1)):
+    return lambda: contours(TriMesh(vertices, triangles), axis, 3)
 
 CHECKS = {
     "curve shape": lambda: BezierCurve(np.zeros((2, 2))),
@@ -28,6 +34,13 @@ CHECKS = {
     "NaN weld tolerance": lambda: make_loop(square_loop().sides, weld_tolerance=float("nan")),
     "resolution": lambda: tessellate_domain(DomainPolygon(4), 0),
     "contour count": lambda: contours(mesh_patch(make_patch(square_loop()), 2), [0, 0, 1], 0),
+    # levels that are not finite would cross no triangle: an empty, plausible result
+    "contour NaN vertex": _contours_of(TRIANGLE + [[0.0, 0, np.nan]]),
+    "contour inf vertex": _contours_of(TRIANGLE + [[0.0, 0, -np.inf]]),
+    "contour NaN axis": _contours_of(TRIANGLE, axis=(0, np.nan, 1)),
+    "contour inf axis": _contours_of(TRIANGLE, axis=(np.inf, 0, 0)),
+    "contour range past the float range": _contours_of([[0.0, 0, -1e308], [1, 0, 1e308], [0, 1, 0]]),
+    "contour levels past the float range": _contours_of([[0.0, 0, 0], [1, 0, 1.7e308], [0, 1, 0]]),
     "random loop degree 0": lambda: random_loop(5, 0, np.random.default_rng(0)),
 }
 
@@ -65,3 +78,17 @@ def test_evaluating_huge_square_names_the_overflow():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="overflows the float range"):
             patch.eval_many(patch.domain.vertices)
+
+
+@pytest.mark.parametrize("triangles", [
+    [[0, 1, 2], [0, 1, 3], [1, 0, 4]],  # edge 0-1 in three triangles
+    [[0, 1, 2], [0, 1, 3], [0, 1, 3]],  # a triangle listed twice
+    [[0, 0, 2]],                        # a triangle with a repeated vertex
+    [[2, 1, 2], [0, 1, 3]],
+])
+def test_contour_graph_of_degree_above_two_is_schema_error(triangles):
+    # the segments could not be chained: a cut edge would join three segments,
+    # or a segment would join a node to itself
+    vertices = [[0.0, 0, 0], [1, 0, 1], [0, 1, 0.5], [0, -1, 0.5], [1, 1, 0.5]]
+    with pytest.raises(SchemaError):
+        contours(TriMesh(vertices, triangles), [0, 0, 1], 3)
