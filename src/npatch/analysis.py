@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DomainError, NumericError, SchemaError
-from .mesher import TriMesh, mesh_patch, tessellate_domain
+from .mesher import TriMesh, mesh_patch
 from .surface import Patch
 
 # central-difference step in domain units (circumradius 1): balances
@@ -71,8 +71,7 @@ def curvature_map(patch, m):
     """
     mesh = mesh_patch(patch, m)
     # margin strictly above the 2h precondition, rounding-safe
-    points = pull_inward(patch.domain, tessellate_domain(patch.domain, m).vertices,
-                         2.5 * CURVATURE_STEP)
+    points = pull_inward(patch.domain, mesh.domain, 2.5 * CURVATURE_STEP)
     mesh.scalar = mean_curvature(patch, points)
     return mesh
 
@@ -248,4 +247,6 @@ def harmonic_fill(mesh):
     if not worst <= UMBRELLA_TOL * max(scale, 1.0):  # NaN too
         raise NumericError("umbrella residual %.3e above tolerance" % worst)
 
-    return TriMesh(pos, mesh.triangles, boundary=mesh.boundary)
+    film = TriMesh(pos, mesh.triangles, boundary=mesh.boundary)
+    film._edges = mesh._edges  # the same triangles: share the edge table
+    return film

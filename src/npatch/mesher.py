@@ -14,25 +14,41 @@ class TriMesh:
     """Indexed triangle mesh (2D or 3D vertices).
 
     boundary is a Boundary table of the vertices lying on the domain
-    boundary (None when unknown); scalar is an optional per-vertex channel.
+    boundary (None when unknown); scalar is an optional per-vertex channel;
+    domain holds the (k, 2) domain points the vertices were mapped from
+    (None when unknown).  The edge table is computed once per triangle
+    array: assign a new array to `triangles` instead of editing it in place.
     """
 
-    def __init__(self, vertices, triangles, boundary=None, scalar=None):
+    def __init__(self, vertices, triangles, boundary=None, scalar=None, domain=None):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.triangles = np.asarray(triangles, dtype=int)
+        self.triangles = triangles
         self.boundary = boundary
         self.scalar = None if scalar is None else np.asarray(scalar, dtype=float)
+        self.domain = domain
+
+    @property
+    def triangles(self):
+        return self._triangles
+
+    @triangles.setter
+    def triangles(self, triangles):
+        self._triangles = np.asarray(triangles, dtype=int)
+        self._edges = None
 
     def edges(self):
         """Unique undirected edges as a sorted (E, 2) array, and the (T, 3)
-        edge ids of each triangle's sides (corners 0-1, 1-2, 2-0)."""
-        t = self.triangles
-        e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        e.sort(axis=1)
-        # one integer key per edge: a 1-D unique is far cheaper than unique(axis=0)
-        nv = len(self.vertices)
-        keys, ids = np.unique(e[:, 0] * nv + e[:, 1], return_inverse=True)
-        return np.column_stack(np.divmod(keys, nv)), ids.reshape(3, -1).T
+        edge ids of each triangle's sides (corners 0-1, 1-2, 2-0).  Both
+        arrays are kept and shared between calls: read them only."""
+        if self._edges is None:
+            t = self.triangles
+            e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+            e.sort(axis=1)
+            # one integer key per edge: a 1-D unique is far cheaper than unique(axis=0)
+            nv = len(self.vertices)
+            keys, ids = np.unique(e[:, 0] * nv + e[:, 1], return_inverse=True)
+            self._edges = np.column_stack(np.divmod(keys, nv)), ids.reshape(3, -1).T
+        return self._edges
 
 
 def tessellate_domain(poly, m):
@@ -91,7 +107,8 @@ def sample_boundary(loop, boundary):
 
 
 def mesh_patch(patch, m):
-    """Map the domain tessellation through the patch.
+    """Map the domain tessellation through the patch; the mesh keeps the
+    tessellation's vertices as its domain points.
 
     Boundary vertices are evaluated directly on their boundary curve so
     the mesh boundary lies exactly on the input curves.
@@ -99,4 +116,4 @@ def mesh_patch(patch, m):
     dm = tessellate_domain(patch.domain, m)
     pts = patch.eval_many(dm.vertices)
     pts[dm.boundary.index] = sample_boundary(patch.loop, dm.boundary)
-    return TriMesh(pts, dm.triangles, boundary=dm.boundary)
+    return TriMesh(pts, dm.triangles, boundary=dm.boundary, domain=dm.vertices)

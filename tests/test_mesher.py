@@ -99,3 +99,22 @@ def test_square_mesh_is_bilinear():
 def test_bad_resolution():
     with pytest.raises(ValueError):
         tessellate_domain(DomainPolygon(4), 0)
+
+
+def test_edge_table_follows_the_triangles():
+    mesh = tessellate_domain(DomainPolygon(5), 3)
+    table = mesh.edges()
+    assert mesh.edges() is table  # kept between calls
+    # assigning new triangles drops the kept table
+    mesh.triangles = mesh.triangles[::2]
+    edges, sides = mesh.edges()
+    want = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    assert len(edges) < len(table[0])
+    assert np.array_equal(edges, np.unique(want, axis=0))
+    assert np.array_equal(edges[sides].reshape(-1, 2), want)
+
+
+def test_mesh_patch_keeps_its_domain_points():
+    patch = make_patch(pentagon_loop())
+    mesh = mesh_patch(patch, 4)
+    assert np.array_equal(mesh.domain, tessellate_domain(patch.domain, 4).vertices)
