@@ -96,19 +96,16 @@ def contours(mesh, axis, count):
 
     Levels are uniformly spaced strictly inside the projection range
     (endpoints would yield degenerate contours).  A triangle is crossed
-    at a level when min < level <= max over its vertex projections; its
-    two cut sides, in side order (corners 0-1, 1-2, 2-0), make one
-    segment.  Each cut edge is cut once per level, interpolating from its
-    lower to its higher vertex index, so adjacent segments share
-    identical points.  Chains go level by level: open polylines first,
+    at a level when min < level <= max over its vertex projections, and
+    its two cut sides, in side order (corners 0-1, 1-2, 2-0), make a
+    segment.  Each cut edge is cut once per level, from its lower to its
+    higher vertex index.  Chains go level by level: open polylines first,
     each from its lower-id end, then cycles from their lowest edge id,
-    leaving it by its lower-index triangle's segment; a closed polyline
-    ends on a bitwise copy of its first point.
-
-    Raises DomainError when the levels are not finite (a vertex or the
-    axis is not finite, or the projection range passes the float range)
-    and SchemaError when a crossed triangle repeats a vertex or a cut
-    edge is shared by more than two triangles.
+    leaving it by the lower-index triangle's segment and ending on a
+    bitwise copy of the first point.  DomainError: the levels are not
+    finite (a vertex or the axis is not finite, or the projection range
+    passes the float range).  SchemaError: a crossed triangle repeats a
+    vertex, or a cut edge is in more than two triangles.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
@@ -121,7 +118,7 @@ def contours(mesh, axis, count):
         raise DomainError("contour levels are not finite: a vertex or the axis is not finite, "
                           "or the projection range passes the float range")
 
-    # step[v] levels lie at or below vertex v, so v is below level k exactly when step[v] <= k
+    # step[v] levels lie at or below vertex v: v is below level k exactly when step[v] <= k
     step = np.searchsorted(levels, proj, side="right")
     # crossed (triangle, level) pairs in segment order: by level, then by triangle
     tri_step = np.take(step, mesh.triangles.T)  # C order: fast reductions over axis 0
@@ -131,16 +128,16 @@ def contours(mesh, axis, count):
     corners, lev = mesh.triangles[tri[order]], lev[order]
     below = step[corners] <= lev[:, None]
     side = np.nonzero(below != below[:, [1, 2, 0]])[1]
-    row = np.arange(len(side)) // 2
-    a, b = corners[row, side], corners[row, (side + 1) % 3]
+    seg = np.arange(len(side)) // 2
+    a, b = corners[seg, side], corners[seg, (side + 1) % 3]
     nv = len(mesh.vertices)
     cut, edge = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True)
 
-    # one node per (cut edge, level), numbered by edge id, then level
+    # one node per (cut edge, level), numbered by edge id, then by level
     a, b = np.divmod(cut, nv)
     first = np.minimum(step[a], step[b])
     size = np.maximum(step[a], step[b]) - first
-    tail = (np.cumsum(size) - size - first)[edge.ravel()] + lev[row]
+    tail = (np.cumsum(size) - size - first)[edge.ravel()] + lev[seg]
     if np.any(tail[::2] == tail[1::2]):
         raise SchemaError("a crossed triangle repeats a vertex")
     owner, node_lev = _runs(first, size)
@@ -151,31 +148,32 @@ def contours(mesh, axis, count):
     nodes = len(points)
     deg = np.bincount(tail, minlength=nodes)[tail]
     if deg.max(initial=0) > 2:
-        raise SchemaError("an edge cut by a level is shared by more than two triangles")
+        raise SchemaError("an edge cut by a level is in more than two triangles")
 
     # arc h runs along segment h // 2 from node tail[h] to node tail[h ^ 1]; its
     # successor leaves that node by the other segment, or turns back at a chain end,
-    # so an open chain and its reverse form one cycle, a closed chain two
+    # so an open chain and its reverse make one ring of arcs, a closed chain two
     arc = np.arange(len(tail))
     partner = np.bincount(tail, arc, nodes).astype(np.intp)[tail] - arc * (deg - 1)
     succ = partner[arc ^ 1]
-    # ring key: chain ends first, then nodes by id; bit 0 on a node's lower segment
+    # ring key: chain ends before inner nodes, then node id; + 1 off the lower segment
     key = 2 * (tail + nodes * (deg == 2)) + (arc > partner)
-    # pointer doubling: min over the next 2**r arcs of key * 2**rounds + distance
+    # pointer doubling: min over the next 2**r arcs of key * 2**rounds + distance,
+    # until the window wraps the longest ring
     rounds = int(2 * np.bincount(lev).max(initial=0)).bit_length()
-    ring = key << rounds
+    best = key << rounds
     for r in range(rounds):
-        ring = np.minimum(ring, ring[succ] + (1 << r))
+        best = np.minimum(best, best[succ] + (1 << r))
         succ = succ[succ]
-    ring, ahead = np.divmod(ring, 1 << rounds)
+    ring, ahead = np.divmod(best, 1 << rounds)
     length = np.bincount(ring)[ring]
     pos = (length - ahead) % length
     closed = ring >= 2 * nodes
-    # keep the direction that leaves the start: the lower end of an open chain,
-    # the lower segment at a cycle's lowest node
+    # keep the arcs leaving the start: the lower end of an open chain, the lower
+    # segment at a cycle's lowest node
     keep = np.flatnonzero((ring % 2 == 0) & (closed | (2 * pos < length)))
     ring, pos, span = ring[keep], pos[keep], np.where(closed, length, length // 2)[keep]
-    # chains by level, then open before closed, then start node; laid out end to end
+    # chains by level, then open before closed, then start node, end to end
     first = np.flatnonzero(pos == 0)
     first = first[np.lexsort((ring[first], lev[keep[first] // 2]))]
     stop = np.cumsum(span[first] + 1)
@@ -183,9 +181,8 @@ def contours(mesh, axis, count):
     base[ring[first]] = stop - span[first] - 1
     at = base[ring] + pos
     seq = np.empty(len(keep) + len(first), np.intp)
+    seq[at + 1] = tail[keep ^ 1]  # heads; all but each chain's last are tails too
     seq[at] = tail[keep]
-    last = pos == span - 1
-    seq[at[last] + 1] = tail[keep[last] ^ 1]
     return ContourSet(axis, levels, np.split(points[seq], stop)[:-1])
 
 

@@ -16,39 +16,31 @@ class TriMesh:
     boundary is a Boundary table of the vertices lying on the domain
     boundary (None when unknown); scalar is an optional per-vertex channel;
     domain holds the (k, 2) domain points the vertices were mapped from
-    (None when unknown).  The edge table is computed once per triangle
-    array: assign a new array to `triangles` instead of editing it in place.
+    (None when unknown).  Assign a new array to `triangles` instead of
+    editing it in place: the edge table is kept per triangle array.
     """
 
     def __init__(self, vertices, triangles, boundary=None, scalar=None, domain=None):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.triangles = triangles
+        self.triangles = np.asarray(triangles, dtype=int)
         self.boundary = boundary
         self.scalar = None if scalar is None else np.asarray(scalar, dtype=float)
         self.domain = domain
-
-    @property
-    def triangles(self):
-        return self._triangles
-
-    @triangles.setter
-    def triangles(self, triangles):
-        self._triangles = np.asarray(triangles, dtype=int)
-        self._edges = None
+        self._edges = None  # (triangles, edges, side edge ids) of the last edges() call
 
     def edges(self):
         """Unique undirected edges as a sorted (E, 2) array, and the (T, 3)
         edge ids of each triangle's sides (corners 0-1, 1-2, 2-0).  Both
-        arrays are kept and shared between calls: read them only."""
-        if self._edges is None:
-            t = self.triangles
+        are kept until `triangles` is assigned another array: read them only."""
+        t = self.triangles
+        if self._edges is None or self._edges[0] is not t:
             e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
             e.sort(axis=1)
             # one integer key per edge: a 1-D unique is far cheaper than unique(axis=0)
             nv = len(self.vertices)
             keys, ids = np.unique(e[:, 0] * nv + e[:, 1], return_inverse=True)
-            self._edges = np.column_stack(np.divmod(keys, nv)), ids.reshape(3, -1).T
-        return self._edges
+            self._edges = t, np.column_stack(np.divmod(keys, nv)), ids.reshape(3, -1).T
+        return self._edges[1:]
 
 
 def tessellate_domain(poly, m):
@@ -107,8 +99,7 @@ def sample_boundary(loop, boundary):
 
 
 def mesh_patch(patch, m):
-    """Map the domain tessellation through the patch; the mesh keeps the
-    tessellation's vertices as its domain points.
+    """Map the domain tessellation through the patch; its points become mesh.domain.
 
     Boundary vertices are evaluated directly on their boundary curve so
     the mesh boundary lies exactly on the input curves.

@@ -104,7 +104,7 @@ def test_bad_resolution():
 def test_edge_table_follows_the_triangles():
     mesh = tessellate_domain(DomainPolygon(5), 3)
     table = mesh.edges()
-    assert mesh.edges() is table  # kept between calls
+    assert all(a is b for a, b in zip(mesh.edges(), table))  # kept between calls
     # assigning new triangles drops the kept table
     mesh.triangles = mesh.triangles[::2]
     edges, sides = mesh.edges()
