@@ -137,7 +137,7 @@ def contours(mesh, axis, count):
     a, b = np.divmod(cut, nv)
     first = np.minimum(step[a], step[b])
     size = np.maximum(step[a], step[b]) - first
-    tail = (np.cumsum(size) - size - first)[edge.ravel()] + lev[seg]
+    tail = (np.cumsum(size) - size - first)[edge] + lev[seg]
     if np.any(tail[::2] == tail[1::2]):
         raise SchemaError("a crossed triangle repeats a vertex")
     owner, node_lev = _runs(first, size)
