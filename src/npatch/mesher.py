@@ -34,11 +34,11 @@ class TriMesh:
         are kept until `triangles` is assigned another array: read them only."""
         t = self.triangles
         if self._edges is None or self._edges[0] is not t:
-            e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-            e.sort(axis=1)
-            # one integer key per edge: a 1-D unique is far cheaper than unique(axis=0)
+            # one integer key per side, side-major: a 1-D unique is far cheaper than
+            # unique(axis=0), and minimum/maximum far cheaper than sorting rows of two
             nv = len(self.vertices)
-            keys, ids = np.unique(e[:, 0] * nv + e[:, 1], return_inverse=True)
+            a, b = t.T, t[:, [1, 2, 0]].T
+            keys, ids = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True)
             self._edges = t, np.column_stack(np.divmod(keys, nv)), ids.reshape(3, -1).T
         return self._edges[1:]
 
