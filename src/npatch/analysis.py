@@ -107,8 +107,8 @@ def contours(mesh, axis, count):
     passes the float range).  SchemaError: a crossed triangle repeats a
     vertex, or a cut edge is in more than two triangles.
     """
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    if not count >= 1 or count % 1:
+        raise DomainError("count must be an integer >= 1")
     axis = np.asarray(axis, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         proj = mesh.vertices @ axis

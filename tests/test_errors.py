@@ -21,8 +21,8 @@ LINE = [[0.0, 0, 0], [1, 0, 0]]
 TRIANGLE = [[0.0, 0, 0], [1, 0, 0], [0, 1, 1]]
 
 
-def _contours_of(vertices, triangles=((0, 1, 2),), axis=(0, 0, 1)):
-    return lambda: contours(TriMesh(vertices, triangles), axis, 3)
+def _contours_of(vertices, triangles=((0, 1, 2),), axis=(0, 0, 1), count=3):
+    return lambda: contours(TriMesh(vertices, triangles), axis, count)
 
 CHECKS = {
     "curve shape": lambda: BezierCurve(np.zeros((2, 2))),
@@ -34,6 +34,8 @@ CHECKS = {
     "NaN weld tolerance": lambda: make_loop(square_loop().sides, weld_tolerance=float("nan")),
     "resolution": lambda: tessellate_domain(DomainPolygon(4), 0),
     "contour count": lambda: contours(mesh_patch(make_patch(square_loop()), 2), [0, 0, 1], 0),
+    "contour count not an integer": _contours_of(TRIANGLE, count=2.5),
+    "contour count NaN": _contours_of(TRIANGLE, count=float("nan")),
     # levels that are not finite would cross no triangle: an empty, plausible result
     "contour NaN vertex": _contours_of(TRIANGLE + [[0.0, 0, np.nan]]),
     "contour inf vertex": _contours_of(TRIANGLE + [[0.0, 0, -np.inf]]),
