@@ -174,13 +174,13 @@ def contours(mesh, axis, count):
     keep = np.flatnonzero((ring % 2 == 0) & (closed | (2 * pos < length)))
     ring, pos, span = ring[keep], pos[keep], np.where(closed, length, length // 2)[keep]
     # chains by level, then open before closed, then start node, end to end
-    first = np.flatnonzero(pos == 0)
-    first = first[np.lexsort((ring[first], lev[keep[first] // 2]))]
-    stop = np.cumsum(span[first] + 1)
+    starts = np.flatnonzero(pos == 0)
+    starts = starts[np.lexsort((ring[starts], lev[keep[starts] // 2]))]
+    stop = np.cumsum(span[starts] + 1)
     base = np.empty(4 * nodes, np.intp)
-    base[ring[first]] = stop - span[first] - 1
+    base[ring[starts]] = stop - span[starts] - 1
     at = base[ring] + pos
-    seq = np.empty(len(keep) + len(first), np.intp)
+    seq = np.empty(len(keep) + len(starts), np.intp)
     seq[at + 1] = tail[keep ^ 1]  # heads; all but each chain's last are tails too
     seq[at] = tail[keep]
     return ContourSet(axis, levels, np.split(points[seq], stop)[:-1])
