@@ -1,9 +1,9 @@
 """`contours` against the per-level reference it replaced.
 
 `reference_contours` and `_reference_chains` are the edge-table
-implementation: per level, cut every crossed edge of `mesh.edges()`
-once, pair each crossed triangle's two cut sides, and walk the segment
-graph node by node.  The package's `contours` must give the same levels
+implementation: per level, cut every crossed edge of the mesh's sorted
+edge table once, pair each crossed triangle's two cut sides, and walk
+the segment graph node by node.  The package's `contours` must give the same levels
 and bit-equal polylines in the same order, so that `write_obj` prints
 the same bytes.
 """
@@ -62,7 +62,10 @@ def reference_contours(mesh, axis, count):
     lo, hi = proj.min(), proj.max()
     levels = [lo + (hi - lo) * (k + 1) / (count + 1) for k in range(count)]
 
-    edges, tri_edges = mesh.edges()
+    nv = len(mesh.vertices)
+    a, b = mesh.triangles.T, mesh.triangles[:, [1, 2, 0]].T
+    keys, ids = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True)
+    edges, tri_edges = np.column_stack(np.divmod(keys, nv)), ids.reshape(3, -1).T
     polylines = []
     for level in levels:
         below = proj < level
