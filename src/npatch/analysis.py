@@ -188,8 +188,7 @@ def contours(mesh, axis, count):
 
 def dirichlet_energy(mesh):
     """Uniform-weight discrete Dirichlet energy: sum over edges of |du|^2."""
-    e, _ = mesh.edges()
-    d = mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]]
+    d = np.diff(mesh.vertices[mesh.edges()], axis=1)
     return float((d * d).sum())
 
 
@@ -214,10 +213,10 @@ def harmonic_fill(mesh):
     scale = float(np.linalg.norm(np.ptp(pos[boundary], axis=0)))
 
     # graph Laplacian rows for interior vertices: deg*x_v - sum(neighbors)
-    edges, _ = mesh.edges()
-    u, v = np.vstack([edges, edges[:, ::-1]]).T
-    adjacency = sp.csr_matrix((np.ones(u.size), (u, v)), shape=(nv, nv))
-    deg = np.bincount(u, minlength=nv).astype(float)
+    u, v = mesh.triangles.ravel(), mesh.triangles[:, [1, 2, 0]].ravel()
+    adjacency = sp.csr_matrix((np.ones(2 * u.size), (np.r_[u, v], np.r_[v, u])), shape=(nv, nv))
+    adjacency.data[:] = 1.0  # a side shared by two triangles summed to 2
+    deg = np.diff(adjacency.indptr).astype(float)
     a_mat = (sp.diags(deg) - adjacency).tocsr()[interior][:, interior]
     rhs = adjacency[interior][:, boundary] @ pos[boundary]
 
@@ -244,6 +243,4 @@ def harmonic_fill(mesh):
     if not worst <= UMBRELLA_TOL * max(scale, 1.0):  # NaN too
         raise NumericError("umbrella residual %.3e above tolerance" % worst)
 
-    film = TriMesh(pos, mesh.triangles, boundary=mesh.boundary)
-    film._edges = mesh._edges  # the same triangles: share the edge table
-    return film
+    return TriMesh(pos, mesh.triangles, boundary=mesh.boundary)

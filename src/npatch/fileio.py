@@ -192,27 +192,15 @@ def _table(array, name):
 
 def _polyline_text(polylines, base):
     """OBJ records of polylines whose vertices are numbered from base + 1:
-    each polyline's `v` lines, then its `l` line."""
+    each polyline's `v` lines, then its `l` line (`l ` alone if it is empty)."""
     tables = [_table(p, "contour polyline") for p in polylines]
     points = np.concatenate([np.empty((0, 3))] + tables)
-    counts = np.array([len(p) for p in tables])
-    slots = np.maximum(counts, 1)  # an empty polyline still writes "l "
-    first, last = np.cumsum(slots) - slots, np.cumsum(slots) - 1
-    real = np.ones(slots.sum(), bool)
-    real[first[counts == 0]] = False
-    # one `l` field per slot: "l " before the first, a newline after the last
-    index = _line_cells("l ", base + np.cumsum(real)[:, None])
-    index[~real, 2:-1] = 0
-    index[:, :2] = 0
-    index[first, :2] = np.frombuffer(b"l ", np.uint8)
-    index[:, -1] = ord(" ")
-    index[last, -1] = ord("\n")
     vertex = _line_cells("v ", points)
-    # each polyline's vertex lines, then its index fields
-    out = np.zeros((len(vertex) + len(index), max(vertex.shape[1], index.shape[1])), np.uint8)
-    out[np.arange(len(vertex)) + np.repeat(first, counts), :vertex.shape[1]] = vertex
-    out[np.arange(len(index)) + np.repeat(np.cumsum(counts), slots), :index.shape[1]] = index
-    return _text(out)
+    index = _line_cells(" ", base + 1 + np.arange(len(points))[:, None])
+    index[:, -1] = 0
+    bounds = np.cumsum([0] + [len(p) for p in tables]).tolist()
+    return b"".join([_text(vertex[i:j]) + b"l" + (_text(index[i:j]) or b" ") + b"\n"
+                     for i, j in zip(bounds, bounds[1:])])
 
 
 def _is_number(x):

@@ -16,8 +16,7 @@ class TriMesh:
     boundary is a Boundary table of the vertices lying on the domain
     boundary (None when unknown); scalar is an optional per-vertex channel;
     domain holds the (k, 2) domain points the vertices were mapped from
-    (None when unknown).  Assign a new array to `triangles` instead of
-    editing it in place: the edge table is kept per triangle array.
+    (None when unknown).
     """
 
     def __init__(self, vertices, triangles, boundary=None, scalar=None, domain=None):
@@ -26,21 +25,14 @@ class TriMesh:
         self.boundary = boundary
         self.scalar = None if scalar is None else np.asarray(scalar, dtype=float)
         self.domain = domain
-        self._edges = None  # (triangles, edges, side edge ids) of the last edges() call
 
     def edges(self):
-        """Unique undirected edges as a sorted (E, 2) array, and the (T, 3)
-        edge ids of each triangle's sides (corners 0-1, 1-2, 2-0).  Both
-        are kept until `triangles` is assigned another array: read them only."""
-        t = self.triangles
-        if self._edges is None or self._edges[0] is not t:
-            # one integer key per side, side-major: a 1-D unique is far cheaper than
-            # unique(axis=0), and minimum/maximum far cheaper than sorting rows of two
-            nv = len(self.vertices)
-            a, b = t.T, t[:, [1, 2, 0]].T
-            keys, ids = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_inverse=True)
-            self._edges = t, np.column_stack(np.divmod(keys, nv)), ids.reshape(3, -1).T
-        return self._edges[1:]
+        """Unique undirected edges as a sorted (E, 2) array."""
+        nv = len(self.vertices)
+        a, b = self.triangles, self.triangles[:, [1, 2, 0]]
+        # one integer key per side: a 1-D sort beats unique(axis=0) and sorting rows of two
+        keys = np.sort(np.minimum(a, b) * nv + np.maximum(a, b), axis=None)
+        return np.column_stack(np.divmod(keys[np.diff(keys, prepend=-1) != 0], nv))
 
 
 def tessellate_domain(poly, m):

@@ -176,16 +176,6 @@ def test_harmonic_planar_loop():
     assert np.abs(mesh.vertices[:, 2]).max() <= 1e-9
 
 
-def test_harmonic_fill_shares_the_edge_table():
-    # one table for the harmonic command's fill and both energies
-    mesh = mesh_patch(make_patch(pentagon_loop()), 6)
-    film = harmonic_fill(mesh)
-    assert all(a is b for a, b in zip(film.edges(), mesh.edges()))
-    film.triangles = film.triangles[:-1]
-    assert len(film.edges()[1]) == len(mesh.triangles) - 1
-    assert len(mesh.edges()[1]) == len(mesh.triangles)
-
-
 def test_harmonic_umbrella_and_max_principle():
     loop = pentagon_loop()
     mesh = harmonic_fill(mesh_patch(make_patch(loop), 6))
