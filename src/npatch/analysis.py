@@ -104,12 +104,17 @@ def contours(mesh, axis, count):
     leaving it by the lower-index triangle's segment and ending on a
     bitwise copy of the first point.  DomainError: the levels are not
     finite (a vertex or the axis is not finite, or the projection range
-    passes the float range).  SchemaError: a crossed triangle repeats a
-    vertex, or a cut edge is in more than two triangles.
+    passes the float range), or the axis is not three numbers.
+    SchemaError: the vertices are not a non-empty (k, 3) array, a crossed
+    triangle repeats a vertex, or a cut edge is in more than two triangles.
     """
     if not count >= 1 or count % 1:
         raise DomainError("count must be an integer >= 1")
-    axis = np.asarray(axis, dtype=float)
+    axis = np.asarray(axis)
+    if axis.shape != (3,) or axis.dtype.kind not in "biuf":
+        raise DomainError("axis must be three numbers")
+    if mesh.vertices.shape[1:] != (3,) or not len(mesh.vertices):
+        raise SchemaError("contours need a non-empty (k, 3) vertex array")
     with np.errstate(over="ignore", invalid="ignore"):
         proj = mesh.vertices @ axis
         lo, hi = proj.min(), proj.max()

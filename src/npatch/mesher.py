@@ -4,7 +4,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SchemaError
 
 Boundary = namedtuple("Boundary", "index side t")
 Boundary.__doc__ = """Boundary vertices: indices, 0-based side and edge parameter t, shape (k,)."""
@@ -16,12 +16,15 @@ class TriMesh:
     boundary is a Boundary table of the vertices lying on the domain
     boundary (None when unknown); scalar is an optional per-vertex channel;
     domain holds the (k, 2) domain points the vertices were mapped from
-    (None when unknown).
+    (None when unknown).  SchemaError: a triangle index lies outside
+    0 .. len(vertices) - 1.
     """
 
     def __init__(self, vertices, triangles, boundary=None, scalar=None, domain=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
+        if np.any((self.triangles < 0) | (self.triangles >= len(self.vertices))):
+            raise SchemaError("triangle index out of range for %d vertices" % len(self.vertices))
         self.boundary = boundary
         self.scalar = None if scalar is None else np.asarray(scalar, dtype=float)
         self.domain = domain

@@ -12,7 +12,7 @@ from conftest import scaled_doc, scaled_square_doc
 
 from npatch import (BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch,
                     tessellate_domain)
-from npatch.analysis import contours
+from npatch.analysis import contours, dirichlet_energy
 from npatch.errors import DomainError, NPatchError, SchemaError
 from npatch.fileio import read_loop
 from npatch.fixtures import random_loop, square_loop, triangle_loop
@@ -41,6 +41,8 @@ CHECKS = {
     "contour inf vertex": _contours_of(TRIANGLE + [[0.0, 0, -np.inf]]),
     "contour NaN axis": _contours_of(TRIANGLE, axis=(0, np.nan, 1)),
     "contour inf axis": _contours_of(TRIANGLE, axis=(np.inf, 0, 0)),
+    "contour axis of two numbers": _contours_of(TRIANGLE, axis=(0, 1)),
+    "contour axis of strings": _contours_of(TRIANGLE, axis=("0", "0", "1")),
     "contour range past the float range": _contours_of([[0.0, 0, -1e308], [1, 0, 1e308], [0, 1, 0]]),
     "contour levels past the float range": _contours_of([[0.0, 0, 0], [1, 0, 1.7e308], [0, 1, 0]]),
     "random loop degree 0": lambda: random_loop(5, 0, np.random.default_rng(0)),
@@ -94,3 +96,22 @@ def test_contour_graph_of_degree_above_two_is_schema_error(triangles):
     vertices = [[0.0, 0, 0], [1, 0, 1], [0, 1, 0.5], [0, -1, 0.5], [1, 1, 0.5]]
     with pytest.raises(SchemaError):
         contours(TriMesh(vertices, triangles), [0, 0, 1], 3)
+
+
+MALFORMED_MESHES = {
+    # an index past the end or below zero would alias another vertex's edge key
+    "triangle index past the end": lambda: TriMesh(np.eye(4, 3), [[0, 1, 5]]),
+    "negative triangle index": lambda: TriMesh(np.eye(4, 3), [[0, 1, -1]]),
+    "triangle without vertices": lambda: TriMesh(np.zeros((0, 3)), [[0, 0, 0]]),
+    "energy of a triangle index past the end":
+        lambda: dirichlet_energy(TriMesh(np.eye(4, 3), [[0, 1, 5]])),
+    "contours of a triangle index past the end": _contours_of(TRIANGLE, triangles=[[0, 1, 3]]),
+    "contours without vertices": _contours_of(np.zeros((0, 3)), triangles=np.zeros((0, 3), int)),
+    "contours of planar vertices": _contours_of(np.eye(3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MESHES))
+def test_malformed_meshes_are_schema_errors(name):
+    with pytest.raises(SchemaError):
+        MALFORMED_MESHES[name]()
