@@ -44,7 +44,7 @@ def _cmd_eval(args):
         try:
             x, y = (float(v) for v in args.uv.split(","))
         except ValueError:
-            raise SchemaError("--uv expects two comma-separated numbers")
+            raise SchemaError("--uv expects two comma-separated numbers") from None
         point = patch.eval(np.array([x, y]))
     elif args.side is not None and args.t is not None:
         if not 1 <= args.side <= loop.n:

@@ -65,6 +65,11 @@ def test_patch_boundary_margin_enforced_batch():
         mean_curvature(patch, points)
 
 
+def test_constant_surface_has_no_tangent_plane():
+    with pytest.raises(NumericError, match="degenerate tangent plane"):
+        mean_curvature(lambda q: np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2]))
+
+
 def test_mean_curvature_batch_matches_points():
     rng = np.random.default_rng(31)
     patch = make_patch(random_loop(6, 3, rng))

@@ -119,6 +119,14 @@ def test_eval_missing_flags(square_file, capsys):
     assert main(["eval", square_file]) == 1
 
 
+@pytest.mark.parametrize("uv", ["1", "a,b", "1,2,3"])
+def test_eval_uv_not_two_numbers(square_file, capsys, uv):
+    assert main(["eval", square_file, "--uv", uv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --uv expects two comma-separated numbers\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--uv", "nan,0"], ["--uv", "0,inf"], ["--side", "1", "--t", "nan"],
 ])
@@ -247,4 +255,17 @@ def test_numeric_error_exits_2(pentagon_file, tmp_path, capsys, monkeypatch):
     out = tmp_path / "harm.obj"
     assert main(["harmonic", pentagon_file, "-m", "4", "-o", str(out)]) == 2
     assert capsys.readouterr().err == "numeric error: no convergence\n"
+    assert not out.exists()
+
+
+def test_curvature_of_a_point_exits_2(tmp_path, capsys):
+    # every control point at one place: the patch is that point, with no tangent plane
+    doc = {"version": 1, "sides": [{"degree": 1, "control_points": [[1, 2, 3]] * 2}] * 3}
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "curv.ply"
+    assert main(["curvature", str(path), "-m", "4", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric error: degenerate tangent plane, cannot evaluate curvature\n"
     assert not out.exists()
