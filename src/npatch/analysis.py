@@ -193,7 +193,8 @@ def contours(mesh, axis, count):
 
 def dirichlet_energy(mesh):
     """Uniform-weight discrete Dirichlet energy: sum over edges of |du|^2."""
-    d = np.diff(mesh.vertices[mesh.edges()], axis=1)
+    e = mesh.edges()
+    d = mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]]
     return float((d * d).sum())
 
 

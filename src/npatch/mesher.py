@@ -16,8 +16,7 @@ class TriMesh:
     boundary is a Boundary table of the vertices lying on the domain
     boundary (None when unknown); scalar is an optional per-vertex channel;
     domain holds the (k, 2) domain points the vertices were mapped from
-    (None when unknown).  SchemaError: a triangle index lies outside
-    0 .. len(vertices) - 1.
+    (None when unknown).  SchemaError: a triangle index is out of range.
     """
 
     def __init__(self, vertices, triangles, boundary=None, scalar=None, domain=None):
@@ -33,9 +32,9 @@ class TriMesh:
         """Unique undirected edges as a sorted (E, 2) array."""
         nv = len(self.vertices)
         a, b = self.triangles, self.triangles[:, [1, 2, 0]]
-        # one integer key per side: a 1-D sort beats unique(axis=0) and sorting rows of two
+        # sort one integer key per side (cheaper than unique(axis=0)); keep each new key
         keys = np.sort(np.minimum(a, b) * nv + np.maximum(a, b), axis=None)
-        return np.column_stack(np.divmod(keys[np.diff(keys, prepend=-1) != 0], nv))
+        return np.column_stack(np.divmod(keys[np.r_[-1, keys[:-1]] != keys], nv))
 
 
 def tessellate_domain(poly, m):
