@@ -3,9 +3,9 @@
 `reference_contours` and `_reference_chains` are the edge-table
 implementation: per level, cut every crossed edge of the mesh's sorted
 edge table once, pair each crossed triangle's two cut sides, and walk
-the segment graph node by node.  The package's `contours` must give the same levels
-and bit-equal polylines in the same order, so that `write_obj` prints
-the same bytes.
+the segment graph node by node.  The package's `contours` must give the
+same levels and bit-equal polylines in the same order, so that
+`write_obj` prints the same bytes.
 """
 
 import numpy as np
