@@ -16,14 +16,19 @@ class TriMesh:
     boundary is a Boundary table of the vertices lying on the domain
     boundary (None when unknown); scalar is an optional per-vertex channel;
     domain holds the (k, 2) domain points the vertices were mapped from
-    (None when unknown).  SchemaError: a triangle index is out of range.
+    (None when unknown).  SchemaError: the triangle table is not 2-D, holds
+    a value that is not an integer (NaN included) or an index out of range.
     """
 
     def __init__(self, vertices, triangles, boundary=None, scalar=None, domain=None):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.triangles = np.asarray(triangles, dtype=int)
-        if np.any((self.triangles < 0) | (self.triangles >= len(self.vertices))):
+        triangles = np.asarray(triangles)
+        if triangles.ndim != 2 or (triangles.dtype.kind not in "biu"
+                                   and not np.array_equal(triangles, np.trunc(triangles))):
+            raise SchemaError("triangles must be a 2-D table of integer vertex indices")
+        if np.any((triangles < 0) | (triangles >= len(self.vertices))):
             raise SchemaError("triangle index out of range for %d vertices" % len(self.vertices))
+        self.triangles = np.asarray(triangles, dtype=int)
         self.boundary = boundary
         self.scalar = None if scalar is None else np.asarray(scalar, dtype=float)
         self.domain = domain
@@ -35,6 +40,11 @@ class TriMesh:
         # sort one integer key per side (cheaper than unique(axis=0)); keep each new key
         keys = np.sort(np.minimum(a, b) * nv + np.maximum(a, b), axis=None)
         return np.column_stack(np.divmod(keys[np.r_[-1, keys[:-1]] != keys], nv))
+
+
+def ring_vertex(n, level, k):
+    """Index of ring `level`'s cyclic vertex k = side * level + slot; ring 0 is the center."""
+    return n * level * (level - 1) // 2 + (level > 0) + k % np.maximum(n * level, 1)
 
 
 def tessellate_domain(poly, m):
@@ -54,11 +64,6 @@ def tessellate_domain(poly, m):
         raise DomainError("resolution m must be >= 1")
     n = poly.n
     levels = np.arange(1, m + 1)
-
-    def ring_vertex(level, k):
-        # cyclic vertex k of ring `level`; ring 0 is the center
-        return n * level * (level - 1) // 2 + (level > 0) + k % np.maximum(n * level, 1)
-
     level = np.repeat(levels, n * levels)
     side, k = np.divmod(np.arange(level.size) - n * level * (level - 1) // 2, level)
     t = k / level
@@ -76,9 +81,10 @@ def tessellate_domain(poly, m):
     s = np.arange(n)[:, None]
     triangles = np.empty((n * m * m, 3), dtype=int)
     triangles[n * (lev - 1) ** 2 + s * (2 * lev - 1) + a + b] = np.stack([
-        ring_vertex(lev, s * lev + a),
-        np.where(inner, ring_vertex(lev - 1, s * (lev - 1) + b + 1), ring_vertex(lev, s * lev + a + 1)),
-        ring_vertex(lev - 1, s * (lev - 1) + b),
+        ring_vertex(n, lev, s * lev + a),
+        np.where(inner, ring_vertex(n, lev - 1, s * (lev - 1) + b + 1),
+                 ring_vertex(n, lev, s * lev + a + 1)),
+        ring_vertex(n, lev - 1, s * (lev - 1) + b),
     ], axis=-1)
     return TriMesh(np.vstack([np.zeros((1, 2)), ring]), triangles, boundary=boundary)
 
@@ -95,10 +101,18 @@ def sample_boundary(loop, boundary):
 def mesh_patch(patch, m):
     """Map the domain tessellation through the patch; its points become mesh.domain.
 
-    Boundary vertices are evaluated directly on their boundary curve so
-    the mesh boundary lies exactly on the input curves.
+    The ring mesh maps onto itself under the rotation by 2 pi / n: side 0's
+    slots of each ring go through Patch.eval_rotations, whose rotation q
+    gives sector q, and the center through Patch.eval_many.  Boundary
+    vertices are evaluated directly on their boundary curve so the mesh
+    boundary lies exactly on the input curves.
     """
     dm = tessellate_domain(patch.domain, m)
-    pts = patch.eval_many(dm.vertices)
+    level, slot = np.tril_indices(m)  # slot < level of side 0, per ring
+    level = level[:, None] + 1
+    sectors = ring_vertex(patch.n, level, np.arange(patch.n) * level + slot[:, None])
+    pts = np.empty((len(dm.vertices), 3))
+    pts[:1] = patch.eval_many(dm.vertices[:1])
+    pts[sectors] = patch.eval_rotations(dm.vertices[sectors[:, 0]])
     pts[dm.boundary.index] = sample_boundary(patch.loop, dm.boundary)
     return TriMesh(pts, dm.triangles, boundary=dm.boundary, domain=dm.vertices)

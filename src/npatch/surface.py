@@ -69,18 +69,39 @@ class Patch:
         control tensor; the corner terms are matrix products.  A sum past
         the float range raises DomainError.
         """
+        return self._eval_blocks(points, self._controls_t, self._corner_basis)
+
+    def eval_rotations(self, points):
+        """Surface points at every rotation of the domain points by 2 pi q / n,
+        shape (k, 2) -> (k, n, 3), entry [:, q] at R^q p.
+
+        Rotating p shifts its Wachspress coordinates cyclically,
+        lambda_i(R p) = lambda_{i-1}(p), so the parameter basis at p gives
+        rotation q's value against the control tensor and corner terms
+        with their side axis rolled by q; the n rolled copies stack into
+        one matrix product.
+        """
+        n = self.n
+        roll = (np.arange(n)[:, None] + np.arange(n)) % n  # [q, j] -> side j + q
+        controls = np.moveaxis(self._controls_t.reshape(3, -1, 4, n)[..., roll], 3, 0)
+        corners = tuple(e[roll].transpose(1, 0, 2).reshape(n, 3 * n) for e in self._corner_basis)
+        return self._eval_blocks(points, controls.reshape(3 * n, -1), corners).reshape(-1, n, 3)
+
+    def _eval_blocks(self, points, controls, corners):
         points = np.asarray(points, dtype=float)
-        out = np.empty((len(points), 3))
+        out = np.empty((len(points), len(controls)))
         block = max(1, BLOCK_VALUES // (4 * self.n))
         try:
             with np.errstate(over="raise"):
                 for start in range(0, len(points), block):
-                    out[start:start + block] = self._eval_block(points[start:start + block])
+                    out[start:start + block] = self._eval_block(
+                        points[start:start + block], controls, corners)
         except FloatingPointError:
             raise DomainError("patch evaluation overflows the float range") from None
         return out
 
-    def _eval_block(self, points):
+    def _eval_block(self, points, controls, corners):
+        # (k, r) values of r / 3 control tensors stacked (r, (D + 1) 4n) and their (n, r) corner terms
         k, n = len(points), self.n
         lp = local_params(self.domain.wachspress_many(points))
         # sides with undefined s get weight 0 (and any finite s)
@@ -88,7 +109,7 @@ class Patch:
         s[~lp.valid] = 0.0
         w = 0.5 * (1.0 - d)
         w[~lp.valid] = 0.0
-        e0, es, ed, esd = self._corner_basis
+        e0, es, ed, esd = corners
         out = -(w @ e0 + (w * s) @ es + (w * d) @ ed + (w * s * d) @ esd)
         # curve-major (4n, k) parameters and weights of ribbon i's base, prev,
         # next and opposite curve
@@ -98,7 +119,7 @@ class Patch:
         c *= w
         basis = bernstein(t, self._degree)
         basis *= c.reshape(4 * n, k)
-        out += (self._controls_t @ basis.reshape(-1, k)).T
+        out += (controls @ basis.reshape(-1, k)).T
         return out
 
     def eval_boundary(self, i, t):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_interior_points
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npatch import DomainPolygon, local_params
 from npatch.errors import DomainError
@@ -149,6 +151,45 @@ def test_d_properties(n):
             if j in ((i - 1) % n, i, (i + 1) % n):
                 continue
             assert np.abs(lp.d[:, j] - 1).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(3, 16), t=st.lists(st.floats(0, 1), min_size=1, max_size=20),
+       seed=st.integers(0, 2**32 - 1))
+def test_d_properties_at_random_parameters(n, t, seed):
+    poly = DomainPolygon(n)
+    t = np.array(t)
+    for i in range(n):
+        d = local_params(poly.wachspress_many(poly.edge_point(i, t))).d
+        assert np.abs(d[:, i]).max() <= 1e-12
+        assert np.abs(d[:, (i - 1) % n] + d[:, (i + 1) % n] - 1).max() <= 1e-12
+        far = np.setdiff1d(np.arange(n), [(i - 1) % n, i, (i + 1) % n])
+        assert np.abs(d[:, far] - 1).max(initial=0.0) <= 1e-12
+    # inside the polygon every side is at a distance strictly between 0 and 1
+    d = local_params(poly.wachspress_many(random_interior_points(np.random.default_rng(seed), poly, 200))).d
+    assert d.min() > 0 and d.max() < 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(3, 16), seed=st.integers(0, 2**32 - 1))
+def test_rotation_shifts_the_coordinates(n, seed):
+    # lambda_i(R p) = lambda_{i-1}(p) for the rotation R by 2 pi / n, and so
+    # for s_i and d_i; s_i's rounding grows as its weight 1 - d_i -> 0, so it
+    # is compared scaled by that weight
+    poly = DomainPolygon(n)
+    pts = random_interior_points(np.random.default_rng(seed), poly, 100)
+    lam = poly.wachspress_many(pts)
+    lp = local_params(lam)
+    for q in range(n):
+        a = 2 * np.pi * q / n
+        rotated = pts @ np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
+        lam_q = poly.wachspress_many(rotated)
+        lp_q = local_params(lam_q)
+        assert np.abs(lam_q - np.roll(lam, q, axis=1)).max() <= 1e-15
+        assert np.array_equal(lp_q.valid, np.roll(lp.valid, q, axis=1))
+        assert np.abs(lp_q.d - np.roll(lp.d, q, axis=1)).max() <= 1e-15
+        weight = 1.0 - np.roll(lp.d, q, axis=1)
+        assert np.abs((lp_q.s - np.roll(lp.s, q, axis=1)) * weight).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n", [3, 5, 8, 10])

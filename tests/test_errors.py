@@ -82,6 +82,8 @@ def test_evaluating_huge_square_names_the_overflow():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="overflows the float range"):
             patch.eval_many(patch.domain.vertices)
+        with pytest.raises(DomainError, match="overflows the float range"):
+            mesh_patch(patch, 2)
 
 
 @pytest.mark.parametrize("triangles", [
@@ -105,6 +107,12 @@ MALFORMED_MESHES = {
     "triangle without vertices": lambda: TriMesh(np.zeros((0, 3)), [[0, 0, 0]]),
     "energy of a triangle index past the end":
         lambda: dirichlet_energy(TriMesh(np.eye(4, 3), [[0, 1, 5]])),
+    # a fractional index would be truncated to another vertex (energy 6.0)
+    "fractional triangle index": lambda: TriMesh(np.eye(4, 3), [[0, 1, 2.7]]),
+    "energy of a fractional triangle index":
+        lambda: dirichlet_energy(TriMesh(np.eye(4, 3), [[0, 1, 2.7]])),
+    "NaN triangle index": lambda: TriMesh(np.eye(4, 3), [[0, 1, np.nan]]),
+    "flat triangle table": lambda: TriMesh(np.eye(4, 3), [0, 1, 2]),
     "contours of a triangle index past the end": _contours_of(TRIANGLE, triangles=[[0, 1, 3]]),
     "contours without vertices": _contours_of(np.zeros((0, 3)), triangles=np.zeros((0, 3), int)),
     "contours of planar vertices": _contours_of(np.eye(3, 2)),

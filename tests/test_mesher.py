@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npatch import BezierCurve, DomainPolygon, make_loop, make_patch, mesh_patch, tessellate_domain
 from npatch.fixtures import pentagon_loop, random_loop, square_loop
@@ -117,3 +119,40 @@ def test_mesh_patch_keeps_its_domain_points():
     patch = make_patch(pentagon_loop())
     mesh = mesh_patch(patch, 4)
     assert np.array_equal(mesh.domain, tessellate_domain(patch.domain, 4).vertices)
+
+
+def _off_boundary(mesh):
+    inner = np.ones(len(mesh.vertices), dtype=bool)
+    inner[mesh.boundary.index] = False
+    return inner
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(3, 16), degree=st.integers(1, 7), m=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_sector_vertices_match_the_kernel(n, degree, m, seed):
+    # mesh_patch evaluates one sector and rotates it; eval_many sees every point
+    loop = random_loop(n, degree, np.random.default_rng(seed))
+    patch = make_patch(loop)
+    mesh = mesh_patch(patch, m)
+    inner = _off_boundary(mesh)
+    want = patch.eval_many(mesh.domain[inner])
+    assert np.abs(mesh.vertices[inner] - want).max() <= 1e-14 * loop.bbox_diagonal()
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_many_sided_loops(n):
+    loop = random_loop(n, 3, np.random.default_rng(n))
+    patch = make_patch(loop)
+    scale = loop.bbox_diagonal()
+    mesh = mesh_patch(patch, 10)
+    assert np.all(np.isfinite(mesh.vertices))
+    inner = _off_boundary(mesh)
+    assert np.abs(mesh.vertices[inner] - patch.eval_many(mesh.domain[inner])).max() <= 1e-14 * scale
+    # the patch meets the boundary curves before the snap replaces those vertices
+    unsnapped = patch.eval_many(mesh.domain[mesh.boundary.index])
+    assert np.abs(unsnapped - mesh.vertices[mesh.boundary.index]).max() <= 1e-12 * scale
+    for i in range(n):
+        near_corner = patch.eval(patch.domain.vertices[i] * (1 - 1e-9))
+        assert np.all(np.isfinite(near_corner))
+        assert np.abs(near_corner - loop.corner(i)).max() <= 1e-6 * scale

@@ -261,6 +261,19 @@ def test_batch_of_several_blocks_matches_single_points():
     assert np.abs(patch.eval_many(pts) - single).max() <= 1e-14 * loop.bbox_diagonal()
 
 
+def test_rotations_of_several_blocks_match_rotated_points():
+    loop = random_loop(7, 5, np.random.default_rng(76))
+    patch = make_patch(loop)
+    block = BLOCK_VALUES // (4 * patch.n)
+    pts = random_interior_points(np.random.default_rng(77), patch.domain, 3 * block + 7)
+    got = patch.eval_rotations(pts)
+    assert got.shape == (len(pts), 7, 3)
+    for q in range(7):
+        a = 2 * np.pi * q / 7
+        rotated = pts @ np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
+        assert np.abs(got[:, q] - patch.eval_many(rotated)).max() <= 1e-14 * loop.bbox_diagonal()
+
+
 def test_huge_degree_seven_loop_evaluates_finitely():
     # the binomials stay in the basis: control points near 2e307 times
     # C(7, 3) = 35 would overflow
