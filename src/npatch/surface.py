@@ -101,7 +101,7 @@ class Patch:
         return out
 
     def _eval_block(self, points, controls, corners):
-        # (k, r) values of r / 3 control tensors stacked (r, (D + 1) 4n) and their (n, r) corner terms
+        # values (k, r) of r / 3 stacked control tensors (r, (D + 1) 4n), corner terms (n, r)
         k, n = len(points), self.n
         lp = local_params(self.domain.wachspress_many(points))
         # sides with undefined s get weight 0 (and any finite s)

@@ -166,7 +166,8 @@ def test_d_properties_at_random_parameters(n, t, seed):
         far = np.setdiff1d(np.arange(n), [(i - 1) % n, i, (i + 1) % n])
         assert np.abs(d[:, far] - 1).max(initial=0.0) <= 1e-12
     # inside the polygon every side is at a distance strictly between 0 and 1
-    d = local_params(poly.wachspress_many(random_interior_points(np.random.default_rng(seed), poly, 200))).d
+    pts = random_interior_points(np.random.default_rng(seed), poly, 200)
+    d = local_params(poly.wachspress_many(pts)).d
     assert d.min() > 0 and d.max() < 1
 
 
