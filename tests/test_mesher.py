@@ -7,6 +7,57 @@ from npatch import BezierCurve, DomainPolygon, make_loop, make_patch, mesh_patch
 from npatch.fixtures import pentagon_loop, random_loop, square_loop
 
 
+def reference_tessellation(poly, m):
+    """The ring tessellation through a cyclic ring index: the oracle of tessellate_domain.
+
+    Returns (vertices, triangles, (index, side, t)) of the boundary table.
+    """
+    n = poly.n
+
+    def ring_vertex(level, k):
+        # ring `level`'s cyclic vertex k = side * level + slot; ring 0 is the center
+        return n * level * (level - 1) // 2 + (level > 0) + k % np.maximum(n * level, 1)
+
+    levels = np.arange(1, m + 1)
+    level = np.repeat(levels, n * levels)
+    side, k = np.divmod(np.arange(level.size) - n * level * (level - 1) // 2, level)
+    t = k / level
+    ring = (level / m)[:, None] * poly.edge_point(side, t)
+    on_boundary = level == m
+    boundary = (1 + np.nonzero(on_boundary)[0], side[on_boundary], t[on_boundary])
+
+    # steps of one side's strip at level lev: outer i < lev, then inner j < lev-1
+    lev = np.repeat(levels, 2 * levels - 1)
+    step = np.arange(lev.size) - (lev - 1) ** 2
+    inner = step >= lev
+    j = step - lev
+    a = np.where(inner, (j + 1) * lev // np.maximum(lev - 1, 1), step)  # outer steps before
+    b = np.where(inner, j, np.maximum(((step + 1) * (lev - 1) - 1) // lev, 0))  # inner steps before
+    s = np.arange(n)[:, None]
+    triangles = np.empty((n * m * m, 3), dtype=int)
+    triangles[n * (lev - 1) ** 2 + s * (2 * lev - 1) + a + b] = np.stack([
+        ring_vertex(lev, s * lev + a),
+        np.where(inner, ring_vertex(lev - 1, s * (lev - 1) + b + 1),
+                 ring_vertex(lev, s * lev + a + 1)),
+        ring_vertex(lev - 1, s * (lev - 1) + b),
+    ], axis=-1)
+    return np.vstack([np.zeros((1, 2)), ring]), triangles, boundary
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_tessellation_matches_the_reference(n):
+    # bit for bit: the goldens pin the tessellation digest for n = 3 to 6 only
+    poly = DomainPolygon(n)
+    for m in range(1, 13):
+        mesh = tessellate_domain(poly, m)
+        vertices, triangles, boundary = reference_tessellation(poly, m)
+        assert mesh.vertices.tobytes() == vertices.tobytes()
+        assert mesh.triangles.dtype == triangles.dtype
+        assert np.array_equal(mesh.triangles, triangles)
+        for got, want in zip(mesh.boundary, boundary):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def edge_counts(mesh):
     t = mesh.triangles
     e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
