@@ -1,5 +1,6 @@
 """Concentric-ring tessellation of the domain polygon and patch meshing."""
 
+import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -8,6 +9,17 @@ from .errors import DomainError, SchemaError
 
 Boundary = namedtuple("Boundary", "index side t")
 Boundary.__doc__ = """Boundary vertices: indices, 0-based side and edge parameter t, shape (k,)."""
+
+
+def vertex_indices(values, count, what):
+    """values as an int array; SchemaError unless each is an integer in 0 .. count - 1."""
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if kind not in "biu" and (kind != "f" or not np.array_equal(values, np.trunc(values))):
+        raise SchemaError("%s indices must be integers" % what)
+    if np.any((values < 0) | (values >= count)):
+        raise SchemaError("%s index out of range for %d vertices" % (what, count))
+    return values.astype(int, copy=False)
 
 
 class TriMesh:
@@ -22,13 +34,9 @@ class TriMesh:
 
     def __init__(self, vertices, triangles, boundary=None, scalar=None, domain=None):
         self.vertices = np.asarray(vertices, dtype=float)
-        triangles = np.asarray(triangles)
-        if triangles.ndim != 2 or (triangles.dtype.kind not in "biu"
-                                   and not np.array_equal(triangles, np.trunc(triangles))):
-            raise SchemaError("triangles must be a 2-D table of integer vertex indices")
-        if np.any((triangles < 0) | (triangles >= len(self.vertices))):
-            raise SchemaError("triangle index out of range for %d vertices" % len(self.vertices))
-        self.triangles = np.asarray(triangles, dtype=int)
+        self.triangles = vertex_indices(triangles, len(self.vertices), "triangle")
+        if self.triangles.ndim != 2:
+            raise SchemaError("triangles must be a 2-D table of vertex indices")
         self.boundary = boundary
         self.scalar = None if scalar is None else np.asarray(scalar, dtype=float)
         self.domain = domain
@@ -42,9 +50,12 @@ class TriMesh:
         return np.column_stack(np.divmod(keys[np.r_[-1, keys[:-1]] != keys], nv))
 
 
-def ring_vertex(n, level, k):
-    """Index of ring `level`'s cyclic vertex k = side * level + slot; ring 0 is the center."""
-    return n * level * (level - 1) // 2 + (level > 0) + k % np.maximum(n * level, 1)
+def sectors(n, m):
+    """Side 0's slots (level, slot) of rings 1..m, slot < level, each of shape (k, 1),
+    and their vertices on side q, index[:, q] = 1 + n level (level - 1)/2 + slot + q level."""
+    level, slot = np.tril_indices(m)
+    level, slot = level[:, None] + 1, slot[:, None]
+    return level, slot, 1 + n * level * (level - 1) // 2 + slot + np.arange(n) * level
 
 
 def tessellate_domain(poly, m):
@@ -53,49 +64,37 @@ def tessellate_domain(poly, m):
     Ring l (l = m..1) is the polygon scaled by l/m about the center
     with l vertices per edge; ring 0 is the center point.  Ring m's
     vertices form the boundary table, with uniform t.  Triangle count
-    is n*m*m.
+    is n*m*m.  DomainError: m is not an integer >= 1.
 
-    The strip between rings l and l-1 on one side merges its l outer and
+    The strip between rings l and l-1 on side 0 merges its l outer and
     l-1 inner steps by their normalized ends (i+1)/l and (j+1)/(l-1),
     ties to the outer step; the count of the other chain's steps before
     a step (a floor division) gives its triangle and slot.
     """
-    if m < 1:
-        raise DomainError("resolution m must be >= 1")
-    n = poly.n
-    levels = np.arange(1, m + 1)
-    level = np.repeat(levels, n * levels)
-    side, k = np.divmod(np.arange(level.size) - n * level * (level - 1) // 2, level)
-    t = k / level
-    ring = (level / m)[:, None] * poly.edge_point(side, t)
-    on_boundary = level == m
-    boundary = Boundary(1 + np.nonzero(on_boundary)[0], side[on_boundary], t[on_boundary])
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise DomainError("resolution m must be an integer >= 1")
+    n, s = poly.n, np.arange(poly.n)
+    level, slot, index = sectors(n, m)
+    t = slot / level
+    vertices = np.zeros((1 + index.size, 2))
+    vertices[index] = (level / m)[..., None] * poly.edge_point(s, t)
+    boundary = Boundary(index[-m:].T.ravel(), np.repeat(s, m), np.tile(t[-m:, 0], n))
 
-    # steps of one side's strip at level lev: outer i < lev, then inner j < lev-1
-    lev = np.repeat(levels, 2 * levels - 1)
+    # steps of side 0's strip at level lev: outer i < lev, then inner j < lev-1
+    lev = np.repeat(np.arange(1, m + 1), np.arange(1, 2 * m, 2))
     step = np.arange(lev.size) - (lev - 1) ** 2
     inner = step >= lev
     j = step - lev
     a = np.where(inner, (j + 1) * lev // np.maximum(lev - 1, 1), step)  # outer steps before
     b = np.where(inner, j, np.maximum(((step + 1) * (lev - 1) - 1) // lev, 0))  # inner steps before
-    s = np.arange(n)[:, None]
+    # corner (ring, slot <= ring) of side 0, moved s * ring on side s; slot n * ring wraps to 0
+    ring = np.stack([lev, lev - inner, lev - 1], axis=-1)
+    at = np.stack([a, np.where(inner, b, a) + 1, b], axis=-1)
+    corners = np.r_[0, index[slot[:, 0] == 0, 0]][ring] + at + s[:, None, None] * ring
+    corners[-1] -= n * ring * (at == ring)
     triangles = np.empty((n * m * m, 3), dtype=int)
-    triangles[n * (lev - 1) ** 2 + s * (2 * lev - 1) + a + b] = np.stack([
-        ring_vertex(n, lev, s * lev + a),
-        np.where(inner, ring_vertex(n, lev - 1, s * (lev - 1) + b + 1),
-                 ring_vertex(n, lev, s * lev + a + 1)),
-        ring_vertex(n, lev - 1, s * (lev - 1) + b),
-    ], axis=-1)
-    return TriMesh(np.vstack([np.zeros((1, 2)), ring]), triangles, boundary=boundary)
-
-
-def sample_boundary(loop, boundary):
-    """Side-curve points at a boundary table's (side, t) entries, shape (k, 3)."""
-    points = np.empty((boundary.side.size, 3))
-    for i, curve in enumerate(loop.sides):
-        on = boundary.side == i
-        points[on] = curve.eval_many(boundary.t[on])
-    return points
+    triangles[n * (lev - 1) ** 2 + s[:, None] * (2 * lev - 1) + a + b] = corners
+    return TriMesh(vertices, triangles, boundary=boundary)
 
 
 def mesh_patch(patch, m):
@@ -108,11 +107,10 @@ def mesh_patch(patch, m):
     boundary lies exactly on the input curves.
     """
     dm = tessellate_domain(patch.domain, m)
-    level, slot = np.tril_indices(m)  # slot < level of side 0, per ring
-    level = level[:, None] + 1
-    sectors = ring_vertex(patch.n, level, np.arange(patch.n) * level + slot[:, None])
+    index = sectors(patch.n, m)[2]
     pts = np.empty((len(dm.vertices), 3))
     pts[:1] = patch.eval_many(dm.vertices[:1])
-    pts[sectors] = patch.eval_rotations(dm.vertices[sectors[:, 0]])
-    pts[dm.boundary.index] = sample_boundary(patch.loop, dm.boundary)
+    pts[index] = patch.eval_rotations(dm.vertices[index[:, 0]])
+    t = dm.boundary.t[:m]  # the same on every side
+    pts[index[-m:]] = np.stack([curve.eval_many(t) for curve in patch.loop.sides], axis=1)
     return TriMesh(pts, dm.triangles, boundary=dm.boundary, domain=dm.vertices)

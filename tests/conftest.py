@@ -51,3 +51,8 @@ def scaled_square_doc(scale, gap=0.0, **fields):
     doc["sides"][1]["control_points"][0][1] += gap
     doc.update(fields)
     return json.dumps(doc)
+
+
+def loop_doc(*sides):
+    """Loop document of the given sides' control points, each side's degree from its count."""
+    return json.dumps({"sides": [{"degree": len(p) - 1, "control_points": p} for p in sides]})

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from conftest import random_interior_points
+from conftest import loop_doc, random_interior_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +10,7 @@ from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, m
 from npatch.analysis import (contours, curvature_map, dirichlet_energy,
                              harmonic_fill, mean_curvature, pull_inward)
 from npatch.errors import DomainError, NumericError, SchemaError
-from npatch.fileio import read_obj, write_obj
+from npatch.fileio import read_loop, read_obj, write_obj
 from npatch.mesher import Boundary
 from npatch.fixtures import pentagon_loop, random_loop, square_loop
 
@@ -248,3 +250,25 @@ def test_harmonic_isolated_interior_vertex_is_numeric_error():
     mesh = _triangle_mesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 1], [5, 5, 5]]), 3)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
         harmonic_fill(mesh)
+
+
+DEGENERATE_LOOPS = {
+    # the unit square, one corner raised, with a fifth side of length zero at (1, 0, 0)
+    "zero-length side": loop_doc([[0, 1, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]],
+                                 [[1, 0, 0], [1, 0, 0]], [[1, 0, 0], [1, 1, 0.5]],
+                                 [[1, 1, 0.5], [0, 1, 0]]),
+    # a side that is the single point (1, 0, 0)
+    "degree-0 side": loop_doc([[0, 0, 0], [1, 0, 0]], [[1, 0, 0]],
+                              [[1, 0, 0], [0.5, 0.5, 0.5], [0, 1, 0]], [[0, 1, 0], [0, 0, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_LOOPS))
+def test_degenerate_sides_mesh_fill_and_curve_finitely(name):
+    patch = make_patch(read_loop(DEGENERATE_LOOPS[name]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = mesh_patch(patch, 8)
+        assert np.all(np.isfinite(mesh.vertices))
+        assert np.all(np.isfinite(harmonic_fill(mesh).vertices))
+        assert np.all(np.isfinite(curvature_map(patch, 6).scalar))

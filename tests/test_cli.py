@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import scaled_doc, scaled_square_doc
+from conftest import loop_doc, scaled_doc, scaled_square_doc
 
 from npatch import make_patch, mesh_patch
 from npatch.analysis import contours, curvature_map, harmonic_fill
@@ -268,4 +268,19 @@ def test_curvature_of_a_point_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numeric error: degenerate tangent plane, cannot evaluate curvature\n"
+    assert not out.exists()
+
+
+def test_coincident_corners_mesh_but_have_no_curvature(tmp_path, capsys):
+    # corner 1 on corner 3: each side runs back along a neighbor, and the patch folds
+    # flat at the center, where su x sv rounds to nonzero but e g - f^2 to zero
+    path = tmp_path / "fold.json"
+    path.write_text(loop_doc([[1, 1, 0], [0, 0, 0]], [[0, 0, 0], [1, 1, 0]],
+                             [[1, 1, 0], [2, 0, 0]], [[2, 0, 0], [1, 1, 0]]))
+    out = tmp_path / "out"
+    assert main(["mesh", str(path), "-m", "8", "-o", str(out)]) == 0
+    assert np.all(np.isfinite(read_obj(out.read_text()).vertices))
+    out.unlink()
+    assert main(["curvature", str(path), "-m", "6", "-o", str(out)]) == 2
+    assert "degenerate tangent plane" in capsys.readouterr().err
     assert not out.exists()

@@ -12,7 +12,7 @@ from conftest import scaled_doc, scaled_square_doc
 
 from npatch import (BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch,
                     tessellate_domain)
-from npatch.analysis import contours, dirichlet_energy
+from npatch.analysis import contours, curvature_map, dirichlet_energy, harmonic_fill
 from npatch.errors import DomainError, NPatchError, SchemaError
 from npatch.fileio import read_loop
 from npatch.fixtures import random_loop, square_loop, triangle_loop
@@ -33,6 +33,12 @@ CHECKS = {
     "negative weld tolerance": lambda: make_loop(square_loop().sides, weld_tolerance=-1.0),
     "NaN weld tolerance": lambda: make_loop(square_loop().sides, weld_tolerance=float("nan")),
     "resolution": lambda: tessellate_domain(DomainPolygon(4), 0),
+    # a resolution that is not an integer counts no rings
+    "resolution not an integer": lambda: tessellate_domain(DomainPolygon(4), 2.5),
+    "resolution NaN": lambda: tessellate_domain(DomainPolygon(4), float("nan")),
+    "resolution string": lambda: tessellate_domain(DomainPolygon(4), "3"),
+    "mesh resolution not an integer": lambda: mesh_patch(make_patch(square_loop()), 2.5),
+    "curvature map resolution string": lambda: curvature_map(make_patch(square_loop()), "3"),
     "contour count": lambda: contours(mesh_patch(make_patch(square_loop()), 2), [0, 0, 1], 0),
     "contour count not an integer": _contours_of(TRIANGLE, count=2.5),
     "contour count NaN": _contours_of(TRIANGLE, count=float("nan")),
@@ -100,6 +106,15 @@ def test_contour_graph_of_degree_above_two_is_schema_error(triangles):
         contours(TriMesh(vertices, triangles), [0, 0, 1], 3)
 
 
+def _harmonic_pinning(index):
+    """harmonic_fill of a square mesh whose boundary table's first index is replaced."""
+    def fill():
+        mesh = mesh_patch(make_patch(square_loop()), 3)
+        mesh.boundary = mesh.boundary._replace(index=np.r_[index, mesh.boundary.index[1:]])
+        return harmonic_fill(mesh)
+    return fill
+
+
 MALFORMED_MESHES = {
     # an index past the end or below zero would alias another vertex's edge key
     "triangle index past the end": lambda: TriMesh(np.eye(4, 3), [[0, 1, 5]]),
@@ -113,6 +128,11 @@ MALFORMED_MESHES = {
         lambda: dirichlet_energy(TriMesh(np.eye(4, 3), [[0, 1, 2.7]])),
     "NaN triangle index": lambda: TriMesh(np.eye(4, 3), [[0, 1, np.nan]]),
     "flat triangle table": lambda: TriMesh(np.eye(4, 3), [0, 1, 2]),
+    "string triangle index": lambda: TriMesh(np.eye(4, 3), [["0", "1", "2"]]),
+    # numpy indexing would read -1 as the last vertex and pin that one
+    "harmonic boundary index past the end": _harmonic_pinning(999),
+    "harmonic fractional boundary index": _harmonic_pinning(0.5),
+    "harmonic negative boundary index": _harmonic_pinning(-1),
     "contours of a triangle index past the end": _contours_of(TRIANGLE, triangles=[[0, 1, 3]]),
     "contours without vertices": _contours_of(np.zeros((0, 3)), triangles=np.zeros((0, 3), int)),
     "contours of planar vertices": _contours_of(np.eye(3, 2)),
