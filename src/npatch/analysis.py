@@ -46,11 +46,12 @@ def mean_curvature(surface, p, h=CURVATURE_STEP):
     normal = np.cross(su, sv)
     nn = np.linalg.norm(normal, axis=1, keepdims=True)
     e, ff, g = np.einsum("skj,skj->sk", [su, su, sv], [su, sv, sv])
-    if np.any(nn == 0.0) or not np.all(e * g - ff * ff > 0):  # a fold can leave nn > 0
+    det = e * g - ff * ff  # |su x sv|^2: at a fold it can round to 0 while nn does not
+    if np.any(nn == 0.0) or not np.all(det > 0):
         raise NumericError("degenerate tangent plane, cannot evaluate curvature")
     normal /= nn
     l, mm, nq = np.einsum("skj,kj->sk", [suu, suv, svv], normal)
-    h_mean = (e * nq - 2 * ff * mm + g * l) / (2 * (e * g - ff * ff))
+    h_mean = (e * nq - 2 * ff * mm + g * l) / (2 * det)
     return float(h_mean[0]) if p.ndim == 1 else h_mean
 
 
@@ -201,13 +202,13 @@ def dirichlet_energy(mesh):
 def harmonic_fill(mesh):
     """Discrete 'soap film' on a mesh's connectivity, boundary fixed.
 
-    The vertices listed in mesh.boundary keep their positions (for a mesh_patch
-    result, the boundary curve samples) and every other vertex is solved to be
-    the average of its neighbors (conjugate gradients on the SPD interior system,
-    per coordinate).  The length scale of the tolerances is the boundary's
-    bounding-box diagonal.  A mesh without interior vertices is returned
-    unchanged.  SchemaError: no boundary table, or a boundary index that is not
-    an integer in 0 .. len(vertices) - 1.
+    The vertices listed in mesh.boundary keep their positions (for a
+    mesh_patch result, the boundary curve samples) and every other
+    vertex is solved to be the average of its neighbors (conjugate
+    gradients on the SPD interior system, per coordinate).  The length
+    scale of the tolerances is the boundary's bounding-box diagonal.  A
+    mesh without interior vertices is returned unchanged.  SchemaError:
+    no boundary table, or a boundary index that is not a vertex index.
     """
     if mesh.boundary is None or len(mesh.boundary.index) == 0:
         raise SchemaError("harmonic_fill needs a mesh with a boundary table")

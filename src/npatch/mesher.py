@@ -51,8 +51,8 @@ class TriMesh:
 
 
 def sectors(n, m):
-    """Side 0's slots (level, slot) of rings 1..m, slot < level, each of shape (k, 1),
-    and their vertices on side q, index[:, q] = 1 + n level (level - 1)/2 + slot + q level."""
+    """Side 0's ring slots, level 1..m and slot < level, each of shape (k, 1), and their
+    vertices on every side: index[:, q] = 1 + n level (level - 1)/2 + slot + q level."""
     level, slot = np.tril_indices(m)
     level, slot = level[:, None] + 1, slot[:, None]
     return level, slot, 1 + n * level * (level - 1) // 2 + slot + np.arange(n) * level
@@ -103,14 +103,13 @@ def mesh_patch(patch, m):
     The ring mesh maps onto itself under the rotation by 2 pi / n: side 0's
     slots of each ring go through Patch.eval_rotations, whose rotation q
     gives sector q, and the center through Patch.eval_many.  Boundary
-    vertices are evaluated directly on their boundary curve so the mesh
-    boundary lies exactly on the input curves.
+    vertices are evaluated directly on their boundary curve, at side 0's
+    edge parameters, so the mesh boundary lies exactly on the input curves.
     """
     dm = tessellate_domain(patch.domain, m)
     index = sectors(patch.n, m)[2]
     pts = np.empty((len(dm.vertices), 3))
     pts[:1] = patch.eval_many(dm.vertices[:1])
     pts[index] = patch.eval_rotations(dm.vertices[index[:, 0]])
-    t = dm.boundary.t[:m]  # the same on every side
-    pts[index[-m:]] = np.stack([curve.eval_many(t) for curve in patch.loop.sides], axis=1)
+    pts[index[-m:]] = np.stack([c.eval_many(dm.boundary.t[:m]) for c in patch.loop.sides], axis=1)
     return TriMesh(pts, dm.triangles, boundary=dm.boundary, domain=dm.vertices)
