@@ -1,6 +1,7 @@
-"""File formats: JSON loop documents, OBJ and PLY mesh writers/readers.
+"""File formats: JSON loop documents in and out, OBJ and PLY mesh writers.
 
-These three formats are the package's public file contracts.
+These three formats are the package's public file contracts; meshes are
+only written, never read back.
 
 Loop document (JSON):
     {
@@ -41,7 +42,6 @@ import numpy as np
 from .curves import BezierCurve
 from .errors import ParseError, SchemaError
 from .loop import make_loop
-from .mesher import TriMesh
 
 
 # the 4 decimal digits of each k < 10**4, most significant first: (4, 10**4)
@@ -278,29 +278,6 @@ def write_obj(mesh, contour_set=None):
     return (b"".join(blocks) or b"\n").decode("ascii")
 
 
-def read_obj(text):
-    """Minimal OBJ reader for round-trip checks (v and f records only)."""
-    verts, tris = [], []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split()
-        if parts[:1] not in (["v"], ["f"]):
-            continue
-        kind = "vertex" if parts[0] == "v" else "face"
-        if len(parts) != 4:
-            raise ParseError("bad %s record" % kind, line=ln)
-        try:
-            if kind == "vertex":
-                verts.append([float(x) for x in parts[1:]])
-                continue
-            face = [int(x.split("/")[0]) for x in parts[1:]]
-        except ValueError:
-            raise ParseError("non-numeric field in %s record" % kind, line=ln) from None
-        if not all(1 <= k <= len(verts) for k in face):
-            raise ParseError("face index out of range 1..%d" % len(verts), line=ln)
-        tris.append([k - 1 for k in face])
-    return TriMesh(np.array(verts), np.array(tris, dtype=int).reshape(-1, 3))
-
-
 def write_ply_scalar(mesh):
     """ASCII PLY with a per-vertex `quality` scalar; (n, 3) vertices and triangles."""
     vertices, triangles = _table(mesh.vertices, "vertices"), _table(mesh.triangles, "triangles")
@@ -321,29 +298,3 @@ def write_ply_scalar(mesh):
     return "\n".join(header) + "\n" + (
         _lines("", np.column_stack([vertices, mesh.scalar])) + _lines("3 ", triangles)
     ).decode("ascii")
-
-
-def read_ply_scalar(text):
-    """Reader for the PLY flavor produced by write_ply_scalar."""
-    lines = text.splitlines()
-    if not lines or lines[0] != "ply":
-        raise ParseError("not a PLY file", line=1)
-    if "end_header" not in lines:
-        raise ParseError("malformed PLY header")
-    body = lines.index("end_header") + 1
-    try:
-        counts = {p[1]: int(p[2]) for p in map(str.split, lines[:body]) if p[:1] == ["element"]}
-        nv, nf = counts["vertex"], counts["face"]
-        if min(nv, nf) < 0:
-            raise ParseError("negative PLY element count")
-        records = lines[body:body + nv + nf]
-        if len(records) < nv + nf:
-            raise ParseError("truncated PLY body: %d of %d records" % (len(records), nv + nf))
-        verts = np.array([[float(x) for x in r.split()] for r in records[:nv]]).reshape(nv, 4)
-        tris = np.array([[int(x) for x in r.split()[1:]] for r in records[nv:]],
-                        dtype=int).reshape(nf, 3)
-    except (IndexError, KeyError, OverflowError, ValueError) as exc:
-        raise ParseError("malformed PLY: %s %s" % (type(exc).__name__, exc)) from None
-    if np.any((tris < 0) | (tris >= nv)):
-        raise ParseError("face index out of range 0..%d" % (nv - 1))
-    return TriMesh(verts[:, :3], tris, scalar=verts[:, 3])

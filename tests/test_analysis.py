@@ -10,7 +10,7 @@ from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, m
 from npatch.analysis import (contours, curvature_map, dirichlet_energy,
                              harmonic_fill, mean_curvature, pull_inward)
 from npatch.errors import DomainError, NumericError, SchemaError
-from npatch.fileio import read_loop, read_obj, write_obj
+from npatch.fileio import read_loop
 from npatch.mesher import Boundary
 from npatch.fixtures import pentagon_loop, random_loop, square_loop
 
@@ -229,11 +229,11 @@ def _triangle_mesh(vertices, pinned):
     return TriMesh(vertices, [[0, 1, 2]], boundary=Boundary(index, index, np.zeros(pinned)))
 
 
-@pytest.mark.parametrize("source", ["read_obj", "empty table"])
+@pytest.mark.parametrize("source", ["no table", "empty table"])
 def test_harmonic_needs_boundary_table(source):
-    if source == "read_obj":
-        mesh = read_obj(write_obj(mesh_patch(make_patch(square_loop()), 3)))
-        assert mesh.boundary is None
+    if source == "no table":
+        patch_mesh = mesh_patch(make_patch(square_loop()), 3)
+        mesh = TriMesh(patch_mesh.vertices, patch_mesh.triangles)
     else:
         mesh = _triangle_mesh(np.eye(3), 0)
     with pytest.raises(SchemaError, match="boundary"):

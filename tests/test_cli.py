@@ -8,7 +8,7 @@ from conftest import loop_doc, scaled_doc, scaled_square_doc
 from npatch import make_patch, mesh_patch
 from npatch.analysis import contours, curvature_map, harmonic_fill
 from npatch.cli import main
-from npatch.fileio import read_loop, read_obj, read_ply_scalar, write_loop, write_obj, write_ply_scalar
+from npatch.fileio import read_loop, write_loop, write_obj, write_ply_scalar
 from npatch.fixtures import pentagon_loop, square_loop, triangle_loop
 
 
@@ -148,11 +148,17 @@ def test_resolution_and_count_at_least_one(square_file, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def _library_mesh(path, m):
+    """The mesh the CLI's `mesh` command writes for the loop document at path."""
+    return mesh_patch(make_patch(read_loop(Path(path).read_bytes())), m)
+
+
 def test_mesh(square_file, tmp_path, capsys):
     out = tmp_path / "mesh.obj"
     assert main(["mesh", square_file, "-m", "4", "-o", str(out)]) == 0
-    mesh = read_obj(out.read_text())
+    mesh = _library_mesh(square_file, 4)
     assert len(mesh.triangles) == 4 * 16
+    assert out.read_bytes() == write_obj(mesh).encode()
 
 
 def test_harmonic_prints_energies(pentagon_file, tmp_path, capsys):
@@ -168,9 +174,9 @@ def test_harmonic_prints_energies(pentagon_file, tmp_path, capsys):
 def test_curvature(pentagon_file, tmp_path):
     out = tmp_path / "curv.ply"
     assert main(["curvature", pentagon_file, "-m", "4", "-o", str(out)]) == 0
-    mesh = read_ply_scalar(out.read_text())
-    assert mesh.scalar is not None
+    mesh = curvature_map(make_patch(read_loop(Path(pentagon_file).read_bytes())), 4)
     assert np.all(np.isfinite(mesh.scalar))
+    assert out.read_bytes() == write_ply_scalar(mesh).encode()
 
 
 def test_contours(pentagon_file, tmp_path):
@@ -279,7 +285,9 @@ def test_coincident_corners_mesh_but_have_no_curvature(tmp_path, capsys):
                              [[1, 1, 0], [2, 0, 0]], [[2, 0, 0], [1, 1, 0]]))
     out = tmp_path / "out"
     assert main(["mesh", str(path), "-m", "8", "-o", str(out)]) == 0
-    assert np.all(np.isfinite(read_obj(out.read_text()).vertices))
+    mesh = _library_mesh(path, 8)
+    assert np.all(np.isfinite(mesh.vertices))
+    assert out.read_bytes() == write_obj(mesh).encode()
     out.unlink()
     assert main(["curvature", str(path), "-m", "6", "-o", str(out)]) == 2
     assert "degenerate tangent plane" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from npatch import make_patch, mesh_patch
 from npatch.analysis import ContourSet, contours, curvature_map
 from npatch.errors import SchemaError
-from npatch.fileio import _lines, read_loop, read_obj, write_obj, write_ply_scalar
+from npatch.fileio import _lines, read_loop, write_obj, write_ply_scalar
 from npatch.fixtures import FIXTURE_DIR
 from npatch.mesher import TriMesh
 
@@ -79,7 +79,7 @@ def test_empty_arrays_match_reference():
     polylines = [np.zeros((0, 3)), np.ones((2, 3)), []]
     contour_set = ContourSet([0, 0, 1], [0.5], polylines)
     assert write_obj(mesh, contour_set) == reference_obj(mesh, contour_set)
-    empty = read_obj("")  # 1-d vertex and (0, 3) triangle arrays
+    empty = TriMesh(np.array([]), np.empty((0, 3), int))  # 1-d vertices, (0, 3) triangles
     assert write_obj(empty) == reference_obj(empty) == "\n"
     empty.scalar = np.zeros(0)
     assert write_ply_scalar(empty) == reference_ply(empty)
