@@ -4,7 +4,6 @@ from .curves import BezierCurve
 from .domain import DomainPolygon, local_params
 from .loop import BoundaryLoop, make_loop, opposite_curve
 from .mesher import TriMesh, mesh_patch, tessellate_domain
-from .ribbon import Ribbon
 from .surface import Patch, make_patch
 
 __all__ = [
@@ -12,7 +11,6 @@ __all__ = [
     "BoundaryLoop",
     "DomainPolygon",
     "Patch",
-    "Ribbon",
     "TriMesh",
     "local_params",
     "make_loop",

@@ -25,13 +25,15 @@ def mean_curvature(surface, p, h=CURVATURE_STEP):
     on a 9-point stencil, and H from the fundamental forms row by row.
     `surface` is a Patch, evaluated at the whole batch's stencil in one
     eval_many call, or any callable mapping a 2D point to R^3, called
-    point by point.  For a Patch, every point must keep a 2h margin from
-    the domain boundary.
+    point by point.  DomainError: p is not a point or rows of numbers, or
+    (for a Patch) a point lies within 2h of the domain boundary.
     """
-    p = np.asarray(p, dtype=float)
+    p = np.asarray(p)
+    if p.shape[-1:] != (2,) or p.ndim > 2 or p.dtype.kind not in "biuf":
+        raise DomainError("p must be a domain point or a (k, 2) array of numbers")
     stencil = (np.atleast_2d(p)[:, None] + h * STENCIL).reshape(-1, 2)
     if isinstance(surface, Patch):
-        if surface.domain.edge_distances_many(p.reshape(-1, 2)).min() < 2 * h:
+        if surface.domain.edge_distances_many(p.reshape(-1, 2)).min(initial=np.inf) < 2 * h:
             raise DomainError("point closer than 2h to the domain boundary")
         f = surface.eval_many(stencil)
     else:
@@ -103,14 +105,19 @@ def contours(mesh, axis, count):
     higher vertex index.  Chains go level by level: open polylines first,
     each from its lower-id end, then cycles from their lowest edge id,
     leaving it by the lower-index triangle's segment and ending on a
-    bitwise copy of the first point.  DomainError: the levels are not
-    finite (a vertex or the axis is not finite, or the projection range
-    passes the float range), or the axis is not three numbers.
+    bitwise copy of the first point.  DomainError: count is not an integer
+    >= 1 or is too large for one array, the axis is not three numbers, or
+    the levels are not finite (a vertex or the axis is not finite, or the
+    projection range passes the float range).
     SchemaError: the vertices are not a non-empty (k, 3) array, a crossed
     triangle repeats a vertex, or a cut edge is in more than two triangles.
     """
-    if not count >= 1 or count % 1:
+    if not isinstance(count, (int, float, np.integer, np.floating)) or not count >= 1 or count % 1:
         raise DomainError("count must be an integer >= 1")
+    try:
+        steps = np.arange(1, count + 1)
+    except ValueError:  # numpy refuses the size before allocating
+        raise DomainError("count is too large for one array of levels") from None
     axis = np.asarray(axis)
     if axis.shape != (3,) or axis.dtype.kind not in "biuf":
         raise DomainError("axis must be three numbers")
@@ -119,7 +126,7 @@ def contours(mesh, axis, count):
     with np.errstate(over="ignore", invalid="ignore"):
         proj = mesh.vertices @ axis
         lo, hi = proj.min(), proj.max()
-        levels = lo + (hi - lo) * np.arange(1, count + 1) / (count + 1)
+        levels = lo + (hi - lo) * steps / (count + 1)
     if not np.all(np.isfinite(levels)):
         raise DomainError("contour levels are not finite: a vertex or the axis is not finite, "
                           "or the projection range passes the float range")

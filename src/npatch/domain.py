@@ -29,8 +29,8 @@ class DomainPolygon:
     """Regular n-gon inscribed in the unit circle, with precomputed edges."""
 
     def __init__(self, n):
-        if n < 3:
-            raise DomainError("polygon needs n >= 3 sides, got %d" % n)
+        if not isinstance(n, (int, np.integer)) or n < 3:
+            raise DomainError("polygon needs an integer n >= 3 sides, got %r" % (n,))
         self.n = n
         angles = np.pi / 2 + 2 * np.pi * np.arange(n) / n
         self.vertices = np.column_stack([np.cos(angles), np.sin(angles)])

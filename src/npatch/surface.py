@@ -57,7 +57,7 @@ class Patch:
 
     def eval(self, p):
         """Surface point at a single 2D domain point."""
-        return self.eval_many(np.asarray(p, dtype=float)[None])[0]
+        return self.eval_many(np.asarray(p)[None])[0]
 
     def eval_many(self, points):
         """Surface points at an array of 2D domain points, shape (k, 2) -> (k, 3).
@@ -88,7 +88,9 @@ class Patch:
         return self._eval_blocks(points, controls.reshape(3 * n, -1), corners).reshape(-1, n, 3)
 
     def _eval_blocks(self, points, controls, corners):
-        points = np.asarray(points, dtype=float)
+        points = np.asarray(points)
+        if points.shape[1:] != (2,) or points.dtype.kind not in "biuf":
+            raise DomainError("domain points must be a (k, 2) array of numbers")
         out = np.empty((len(points), len(controls)))
         block = max(1, BLOCK_VALUES // (4 * self.n))
         try:
@@ -123,11 +125,13 @@ class Patch:
         return out
 
     def eval_boundary(self, i, t):
-        """Surface point on domain edge i at edge parameter t.
+        """Surface point on domain edge i (an integer, taken cyclically) at edge parameter t.
 
         By the interpolation property this equals curve i evaluated at t;
         it is still computed through the full patch.
         """
+        if not isinstance(i, (int, np.integer)):
+            raise DomainError("side index must be an integer, got %r" % (i,))
         return self.eval(self.domain.edge_point(i, t))
 
 

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from conftest import random_interior_points
 
-from npatch import (BezierCurve, DomainPolygon, Ribbon, local_params,
-                    make_loop, make_patch, mesh_patch, tessellate_domain)
+from npatch import (BezierCurve, DomainPolygon, local_params, make_loop, make_patch,
+                    mesh_patch, tessellate_domain)
 from npatch.analysis import (curvature_map, dirichlet_energy, harmonic_fill,
                              mean_curvature)
 from npatch.fixtures import pentagon_loop, random_loop
+from npatch.ribbon import Ribbon
 from test_surface import classical_coons
 
 

@@ -81,6 +81,10 @@ def test_mean_curvature_batch_matches_points():
     assert np.abs(batch - single).max() <= 1e-6
 
 
+def test_mean_curvature_of_no_points_is_empty():
+    assert mean_curvature(make_patch(square_loop()), np.zeros((0, 2))).shape == (0,)
+
+
 def test_pull_inward():
     poly = DomainPolygon(5)
     q = pull_inward(poly, poly.edge_point(2, [0.0, 0.3, 0.9]), 0.01)

@@ -12,13 +12,15 @@ from conftest import scaled_doc, scaled_square_doc
 
 from npatch import (BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch,
                     tessellate_domain)
-from npatch.analysis import contours, curvature_map, dirichlet_energy, harmonic_fill
+from npatch.analysis import (contours, curvature_map, dirichlet_energy, harmonic_fill,
+                             mean_curvature)
 from npatch.errors import DomainError, NPatchError, SchemaError
 from npatch.fileio import read_loop
 from npatch.fixtures import random_loop, square_loop, triangle_loop
 
 LINE = [[0.0, 0, 0], [1, 0, 0]]
 TRIANGLE = [[0.0, 0, 0], [1, 0, 0], [0, 1, 1]]
+SQUARE = make_patch(square_loop())
 
 
 def _contours_of(vertices, triangles=((0, 1, 2),), axis=(0, 0, 1), count=3):
@@ -52,6 +54,19 @@ CHECKS = {
     "contour range past the float range": _contours_of([[0.0, 0, -1e308], [1, 0, 1e308], [0, 1, 0]]),
     "contour levels past the float range": _contours_of([[0.0, 0, 0], [1, 0, 1.7e308], [0, 1, 0]]),
     "random loop degree 0": lambda: random_loop(5, 0, np.random.default_rng(0)),
+    "contour count string": _contours_of(TRIANGLE, count="3"),
+    "contour count None": _contours_of(TRIANGLE, count=None),
+    # counts that numpy refuses to allocate an array for
+    "contour count 1e300": _contours_of(TRIANGLE, count=1e300),
+    "contour count 2**62": _contours_of(TRIANGLE, count=2**62),
+    "eval of one coordinate": lambda: SQUARE.eval([0.1]),
+    "eval of three coordinates": lambda: SQUARE.eval([0.1, 0.2, 0.3]),
+    "eval of a string": lambda: SQUARE.eval("ab"),
+    "eval_many of a flat array": lambda: SQUARE.eval_many(np.zeros(2)),
+    "mean curvature of 3-D points": lambda: mean_curvature(SQUARE, np.zeros((2, 3))),
+    "boundary side index not an integer": lambda: SQUARE.eval_boundary(1.5, 0.5),
+    "polygon sides not an integer": lambda: DomainPolygon(3.5),
+    "polygon sides string": lambda: DomainPolygon("5"),
 }
 
 

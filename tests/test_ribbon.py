@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from conftest import random_affine
 
-from npatch import BezierCurve, Ribbon, make_loop
+from npatch import BezierCurve, make_loop
 from npatch.errors import DomainError
 from npatch.fixtures import random_loop, square_loop
+from npatch.ribbon import Ribbon
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -6,9 +6,10 @@ from conftest import random_affine, random_interior_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npatch import BezierCurve, DomainPolygon, Ribbon, local_params, make_loop, make_patch
+from npatch import BezierCurve, DomainPolygon, local_params, make_loop, make_patch
 from npatch.errors import DomainError
 from npatch.fixtures import random_loop, square_loop, triangle_loop
+from npatch.ribbon import Ribbon
 from npatch.surface import BLOCK_VALUES
 
 
