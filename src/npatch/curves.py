@@ -54,12 +54,6 @@ class BezierCurve:
             raise DomainError("curve end derivative overflows the float range")
         return np.array(derivative)
 
-    def start_point(self):
-        return self.control_points[0]
-
-    def end_point(self):
-        return self.control_points[-1]
-
     def __repr__(self):
         return "BezierCurve(degree=%d)" % self.degree
 

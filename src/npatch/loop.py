@@ -29,13 +29,6 @@ class BoundaryLoop:
     def n(self):
         return len(self.sides)
 
-    def side(self, i):
-        return self.sides[i % self.n]
-
-    def corner(self, i):
-        """Shared corner C_i(1) = C_{i+1}(0)."""
-        return self.sides[i % self.n].end_point()
-
     def control_points(self):
         return np.vstack([c.control_points for c in self.sides])
 
@@ -60,8 +53,9 @@ def make_loop(curves, weld_tolerance=None):
         raise DomainError("weld_tolerance must be >= 0, got %r" % (weld_tolerance,))
 
     n = len(curves)
-    gaps = np.array([math.dist(curves[i].end_point(), curves[(i + 1) % n].start_point())
-                     for i in range(n)])
+    ends = [(curves[i].control_points[-1], curves[(i + 1) % n].control_points[0])
+            for i in range(n)]
+    gaps = np.array([math.dist(a, b) for a, b in ends])
     bad = np.nonzero(gaps > weld_tolerance)[0]
     if bad.size:
         i = int(bad[0])
@@ -70,10 +64,7 @@ def make_loop(curves, weld_tolerance=None):
             % (i + 1, (i + 1) % n + 1, gaps[i], weld_tolerance)
         )
 
-    corners = [
-        0.5 * curves[i].end_point() + 0.5 * curves[(i + 1) % n].start_point()  # no overflow
-        for i in range(n)
-    ]
+    corners = [0.5 * a + 0.5 * b for a, b in ends]  # no overflow
     welded = []
     for i in range(n):
         pts = curves[i].control_points.copy()
@@ -90,11 +81,11 @@ def opposite_curve(loop, i):
     with end tangents borrowed from sides i+2 and i-2.  For n = 3 the
     two far corners coincide and the curve degenerates to that point.
     """
-    n = loop.n
-    p0 = loop.side(i + 1).end_point()
+    sides, n = loop.sides, loop.n
+    p0 = sides[(i + 1) % n].control_points[-1]
     if n == 3:
         return BezierCurve([p0])
-    p3 = loop.side(i - 1).start_point()
-    p1 = p0 + loop.side(i + 2).end_derivative("start") / 3.0
-    p2 = p3 - loop.side(i - 2).end_derivative("end") / 3.0
+    p3 = sides[(i - 1) % n].control_points[0]
+    p1 = p0 + sides[(i + 2) % n].end_derivative("start") / 3.0
+    p2 = p3 - sides[(i - 2) % n].end_derivative("end") / 3.0
     return BezierCurve([p0, p1, p2, p3])

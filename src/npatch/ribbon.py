@@ -16,15 +16,14 @@ class Ribbon:
     """Four-sided Coons patch bundling three consecutive loop sides."""
 
     def __init__(self, loop, i):
-        self.prev = loop.side(i - 1)
-        self.base = loop.side(i)
-        self.next = loop.side(i + 1)
+        n = loop.n
+        self.prev, self.base, self.next = (loop.sides[(i + k) % n] for k in (-1, 0, 1))
         self.opp = opposite_curve(loop, i)
         # corner matrix rows: s in {0,1}; columns: d in {0,1}
-        self.c00 = self.base.start_point()   # C_i(0)
-        self.c01 = self.prev.start_point()   # C_{i-1}(0)
-        self.c10 = self.base.end_point()     # C_i(1)
-        self.c11 = self.next.end_point()     # C_{i+1}(1)
+        self.c00 = self.base.control_points[0]   # C_i(0)
+        self.c01 = self.prev.control_points[0]   # C_{i-1}(0)
+        self.c10 = self.base.control_points[-1]  # C_i(1)
+        self.c11 = self.next.control_points[-1]  # C_{i+1}(1)
 
     def eval_many(self, s, d):
         """Bilinearly blended Coons sum at parameter arrays s, d in [0, 1].

@@ -42,8 +42,9 @@ class Patch:
             [sides, sides[:, i - 1], sides[:, (i + 1) % n], controls[:, n:]], axis=1
         ).reshape(-1, 3).T.copy()
         # ribbon i's bilinear corner terms in the basis 1, s, d, s*d; its
-        # corners c00, c01, c10 and c11 are loop corners i - 1, i - 2, i, i + 1
-        corners = np.array([loop.corner(j) for j in range(n)])[(i[:, None] + [-1, -2, 0, 1]) % n]
+        # corners c00, c01, c10 and c11 are loop corners i - 1, i - 2, i, i + 1,
+        # the last control points of those sides (elevation keeps them bit for bit)
+        corners = sides[-1, (i[:, None] + [-1, -2, 0, 1]) % n]
         c00, c01, c10, c11 = corners.transpose(1, 0, 2)
         try:
             with np.errstate(over="raise"):

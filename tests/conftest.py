@@ -3,8 +3,13 @@ import json
 import numpy as np
 from scipy.special import comb
 
-from npatch.fileio import write_loop
-from npatch.fixtures import square_loop
+from npatch.fileio import read_loop, write_loop
+from npatch.fixtures import FIXTURE_DIR
+
+
+def bundled_loop(name):
+    """The bundled loop document FIXTURE_DIR/<name>.json, read and welded."""
+    return read_loop((FIXTURE_DIR / (name + ".json")).read_text())
 
 
 def bernstein_eval(control_points, t):
@@ -44,7 +49,7 @@ def scaled_doc(loop, scale, **fields):
 def scaled_square_doc(scale, gap=0.0, **fields):
     """Loop document of the unit-square fixture mapped onto [-scale, scale]^2,
     with side 2's start moved by gap along y and the given top-level fields."""
-    doc = json.loads(write_loop(square_loop()))
+    doc = json.loads(write_loop(bundled_loop("square")))
     for side in doc["sides"]:
         side["control_points"] = [[scale * (2 * x - 1), scale * (2 * y - 1), z]
                                   for x, y, z in side["control_points"]]

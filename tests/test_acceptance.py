@@ -5,13 +5,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the report lines.
 
 import numpy as np
 import pytest
-from conftest import random_interior_points
+from conftest import bundled_loop, random_interior_points
 
 from npatch import (BezierCurve, DomainPolygon, local_params, make_loop, make_patch,
                     mesh_patch, tessellate_domain)
 from npatch.analysis import (curvature_map, dirichlet_energy, harmonic_fill,
                              mean_curvature)
-from npatch.fixtures import pentagon_loop, random_loop
+from npatch.fixtures import random_loop
 from npatch.ribbon import Ribbon
 from test_surface import classical_coons
 
@@ -32,7 +32,7 @@ def test_criterion_1_boundary_interpolation():
             scale = loop.bbox_diagonal()
             for i in range(n):
                 pts = np.array([patch.domain.edge_point(i, tk) for tk in t])
-                err = np.abs(patch.eval_many(pts) - loop.side(i).eval_many(t)).max()
+                err = np.abs(patch.eval_many(pts) - loop.sides[i].eval_many(t)).max()
                 worst = max(worst, err / scale)
     report("1 boundary interpolation (max rel err %.2e)" % worst, worst <= 1e-9)
 
@@ -104,11 +104,11 @@ def test_criterion_6_ribbon_identities():
         for i in range(n):
             r = Ribbon(loop, i)
             worst = max(worst, np.abs(
-                r.eval_many(t, zeros) - loop.side(i).eval_many(t)).max())
+                r.eval_many(t, zeros) - loop.sides[i].eval_many(t)).max())
             worst = max(worst, np.abs(
-                r.eval_many(zeros, t) - loop.side(i - 1).eval_many(1 - t)).max())
+                r.eval_many(zeros, t) - loop.sides[i - 1].eval_many(1 - t)).max())
             worst = max(worst, np.abs(
-                r.eval_many(ones, t) - loop.side(i + 1).eval_many(t)).max())
+                r.eval_many(ones, t) - loop.sides[(i + 1) % n].eval_many(t)).max())
             worst = max(worst, np.abs(
                 r.eval_many(t, ones) - r.opp.eval_many(1 - t)).max())
     report("6 ribbon boundary identities (max dev %.2e)" % worst, worst <= 1e-12)
@@ -128,7 +128,7 @@ def test_criterion_7_planarity():
 
 
 def test_criterion_8_harmonic_baseline():
-    loop = pentagon_loop()
+    loop = bundled_loop("pentagon")
     m = 10
     harmonic = harmonic_fill(mesh_patch(make_patch(loop), m))  # raises if umbrella residual too large
     patch_mesh = mesh_patch(make_patch(loop), m)
@@ -191,6 +191,6 @@ def test_criterion_10_mesh_integrity():
             ok &= set(np.unique(counts)) <= {1, 2}
             for vi, side, t in zip(*mesh.boundary):
                 worst_boundary = max(worst_boundary, np.abs(
-                    mesh.vertices[vi] - loop.side(side).eval(t)).max())
+                    mesh.vertices[vi] - loop.sides[side].eval(t)).max())
     ok &= worst_boundary <= 1e-15
     report("10 mesh integrity (boundary dev %.1e)" % worst_boundary, ok)

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import loop_doc, random_interior_points
+from conftest import bundled_loop, loop_doc, random_interior_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +12,7 @@ from npatch.analysis import (contours, curvature_map, dirichlet_energy,
 from npatch.errors import DomainError, NumericError, SchemaError
 from npatch.fileio import read_loop
 from npatch.mesher import Boundary
-from npatch.fixtures import pentagon_loop, random_loop, square_loop
+from npatch.fixtures import random_loop
 
 
 def test_curvature_plane():
@@ -53,14 +53,14 @@ def test_curvature_step_consistency():
 
 
 def test_patch_boundary_margin_enforced():
-    patch = make_patch(pentagon_loop())
+    patch = make_patch(bundled_loop("pentagon"))
     near_edge = patch.domain.edge_point(0, 0.5) * 0.99999
     with pytest.raises(DomainError):
         mean_curvature(patch, near_edge)
 
 
 def test_patch_boundary_margin_enforced_batch():
-    patch = make_patch(pentagon_loop())
+    patch = make_patch(bundled_loop("pentagon"))
     points = np.array([[0.0, 0.0], [0.2, -0.1], patch.domain.edge_point(0, 0.5) * 0.99999])
     assert mean_curvature(patch, points[:2]).shape == (2,)
     with pytest.raises(DomainError):
@@ -82,7 +82,7 @@ def test_mean_curvature_batch_matches_points():
 
 
 def test_mean_curvature_of_no_points_is_empty():
-    assert mean_curvature(make_patch(square_loop()), np.zeros((0, 2))).shape == (0,)
+    assert mean_curvature(make_patch(bundled_loop("square")), np.zeros((0, 2))).shape == (0,)
 
 
 def test_pull_inward():
@@ -101,7 +101,7 @@ def test_pull_inward_batch_matches_rows():
 
 def test_curvature_map_planar_loop():
     flat = make_loop([
-        BezierCurve(c.control_points * [1, 1, 0]) for c in pentagon_loop().sides
+        BezierCurve(c.control_points * [1, 1, 0]) for c in bundled_loop("pentagon").sides
     ])
     mesh = curvature_map(make_patch(flat), 4)
     assert mesh.scalar is not None
@@ -109,7 +109,7 @@ def test_curvature_map_planar_loop():
 
 
 def test_curvature_map_pentagon_smooth():
-    mesh = curvature_map(make_patch(pentagon_loop()), 6)
+    mesh = curvature_map(make_patch(bundled_loop("pentagon")), 6)
     assert np.all(np.isfinite(mesh.scalar))
     # frozen regression bounds from the first verified run
     assert -2.0 < mesh.scalar.min() < mesh.scalar.max() < 2.0
@@ -130,9 +130,8 @@ def test_contours_single_triangle():
 
 
 def test_contours_planar_square():
-    from npatch.fixtures import square_loop
 
-    mesh = mesh_patch(make_patch(square_loop()), 8)
+    mesh = mesh_patch(make_patch(bundled_loop("square")), 8)
     cs = contours(mesh, np.array([1.0, 0, 0]), 5)
     assert len(cs.levels) == 5
     for poly in cs.polylines:
@@ -144,7 +143,7 @@ def test_contours_planar_square():
 
 
 def test_contour_points_on_plane_and_boundary():
-    mesh = mesh_patch(make_patch(pentagon_loop()), 10)
+    mesh = mesh_patch(make_patch(bundled_loop("pentagon")), 10)
     axis = np.array([0.0, 0, 1.0])
     cs = contours(mesh, axis, 7)
     assert len(cs.polylines) >= 7
@@ -159,7 +158,7 @@ def test_closed_contours_close_bitwise():
     # the square fixture with every side bowed up by 1: the two top levels
     # circle the crown
     loop = make_loop([BezierCurve([c.control_points[0], c.eval(0.5) + [0, 0, 1],
-                                   c.control_points[-1]]) for c in square_loop().sides])
+                                   c.control_points[-1]]) for c in bundled_loop("square").sides])
     cs = contours(mesh_patch(make_patch(loop), 12), np.array([0.0, 0, 1.0]), 5)
     closed = [poly for poly in cs.polylines if np.allclose(poly[0], poly[-1])]
     assert len(closed) == 2
@@ -181,14 +180,14 @@ def test_contours_on_level_planes(n, degree, seed, axis):
 
 def test_harmonic_planar_loop():
     flat = make_loop([
-        BezierCurve(c.control_points * [1, 1, 0]) for c in pentagon_loop().sides
+        BezierCurve(c.control_points * [1, 1, 0]) for c in bundled_loop("pentagon").sides
     ])
     mesh = harmonic_fill(mesh_patch(make_patch(flat), 6))
     assert np.abs(mesh.vertices[:, 2]).max() <= 1e-9
 
 
 def test_harmonic_umbrella_and_max_principle():
-    loop = pentagon_loop()
+    loop = bundled_loop("pentagon")
     mesh = harmonic_fill(mesh_patch(make_patch(loop), 6))
     boundary = set(mesh.boundary.index.tolist())
     nbr = {}
@@ -210,7 +209,7 @@ def test_harmonic_umbrella_and_max_principle():
 
 
 def test_harmonic_energy_below_patch_energy():
-    loop = pentagon_loop()
+    loop = bundled_loop("pentagon")
     m = 8
     harmonic = harmonic_fill(mesh_patch(make_patch(loop), m))
     patch_mesh = mesh_patch(make_patch(loop), m)
@@ -236,7 +235,7 @@ def _triangle_mesh(vertices, pinned):
 @pytest.mark.parametrize("source", ["no table", "empty table"])
 def test_harmonic_needs_boundary_table(source):
     if source == "no table":
-        patch_mesh = mesh_patch(make_patch(square_loop()), 3)
+        patch_mesh = mesh_patch(make_patch(bundled_loop("square")), 3)
         mesh = TriMesh(patch_mesh.vertices, patch_mesh.triangles)
     else:
         mesh = _triangle_mesh(np.eye(3), 0)

@@ -3,26 +3,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import loop_doc, scaled_doc, scaled_square_doc
+from conftest import bundled_loop, loop_doc, scaled_doc, scaled_square_doc
 
 from npatch import make_patch, mesh_patch
 from npatch.analysis import contours, curvature_map, harmonic_fill
 from npatch.cli import main
 from npatch.fileio import read_loop, write_loop, write_obj, write_ply_scalar
-from npatch.fixtures import pentagon_loop, square_loop, triangle_loop
 
 
 @pytest.fixture
 def square_file(tmp_path):
     path = tmp_path / "square.json"
-    path.write_text(write_loop(square_loop()))
+    path.write_text(write_loop(bundled_loop("square")))
     return str(path)
 
 
 @pytest.fixture
 def pentagon_file(tmp_path):
     path = tmp_path / "pentagon.json"
-    path.write_text(write_loop(pentagon_loop()))
+    path.write_text(write_loop(bundled_loop("pentagon")))
     return str(path)
 
 
@@ -48,7 +47,7 @@ def test_check_missing_file(capsys):
 
 
 def test_check_closure_error(tmp_path, capsys):
-    doc = json.loads(write_loop(square_loop()))
+    doc = json.loads(write_loop(bundled_loop("square")))
     doc["sides"][2]["control_points"][0][1] += 0.1
     doc["weld_tolerance"] = 1e-9
     path = tmp_path / "open.json"
@@ -76,10 +75,10 @@ def test_mesh_huge_square_names_the_overflow(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("fixture", [triangle_loop, square_loop])
+@pytest.mark.parametrize("fixture", ["triangle", "square"])
 def test_mesh_near_the_float_range_names_the_overflow(tmp_path, capsys, fixture):
     path = tmp_path / "huge.json"
-    path.write_text(scaled_doc(fixture(), 0.9e308, weld_tolerance=1e-9))
+    path.write_text(scaled_doc(bundled_loop(fixture), 0.9e308, weld_tolerance=1e-9))
     assert main(["mesh", str(path), "-m", "2", "-o", str(tmp_path / "out.obj")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -90,7 +89,7 @@ def test_mesh_near_the_float_range_names_the_overflow(tmp_path, capsys, fixture)
 
 @pytest.mark.parametrize("field, value", [("weld_tolerance", -1e-6), ("version", 7)])
 def test_check_invalid_document_field(tmp_path, capsys, field, value):
-    doc = json.loads(write_loop(square_loop()))
+    doc = json.loads(write_loop(bundled_loop("square")))
     doc[field] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -101,7 +100,7 @@ def test_check_invalid_document_field(tmp_path, capsys, field, value):
 def test_eval_edge_midpoint(square_file, capsys):
     assert main(["eval", square_file, "--side", "1", "--t", "0.5"]) == 0
     got = np.array([float(x) for x in capsys.readouterr().out.split()])
-    expected = square_loop().side(0).eval(0.5)
+    expected = bundled_loop("square").sides[0].eval(0.5)
     assert np.abs(got - expected).max() <= 1e-8
 
 
@@ -212,7 +211,7 @@ def test_output_file_holds_the_writer_bytes(pentagon_file, tmp_path, command):
 
 def test_triangle_fixture_roundtrip(tmp_path):
     path = tmp_path / "tri.json"
-    path.write_text(write_loop(triangle_loop()))
+    path.write_text(write_loop(bundled_loop("triangle")))
     assert main(["check", str(path)]) == 0
 
 
@@ -230,7 +229,7 @@ def test_bundled_fixture_files():
     "directory input", "non-UTF-8 input", "integer beyond float range", "directory output",
 ])
 def test_os_and_decoding_errors_exit_1(square_file, tmp_path, capsys, case):
-    doc = json.loads(write_loop(square_loop()))
+    doc = json.loads(write_loop(bundled_loop("square")))
     doc["sides"][1]["control_points"][0][2] = 10**400
     path = tmp_path / "loop.json"
     path.write_bytes({

@@ -10,13 +10,14 @@ same levels and bit-equal polylines in the same order, so that
 
 import numpy as np
 import pytest
+from conftest import bundled_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npatch import make_patch, mesh_patch
 from npatch.analysis import ContourSet, contours
 from npatch.errors import DomainError
-from npatch.fileio import read_loop, write_obj
+from npatch.fileio import write_obj
 from npatch.fixtures import FIXTURE_DIR, random_loop
 from npatch.mesher import TriMesh
 
@@ -106,7 +107,7 @@ def test_contours_match_reference_on_random_loops(n, degree, m, count, axis, see
 @pytest.mark.parametrize("name", FIXTURES)
 def test_contours_match_reference_on_fixtures(name, axis):
     # planar fixtures on axis-aligned axes put whole rows of vertices on a level
-    loop = read_loop((FIXTURE_DIR / (name + ".json")).read_text())
+    loop = bundled_loop(name)
     rng = np.random.default_rng(axis)
     for m, count in ((1, 3), (8, 7), (24, 10)):
         assert_same_contours(mesh_patch(make_patch(loop), m), _axis(axis, rng), count)

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import scaled_doc, scaled_square_doc
+from conftest import bundled_loop, scaled_doc, scaled_square_doc
 
 from npatch import (BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch,
                     tessellate_domain)
@@ -16,11 +16,12 @@ from npatch.analysis import (contours, curvature_map, dirichlet_energy, harmonic
                              mean_curvature)
 from npatch.errors import DomainError, NPatchError, SchemaError
 from npatch.fileio import read_loop
-from npatch.fixtures import random_loop, square_loop, triangle_loop
+from npatch.fixtures import random_loop
 
 LINE = [[0.0, 0, 0], [1, 0, 0]]
 TRIANGLE = [[0.0, 0, 0], [1, 0, 0], [0, 1, 1]]
-SQUARE = make_patch(square_loop())
+SQUARE_LOOP = bundled_loop("square")
+SQUARE = make_patch(SQUARE_LOOP)
 
 
 def _contours_of(vertices, triangles=((0, 1, 2),), axis=(0, 0, 1), count=3):
@@ -32,16 +33,16 @@ CHECKS = {
     "curve not finite": lambda: BezierCurve([[0.0, 0, np.inf]]),
     "curve end name": lambda: BezierCurve(LINE).end_derivative("middle"),
     "polygon sides": lambda: DomainPolygon(2),
-    "negative weld tolerance": lambda: make_loop(square_loop().sides, weld_tolerance=-1.0),
-    "NaN weld tolerance": lambda: make_loop(square_loop().sides, weld_tolerance=float("nan")),
+    "negative weld tolerance": lambda: make_loop(SQUARE_LOOP.sides, weld_tolerance=-1.0),
+    "NaN weld tolerance": lambda: make_loop(SQUARE_LOOP.sides, weld_tolerance=float("nan")),
     "resolution": lambda: tessellate_domain(DomainPolygon(4), 0),
     # a resolution that is not an integer counts no rings
     "resolution not an integer": lambda: tessellate_domain(DomainPolygon(4), 2.5),
     "resolution NaN": lambda: tessellate_domain(DomainPolygon(4), float("nan")),
     "resolution string": lambda: tessellate_domain(DomainPolygon(4), "3"),
-    "mesh resolution not an integer": lambda: mesh_patch(make_patch(square_loop()), 2.5),
-    "curvature map resolution string": lambda: curvature_map(make_patch(square_loop()), "3"),
-    "contour count": lambda: contours(mesh_patch(make_patch(square_loop()), 2), [0, 0, 1], 0),
+    "mesh resolution not an integer": lambda: mesh_patch(SQUARE, 2.5),
+    "curvature map resolution string": lambda: curvature_map(SQUARE, "3"),
+    "contour count": lambda: contours(mesh_patch(SQUARE, 2), [0, 0, 1], 0),
     "contour count not an integer": _contours_of(TRIANGLE, count=2.5),
     "contour count NaN": _contours_of(TRIANGLE, count=float("nan")),
     # levels that are not finite would cross no triangle: an empty, plausible result
@@ -89,7 +90,7 @@ def test_patch_of_huge_square_names_the_overflow():
 
 def test_patch_of_huge_triangle_names_the_overflow():
     # a triangle has no opposite tangents: its corner terms overflow first
-    loop = read_loop(scaled_doc(triangle_loop(), 0.9e308, weld_tolerance=1e-9))
+    loop = read_loop(scaled_doc(bundled_loop("triangle"), 0.9e308, weld_tolerance=1e-9))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="overflows the float range"):
@@ -98,7 +99,7 @@ def test_patch_of_huge_triangle_names_the_overflow():
 
 def test_evaluating_huge_square_names_the_overflow():
     # the patch builds, but the Coons sums at three of its corners pass the float range
-    patch = make_patch(read_loop(scaled_doc(square_loop(), 0.9e308, weld_tolerance=1e-9)))
+    patch = make_patch(read_loop(scaled_doc(bundled_loop("square"), 0.9e308, weld_tolerance=1e-9)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="overflows the float range"):
@@ -124,7 +125,7 @@ def test_contour_graph_of_degree_above_two_is_schema_error(triangles):
 def _harmonic_pinning(index):
     """harmonic_fill of a square mesh whose boundary table's first index is replaced."""
     def fill():
-        mesh = mesh_patch(make_patch(square_loop()), 3)
+        mesh = mesh_patch(make_patch(bundled_loop("square")), 3)
         mesh.boundary = mesh.boundary._replace(index=np.r_[index, mesh.boundary.index[1:]])
         return harmonic_fill(mesh)
     return fill

@@ -24,10 +24,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import bundled_loop
 
 from npatch import DomainPolygon, make_patch, mesh_patch, tessellate_domain
 from npatch.analysis import ContourSet, contours, curvature_map, harmonic_fill
-from npatch.fileio import read_loop, write_obj, write_ply_scalar
+from npatch.fileio import write_obj, write_ply_scalar
 from npatch.fixtures import FIXTURE_DIR
 from npatch.mesher import TriMesh
 
@@ -44,10 +45,6 @@ CONTOUR_TOL = 1e-13
 
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
-
-
-def _load(name):
-    return read_loop((FIXTURE_DIR / (name + ".json")).read_text())
 
 
 def writer_cases():
@@ -72,7 +69,7 @@ def writer_cases():
 
 
 @pytest.mark.parametrize("m", MS)
-@pytest.mark.parametrize("n", sorted({_load(name).n for name in FIXTURES}))
+@pytest.mark.parametrize("n", sorted({bundled_loop(name).n for name in FIXTURES}))
 def test_tessellation_bits(n, m):
     dm = tessellate_domain(DomainPolygon(n), m)
     table = np.column_stack(dm.boundary)
@@ -85,7 +82,7 @@ def test_tessellation_bits(n, m):
 @pytest.mark.parametrize("m", MS)
 @pytest.mark.parametrize("name", FIXTURES)
 def test_patch_vertices(name, m):
-    loop = _load(name)
+    loop = bundled_loop(name)
     want = GOLDEN["patch_samples"]["%s,%d" % (name, m)]
     got = mesh_patch(make_patch(loop), m).vertices[want["index"]]
     err = np.abs(got - np.array(want["vertices"])).max()
@@ -100,14 +97,14 @@ def test_writer_bytes(key):
 @pytest.mark.parametrize("m", (3, 6))
 @pytest.mark.parametrize("name", FIXTURES)
 def test_curvature_scalars(name, m):
-    got = curvature_map(make_patch(_load(name)), m).scalar
+    got = curvature_map(make_patch(bundled_loop(name)), m).scalar
     assert np.abs(got - GOLDEN["curvature"]["%s,%d" % (name, m)]).max() <= CURVATURE_TOL
 
 
 @pytest.mark.parametrize("m", (6, 20))
 @pytest.mark.parametrize("name", FIXTURES)
 def test_harmonic_vertices(name, m):
-    got = harmonic_fill(mesh_patch(make_patch(_load(name)), m)).vertices
+    got = harmonic_fill(mesh_patch(make_patch(bundled_loop(name)), m)).vertices
     assert _sha(np.ascontiguousarray(got, dtype="<f8").tobytes()) == GOLDEN["harmonic"]["%s,%d" % (name, m)]
 
 
@@ -127,7 +124,7 @@ def _same_polyline(a, b, tol):
 @pytest.mark.parametrize("m", (10, 20))
 @pytest.mark.parametrize("name", FIXTURES)
 def test_contour_polylines(name, m):
-    loop = _load(name)
+    loop = bundled_loop(name)
     want = CONTOURS["%s,%d" % (name, m)]
     cs = contours(mesh_patch(make_patch(loop), m), np.array([0.0, 0.0, 1.0]), 5)
     assert cs.levels == want["levels"]

@@ -3,7 +3,7 @@ from contextlib import suppress
 
 import numpy as np
 import pytest
-from conftest import random_interior_points, scaled_square_doc
+from conftest import bundled_loop, random_interior_points, scaled_square_doc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_writers import reference_obj, reference_ply
@@ -12,9 +12,9 @@ from npatch import DomainPolygon, TriMesh, make_patch, mesh_patch, tessellate_do
 from npatch.analysis import contours, curvature_map
 from npatch.errors import ClosureError, DomainError, NPatchError, ParseError, SchemaError
 from npatch.fileio import read_loop, write_loop, write_obj, write_ply_scalar
-from npatch.fixtures import pentagon_loop, random_loop, square_loop
+from npatch.fixtures import FIXTURE_DIR, bundled, random_loop
 
-SQUARE_DOC = write_loop(square_loop())
+SQUARE_DOC = write_loop(bundled_loop("square"))
 
 
 def test_read_square_document():
@@ -133,6 +133,17 @@ def test_loop_document_roundtrip_on_random_loops(n, degree, seed):
     assert np.array_equal(make_patch(again).eval_many(pts), make_patch(loop).eval_many(pts))
 
 
+def test_bundled_loops_are_the_canonical_fixture_files():
+    # the files are the loops' only source: one added, dropped, or edited out
+    # of the text write_loop gives fails here
+    loops = bundled()
+    assert list(loops) == ["triangle", "square", "pentagon",  # the order perfbench picks by
+                           "pocket3a", "pocket3b", "pocket4", "pocket5", "pocket6"]
+    assert sorted(loops) == sorted(p.stem for p in FIXTURE_DIR.glob("*.json"))
+    for name, loop in loops.items():
+        assert write_loop(loop) == (FIXTURE_DIR / (name + ".json")).read_text()
+
+
 def test_obj_single_triangle():
     mesh = TriMesh(np.eye(3), np.array([[0, 1, 2]]))
     text = write_obj(mesh)
@@ -162,7 +173,7 @@ def test_obj_roundtrip():
 
 
 def test_obj_contours_appended():
-    mesh = mesh_patch(make_patch(pentagon_loop()), 6)
+    mesh = mesh_patch(make_patch(bundled_loop("pentagon")), 6)
     cs = contours(mesh, np.array([0.0, 0, 1.0]), 3)
     text = write_obj(mesh, cs)
     lines = text.strip().splitlines()
@@ -205,7 +216,7 @@ def test_curvature_ply_planar_loop():
     from npatch import BezierCurve, make_loop
 
     flat = make_loop([
-        BezierCurve(c.control_points * [1, 1, 0]) for c in pentagon_loop().sides
+        BezierCurve(c.control_points * [1, 1, 0]) for c in bundled_loop("pentagon").sides
     ])
     mesh = curvature_map(make_patch(flat), 3)
     assert np.abs(mesh.scalar).max() <= 1e-6
@@ -213,7 +224,7 @@ def test_curvature_ply_planar_loop():
 
 
 def test_deterministic_output():
-    loop = pentagon_loop()
+    loop = bundled_loop("pentagon")
     a = write_obj(mesh_patch(make_patch(loop), 5))
     b = write_obj(mesh_patch(make_patch(loop), 5))
     assert a == b
@@ -254,7 +265,7 @@ def _paths(node, path=()):
 
 
 LOOP_DOCS = [dict(json.loads(write_loop(loop)), weld_tolerance=1e-9)
-             for loop in (square_loop(), pentagon_loop())]
+             for loop in (bundled_loop("square"), bundled_loop("pentagon"))]
 SPECIAL_VALUES = [10**400, -10**400, float("nan"), float("inf"), True, None, "1"]
 JSON_VALUES = st.one_of(
     st.sampled_from(SPECIAL_VALUES + [2**63, float("-inf"), False, "", -1, 0, 1e308,

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from conftest import bundled_loop
 
 from npatch import BezierCurve, make_loop, opposite_curve
 from npatch.errors import ClosureError
-from npatch.fixtures import polygon_corners, random_loop, square_loop, straight_loop
+from npatch.fixtures import polygon_corners, random_loop
 
 
-def test_square_loop_valid():
-    loop = square_loop()
+def test_square_fixture_valid():
+    loop = bundled_loop("square")
     assert loop.n == 4
     assert np.all(loop.corner_gaps == 0)
 
@@ -41,9 +42,10 @@ def test_welding_averages_perturbed_corners():
     loop = make_loop(curves, weld_tolerance=1e-9)
     for i in range(5):
         expected = 0.5 * (ends[i][1] + ends[(i + 1) % 5][0])
-        assert np.array_equal(loop.corner(i), expected)
+        assert np.array_equal(loop.sides[i].control_points[-1], expected)
         # shared corners stored bit-identically
-        assert np.array_equal(loop.side(i).end_point(), loop.side(i + 1).start_point())
+        end, start = loop.sides[i].control_points[-1], loop.sides[(i + 1) % 5].control_points[0]
+        assert np.array_equal(end, start)
 
 
 def test_welding_idempotent():
@@ -54,26 +56,26 @@ def test_welding_idempotent():
 
 
 def test_opposite_curve_n3_is_constant_point():
-    loop = straight_loop(polygon_corners(3))
+    loop = bundled_loop("triangle")
     for i in range(3):
         opp = opposite_curve(loop, i)
         assert opp.degree == 0
-        assert np.array_equal(opp.eval(0.0), loop.side(i + 1).end_point())
+        assert np.array_equal(opp.eval(0.0), loop.sides[(i + 1) % 3].control_points[-1])
         # for a triangle the two far corners coincide
-        assert np.allclose(opp.eval(1.0), loop.side(i - 1).start_point(), atol=0)
+        assert np.allclose(opp.eval(1.0), loop.sides[i - 1].control_points[0], atol=0)
 
 
 def test_opposite_curve_n4_reproduces_far_side():
     loop = random_loop(4, 3, np.random.default_rng(5))
     for i in range(4):
         opp = opposite_curve(loop, i)
-        far = loop.side(i + 2)
+        far = loop.sides[(i + 2) % 4]
         assert np.allclose(opp.control_points, far.control_points, atol=1e-14)
 
 
 def test_opposite_curve_pentagon_hand_computed():
     corners = polygon_corners(5)
-    loop = straight_loop(corners)
+    loop = make_loop([BezierCurve([a, b]) for a, b in zip(np.roll(corners, 1, axis=0), corners)])
     i = 0
     opp = opposite_curve(loop, i)
     # endpoints: the two far corners
@@ -90,5 +92,5 @@ def test_opposite_curve_endpoints(n):
     loop = random_loop(n, 3, np.random.default_rng(n))
     for i in range(n):
         opp = opposite_curve(loop, i)
-        assert np.array_equal(opp.eval(0.0), loop.side(i + 1).end_point())
-        assert np.array_equal(opp.eval(1.0), loop.side(i - 1).start_point())
+        assert np.array_equal(opp.eval(0.0), loop.sides[(i + 1) % n].control_points[-1])
+        assert np.array_equal(opp.eval(1.0), loop.sides[i - 1].control_points[0])

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from conftest import bundled_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npatch import BezierCurve, DomainPolygon, make_loop, make_patch, mesh_patch, tessellate_domain
-from npatch.fixtures import pentagon_loop, random_loop, square_loop
+from npatch.fixtures import random_loop
 
 
 def reference_tessellation(poly, m):
@@ -130,12 +131,12 @@ def test_boundary_vertices_exactly_on_curves(n, m):
     loop = random_loop(n, 3, np.random.default_rng(70 + n))
     mesh = mesh_patch(make_patch(loop), m)
     for v, side, t in zip(*mesh.boundary):
-        assert np.abs(mesh.vertices[v] - loop.side(side).eval(t)).max() <= 1e-15
+        assert np.abs(mesh.vertices[v] - loop.sides[side].eval(t)).max() <= 1e-15
 
 
 def test_planar_loop_planar_mesh():
     flat = make_loop([
-        BezierCurve(c.control_points * [1, 1, 0]) for c in pentagon_loop().sides
+        BezierCurve(c.control_points * [1, 1, 0]) for c in bundled_loop("pentagon").sides
     ])
     mesh = mesh_patch(make_patch(flat), 8)
     assert np.abs(mesh.vertices[:, 2]).max() <= 1e-12
@@ -143,7 +144,7 @@ def test_planar_loop_planar_mesh():
 
 def test_square_mesh_is_bilinear():
     # straight-edged square -> the patch is the bilinear (here planar) patch
-    mesh = mesh_patch(make_patch(square_loop()), 6)
+    mesh = mesh_patch(make_patch(bundled_loop("square")), 6)
     assert np.abs(mesh.vertices[:, 2]).max() <= 1e-12
     assert mesh.vertices[:, 0].min() >= -1e-12
     assert mesh.vertices[:, 0].max() <= 1 + 1e-12
@@ -167,7 +168,7 @@ def test_edge_table_follows_the_triangles():
 
 
 def test_mesh_patch_keeps_its_domain_points():
-    patch = make_patch(pentagon_loop())
+    patch = make_patch(bundled_loop("pentagon"))
     mesh = mesh_patch(patch, 4)
     assert np.array_equal(mesh.domain, tessellate_domain(patch.domain, 4).vertices)
 
@@ -206,4 +207,4 @@ def test_many_sided_loops(n):
     for i in range(n):
         near_corner = patch.eval(patch.domain.vertices[i] * (1 - 1e-9))
         assert np.all(np.isfinite(near_corner))
-        assert np.abs(near_corner - loop.corner(i)).max() <= 1e-6 * scale
+        assert np.abs(near_corner - loop.sides[i].control_points[-1]).max() <= 1e-6 * scale

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from conftest import random_affine
+from conftest import bundled_loop, random_affine
 
 from npatch import BezierCurve, make_loop
 from npatch.errors import DomainError
-from npatch.fixtures import random_loop, square_loop
+from npatch.fixtures import random_loop
 from npatch.ribbon import Ribbon
 
 
@@ -16,14 +16,14 @@ def test_boundary_reproduction(n):
         r = Ribbon(loop, i)
         zeros = np.zeros_like(t)
         ones = np.ones_like(t)
-        assert np.abs(r.eval_many(t, zeros) - loop.side(i).eval_many(t)).max() <= 1e-12
-        assert np.abs(r.eval_many(zeros, t) - loop.side(i - 1).eval_many(1 - t)).max() <= 1e-12
-        assert np.abs(r.eval_many(ones, t) - loop.side(i + 1).eval_many(t)).max() <= 1e-12
+        assert np.abs(r.eval_many(t, zeros) - loop.sides[i].eval_many(t)).max() <= 1e-12
+        assert np.abs(r.eval_many(zeros, t) - loop.sides[i - 1].eval_many(1 - t)).max() <= 1e-12
+        assert np.abs(r.eval_many(ones, t) - loop.sides[(i + 1) % n].eval_many(t)).max() <= 1e-12
         assert np.abs(r.eval_many(t, ones) - r.opp.eval_many(1 - t)).max() <= 1e-12
 
 
 def test_square_center():
-    r = Ribbon(square_loop(), 0)
+    r = Ribbon(bundled_loop("square"), 0)
     assert np.allclose(r.eval_many(np.array([0.5]), np.array([0.5])), (0.5, 0.5, 0), atol=1e-14)
 
 
@@ -58,7 +58,7 @@ def test_affine_equivariance():
 
 
 def test_parameters_out_of_range():
-    r = Ribbon(square_loop(), 0)
+    r = Ribbon(bundled_loop("square"), 0)
     for s, d in [(1.2, 0.5), (0.5, -0.2), (np.nan, 0.5), (0.5, np.nan)]:
         with pytest.raises(DomainError):
             r.eval_many(np.array([s]), np.array([d]))

@@ -2,13 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import random_affine, random_interior_points
+from conftest import bundled_loop, random_affine, random_interior_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npatch import BezierCurve, DomainPolygon, local_params, make_loop, make_patch
 from npatch.errors import DomainError
-from npatch.fixtures import random_loop, square_loop, triangle_loop
+from npatch.fixtures import random_loop
 from npatch.ribbon import Ribbon
 from npatch.surface import BLOCK_VALUES
 
@@ -23,10 +23,10 @@ def classical_coons(loop, lam):
     a = lam[1] + lam[2]
     b = lam[2] + lam[3]
     c0, c1, c2, c3 = loop.sides
-    p00 = c1.start_point()
-    p10 = c1.end_point()
-    p11 = c2.end_point()
-    p01 = c3.end_point()
+    p00 = c1.control_points[0]
+    p10 = c1.control_points[-1]
+    p11 = c2.control_points[-1]
+    p01 = c3.control_points[-1]
     return (
         (1 - b) * c1.eval(a) + b * c3.eval(1 - a)
         + (1 - a) * c0.eval(1 - b) + a * c2.eval(b)
@@ -43,7 +43,7 @@ def test_boundary_interpolation(n):
     t = np.linspace(0, 1, 50)
     for i in range(n):
         pts = np.array([patch.domain.edge_point(i, tk) for tk in t])
-        err = np.abs(patch.eval_many(pts) - loop.side(i).eval_many(t)).max()
+        err = np.abs(patch.eval_many(pts) - loop.sides[i].eval_many(t)).max()
         assert err <= tol
 
 
@@ -53,7 +53,7 @@ def test_corner_interpolation():
         patch = make_patch(loop)
         for i in range(n):
             got = patch.eval(patch.domain.vertices[i])
-            assert np.abs(got - loop.corner(i)).max() <= 1e-12
+            assert np.abs(got - loop.sides[i].control_points[-1]).max() <= 1e-12
 
 
 def test_planar_loop_planar_patch():
@@ -107,9 +107,9 @@ def test_eval_boundary_matches_curves():
     loop = random_loop(5, 5, np.random.default_rng(63))
     patch = make_patch(loop)
     for i in range(5):
-        assert np.abs(patch.eval_boundary(i, 0.0) - loop.side(i).eval(0.0)).max() <= 1e-12
-        assert np.abs(patch.eval_boundary(i, 1.0) - loop.side(i).eval(1.0)).max() <= 1e-12
-        assert np.abs(patch.eval_boundary(i, 0.37) - loop.side(i).eval(0.37)).max() <= 1e-10
+        assert np.abs(patch.eval_boundary(i, 0.0) - loop.sides[i].eval(0.0)).max() <= 1e-12
+        assert np.abs(patch.eval_boundary(i, 1.0) - loop.sides[i].eval(1.0)).max() <= 1e-12
+        assert np.abs(patch.eval_boundary(i, 0.37) - loop.sides[i].eval(0.37)).max() <= 1e-10
 
 
 def test_affine_equivariance():
@@ -138,7 +138,7 @@ def test_invariants_on_random_loops(n, degree, seed):
     on_edges = poly.edge_point(np.repeat(np.arange(n), t.size), np.tile(t, n))
     want = np.vstack([c.eval_many(t) for c in loop.sides])
     assert np.abs(patch.eval_many(on_edges) - want).max() <= tol
-    corners = np.array([loop.corner(i) for i in range(n)])
+    corners = np.array([loop.sides[i].control_points[-1] for i in range(n)])
     assert np.abs(patch.eval_many(poly.vertices) - corners).max() <= 1e-12
     # Wachspress and blend-weight partition of unity
     pts = random_interior_points(rng, poly, 50)
@@ -204,13 +204,13 @@ def test_continuity_across_skip_threshold():
 
 
 def test_outside_point_rejected():
-    patch = make_patch(square_loop())
+    patch = make_patch(bundled_loop("square"))
     with pytest.raises(DomainError):
         patch.eval(np.array([2.0, 0.0]))
 
 
 def test_triangle_patch_builds():
-    patch = make_patch(triangle_loop())
+    patch = make_patch(bundled_loop("triangle"))
     assert patch.n == 3
     assert Ribbon(patch.loop, 0).opp.degree == 0
 
