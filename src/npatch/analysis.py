@@ -25,12 +25,15 @@ def mean_curvature(surface, p, h=CURVATURE_STEP):
     on a 9-point stencil, and H from the fundamental forms row by row.
     `surface` is a Patch, evaluated at the whole batch's stencil in one
     eval_many call, or any callable mapping a 2D point to R^3, called
-    point by point.  DomainError: p is not a point or rows of numbers, or
-    (for a Patch) a point lies within 2h of the domain boundary.
+    point by point.  DomainError: p is not a point or rows of numbers, h
+    is not a finite number > 0, or (for a Patch) a point lies within 2h of
+    the domain boundary.
     """
     p = np.asarray(p)
     if p.shape[-1:] != (2,) or p.ndim > 2 or p.dtype.kind not in "biuf":
         raise DomainError("p must be a domain point or a (k, 2) array of numbers")
+    if not isinstance(h, (int, float, np.integer, np.floating)) or not 0 < h < np.inf:
+        raise DomainError("step h must be a finite number > 0, got %r" % (h,))
     stencil = (np.atleast_2d(p)[:, None] + h * STENCIL).reshape(-1, 2)
     if isinstance(surface, Patch):
         if surface.domain.edge_distances_many(p.reshape(-1, 2)).min(initial=np.inf) < 2 * h:

@@ -16,7 +16,10 @@ class BezierCurve:
     """
 
     def __init__(self, control_points):
-        pts = np.array(control_points, dtype=float)
+        try:
+            pts = np.array(control_points, dtype=float)
+        except (TypeError, ValueError):  # not numbers, or ragged
+            raise DomainError("control points must be an (k, 3) array of numbers") from None
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise DomainError("control points must be an (k, 3) array, k >= 1")
         if not np.all(np.isfinite(pts)):
@@ -42,11 +45,11 @@ class BezierCurve:
         A degree-0 curve has no direction; the zero vector is returned.
         A derivative beyond the float range raises DomainError.
         """
+        if end not in ("start", "end"):
+            raise DomainError("end must be 'start' or 'end'")
         p = self.control_points
         if self.degree == 0:
             return np.zeros(3)
-        if end not in ("start", "end"):
-            raise DomainError("end must be 'start' or 'end'")
         a, b = (p[0], p[1]) if end == "start" else (p[-2], p[-1])
         # in Python floats an overflow gives inf without a numpy warning
         derivative = [self.degree * (y - x) for x, y in zip(a.tolist(), b.tolist())]
@@ -65,6 +68,8 @@ def bernstein(t, degree):
     running products of t and 1 - t; the result has shape
     (degree + 1,) + t.shape.
     """
+    if not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise DomainError("Bernstein degree must be an integer >= 0, got %r" % (degree,))
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DomainError("curve parameter outside [0, 1]")

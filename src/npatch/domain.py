@@ -12,6 +12,7 @@ coordinates that survive on edge i, which is what makes the distance
 parameter d_i vanish there and reach 1 on the far edges.
 """
 
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -31,7 +32,7 @@ class DomainPolygon:
     def __init__(self, n):
         if not isinstance(n, (int, np.integer)) or n < 3:
             raise DomainError("polygon needs an integer n >= 3 sides, got %r" % (n,))
-        self.n = n
+        self.n = n = operator.index(n)  # a Python int: a narrow numpy int would overflow
         angles = np.pi / 2 + 2 * np.pi * np.arange(n) / n
         self.vertices = np.column_stack([np.cos(angles), np.sin(angles)])
         self.apothem = np.cos(np.pi / n)

@@ -45,12 +45,15 @@ def make_loop(curves, weld_tolerance=None):
     """Validate closure and weld corners by averaging the meeting endpoints."""
     if len(curves) < 3:
         raise ClosureError("need at least 3 sides, got %d" % len(curves))
+    if not all(isinstance(c, BezierCurve) for c in curves):
+        raise DomainError("loop sides must be BezierCurve instances")
     if weld_tolerance is None:
         weld_tolerance = 1e-9 * _bbox_diagonal(curves)
         if math.isinf(weld_tolerance):
             raise DomainError("control points span more than the float range")
-    if not weld_tolerance >= 0:  # NaN too
-        raise DomainError("weld_tolerance must be >= 0, got %r" % (weld_tolerance,))
+    if not (isinstance(weld_tolerance, (int, float, np.integer, np.floating))
+            and weld_tolerance >= 0):  # NaN too
+        raise DomainError("weld_tolerance must be a number >= 0, got %r" % (weld_tolerance,))
 
     n = len(curves)
     ends = [(curves[i].control_points[-1], curves[(i + 1) % n].control_points[0])

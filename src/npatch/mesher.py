@@ -1,6 +1,7 @@
 """Concentric-ring tessellation of the domain polygon and patch meshing."""
 
 import numbers
+import operator
 from collections import namedtuple
 
 import numpy as np
@@ -73,6 +74,7 @@ def tessellate_domain(poly, m):
     """
     if not isinstance(m, numbers.Integral) or m < 1:
         raise DomainError("resolution m must be an integer >= 1")
+    m = operator.index(m)  # a Python int: a narrow numpy int would overflow
     n, s = poly.n, np.arange(poly.n)
     level, slot, index = sectors(n, m)
     t = slot / level
@@ -107,6 +109,7 @@ def mesh_patch(patch, m):
     edge parameters, so the mesh boundary lies exactly on the input curves.
     """
     dm = tessellate_domain(patch.domain, m)
+    m = operator.index(m)
     index = sectors(patch.n, m)[2]
     pts = np.empty((len(dm.vertices), 3))
     pts[:1] = patch.eval_many(dm.vertices[:1])

@@ -133,6 +133,8 @@ class Patch:
         """
         if not isinstance(i, (int, np.integer)):
             raise DomainError("side index must be an integer, got %r" % (i,))
+        if not isinstance(t, (int, float, np.integer, np.floating)):
+            raise DomainError("edge parameter must be a number, got %r" % (t,))
         return self.eval(self.domain.edge_point(i, t))
 
 

@@ -14,6 +14,7 @@ from npatch import (BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, 
                     tessellate_domain)
 from npatch.analysis import (contours, curvature_map, dirichlet_energy, harmonic_fill,
                              mean_curvature)
+from npatch.curves import bernstein
 from npatch.errors import DomainError, NPatchError, SchemaError
 from npatch.fileio import read_loop
 from npatch.fixtures import random_loop
@@ -68,6 +69,20 @@ CHECKS = {
     "boundary side index not an integer": lambda: SQUARE.eval_boundary(1.5, 0.5),
     "polygon sides not an integer": lambda: DomainPolygon(3.5),
     "polygon sides string": lambda: DomainPolygon("5"),
+    "boundary edge parameter string": lambda: SQUARE.eval_boundary(1, "x"),
+    "curvature step string": lambda: mean_curvature(SQUARE, [0.1, 0.1], h="x"),
+    "curvature step None": lambda: mean_curvature(SQUARE, [0.1, 0.1], h=None),
+    # a zero step used to be reported as a degenerate tangent plane (a NumericError)
+    "curvature step 0": lambda: mean_curvature(SQUARE, [0.1, 0.1], h=0),
+    "curvature step negative": lambda: mean_curvature(SQUARE, [0.1, 0.1], h=-1e-4),
+    "curve of a string": lambda: BezierCurve("abc"),
+    "curve of ragged points": lambda: BezierCurve([[1, 2, [3]]]),
+    "loop of numbers": lambda: make_loop([1, 2, 3]),
+    "weld tolerance string": lambda: make_loop(SQUARE_LOOP.sides, "x"),
+    "Bernstein degree negative": lambda: bernstein(0.5, -1),
+    "Bernstein degree not an integer": lambda: bernstein(0.5, 2.5),
+    # the end name is checked before a constant curve returns its zero derivative
+    "constant curve end name": lambda: BezierCurve([[0.0, 0, 0]]).end_derivative("middle"),
 }
 
 

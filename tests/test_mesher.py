@@ -192,6 +192,19 @@ def test_sector_vertices_match_the_kernel(n, degree, m, seed):
     assert np.abs(mesh.vertices[inner] - want).max() <= 1e-14 * loop.bbox_diagonal()
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8])
+def test_narrow_numpy_integers_mesh_like_ints(dtype):
+    # n and m are kept as Python ints: a narrow numpy int overflowed in the index arithmetic
+    patch = make_patch(bundled_loop("pentagon"))
+    for got, want in [(mesh_patch(patch, dtype(100)), mesh_patch(patch, 100)),
+                      (tessellate_domain(DomainPolygon(dtype(100)), 10),
+                       tessellate_domain(DomainPolygon(100), 10))]:
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.triangles.tobytes() == want.triangles.tobytes()
+        for a, b in zip(got.boundary, want.boundary, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("n", [32, 64])
 def test_many_sided_loops(n):
     loop = random_loop(n, 3, np.random.default_rng(n))
