@@ -130,7 +130,6 @@ def test_contours_single_triangle():
 
 
 def test_contours_planar_square():
-
     mesh = mesh_patch(make_patch(bundled_loop("square")), 8)
     cs = contours(mesh, np.array([1.0, 0, 0]), 5)
     assert len(cs.levels) == 5
