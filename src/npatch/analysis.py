@@ -1,10 +1,12 @@
 """Surface quality analysis and the discrete harmonic baseline."""
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DomainError, NumericError, SchemaError
+from .errors import DomainError, NumericError, SchemaError, integer
 from .mesher import TriMesh, mesh_patch, vertex_indices
 from .surface import Patch
 
@@ -82,13 +84,9 @@ def curvature_map(patch, m):
     return mesh
 
 
-class ContourSet:
-    """Isoline polylines of a mesh sliced by parallel planes."""
-
-    def __init__(self, axis, levels, polylines):
-        self.axis = np.asarray(axis, dtype=float)
-        self.levels = list(levels)
-        self.polylines = polylines  # list of (k, 3) arrays
+ContourSet = namedtuple("ContourSet", "axis levels polylines")
+ContourSet.__doc__ = """Isoline polylines of a mesh sliced by parallel planes: the axis,
+the list of levels and a list of (k, 3) polylines."""
 
 
 def _runs(first, size):
@@ -108,19 +106,17 @@ def contours(mesh, axis, count):
     higher vertex index.  Chains go level by level: open polylines first,
     each from its lower-id end, then cycles from their lowest edge id,
     leaving it by the lower-index triangle's segment and ending on a
-    bitwise copy of the first point.  DomainError: count is not an integer
-    >= 1 or is too large for one array, the axis is not three numbers, or
-    the levels are not finite (a vertex or the axis is not finite, or the
-    projection range passes the float range).
+    bitwise copy of the first point.  DomainError: count is not a Python
+    or numpy integer >= 1 or is too large for one array, the axis is not
+    three numbers, or the levels are not finite (a vertex or the axis is
+    not finite, or the projection range passes the float range).
     SchemaError: the vertices are not a non-empty (k, 3) array, a crossed
     triangle repeats a vertex, or a cut edge is in more than two triangles.
     """
-    if not isinstance(count, (int, float, np.integer, np.floating)) or not count >= 1 or count % 1:
-        raise DomainError("count must be an integer >= 1")
-    try:
-        steps = np.arange(1, count + 1)
-    except ValueError:  # numpy refuses the size before allocating
-        raise DomainError("count is too large for one array of levels") from None
+    count = integer(count, "contour count", 1)
+    if count > np.iinfo(np.intp).max // 8:  # past this numpy refuses, or wraps to no levels
+        raise DomainError("count is too large for one array of levels")
+    steps = np.arange(1, count + 1)
     axis = np.asarray(axis)
     if axis.shape != (3,) or axis.dtype.kind not in "biuf":
         raise DomainError("axis must be three numbers")
@@ -199,7 +195,7 @@ def contours(mesh, axis, count):
     seq = np.empty(len(keep) + len(starts), np.intp)
     seq[at + 1] = tail[keep ^ 1]  # heads; all but each chain's last are tails too
     seq[at] = tail[keep]
-    return ContourSet(axis, levels, np.split(points[seq], stop)[:-1])
+    return ContourSet(axis.astype(float), list(levels), np.split(points[seq], stop)[:-1])
 
 
 def dirichlet_energy(mesh):

@@ -4,7 +4,7 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 
 class BezierCurve:
@@ -68,8 +68,7 @@ def bernstein(t, degree):
     running products of t and 1 - t; the result has shape
     (degree + 1,) + t.shape.
     """
-    if not isinstance(degree, (int, np.integer)) or degree < 0:
-        raise DomainError("Bernstein degree must be an integer >= 0, got %r" % (degree,))
+    degree = integer(degree, "Bernstein degree", 0)
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DomainError("curve parameter outside [0, 1]")
@@ -77,7 +76,7 @@ def bernstein(t, degree):
     powers[:, 0] = 1.0
     if degree:
         powers[0, 1] = t
-        np.subtract(1.0, t, out=powers[1, 1])
+        np.subtract(1.0, t, out=powers[1, 1, ...])  # an array even for a 0-d t
     for j in range(1, degree):
         np.multiply(powers[:, j], powers[:, 1], out=powers[:, j + 1])
     basis = powers[0]

@@ -12,12 +12,11 @@ coordinates that survive on edge i, which is what makes the distance
 parameter d_i vanish there and reach 1 on the far edges.
 """
 
-import operator
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 # threshold below which s_i is flagged invalid (the matching blend
 # weight is of the same magnitude, so the skipped term is noise-level)
@@ -30,9 +29,7 @@ class DomainPolygon:
     """Regular n-gon inscribed in the unit circle, with precomputed edges."""
 
     def __init__(self, n):
-        if not isinstance(n, (int, np.integer)) or n < 3:
-            raise DomainError("polygon needs an integer n >= 3 sides, got %r" % (n,))
-        self.n = n = operator.index(n)  # a Python int: a narrow numpy int would overflow
+        self.n = n = integer(n, "polygon side count n", 3)
         angles = np.pi / 2 + 2 * np.pi * np.arange(n) / n
         self.vertices = np.column_stack([np.cos(angles), np.sin(angles)])
         self.apothem = np.cos(np.pi / n)

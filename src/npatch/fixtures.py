@@ -9,7 +9,7 @@ import numpy as np
 
 from .curves import BezierCurve
 from .domain import DomainPolygon
-from .errors import DomainError
+from .errors import integer
 from .fileio import read_loop
 from .loop import make_loop
 
@@ -19,17 +19,11 @@ BUNDLED = ("triangle", "square", "pentagon", "pocket3a", "pocket3b", "pocket4", 
            "pocket6")
 
 
-def polygon_corners(n):
-    """The domain n-gon's vertices, in the z = 0 plane."""
-    return np.column_stack([DomainPolygon(n).vertices, np.zeros(n)])
-
-
 def random_loop(n, degree, rng):
     """Seeded random closed loop: perturbed n-gon corners (|z| <= 0.4), jittered interiors."""
-    if degree < 1:
-        raise DomainError("random_loop needs degree >= 1: a degree-0 side "
-                          "cannot join two distinct corners")
-    corners = polygon_corners(n)
+    # a degree-0 side cannot join two distinct corners
+    degree = integer(degree, "random_loop degree", 1)
+    corners = np.column_stack([DomainPolygon(n).vertices, np.zeros(n)])  # in the z = 0 plane
     corners[:, :2] += rng.normal(scale=0.05, size=(n, 2))
     corners[:, 2] = rng.uniform(-0.4, 0.4, size=n)
     # side i's control points sample the chord from corner i - 1 to corner i uniformly

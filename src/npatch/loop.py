@@ -29,9 +29,6 @@ class BoundaryLoop:
     def n(self):
         return len(self.sides)
 
-    def control_points(self):
-        return np.vstack([c.control_points for c in self.sides])
-
     def bbox_diagonal(self):
         return _bbox_diagonal(self.sides)
 

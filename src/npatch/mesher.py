@@ -1,12 +1,10 @@
 """Concentric-ring tessellation of the domain polygon and patch meshing."""
 
-import numbers
-import operator
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import DomainError, SchemaError
+from .errors import SchemaError, integer
 
 Boundary = namedtuple("Boundary", "index side t")
 Boundary.__doc__ = """Boundary vertices: indices, 0-based side and edge parameter t, shape (k,)."""
@@ -72,9 +70,7 @@ def tessellate_domain(poly, m):
     ties to the outer step; the count of the other chain's steps before
     a step (a floor division) gives its triangle and slot.
     """
-    if not isinstance(m, numbers.Integral) or m < 1:
-        raise DomainError("resolution m must be an integer >= 1")
-    m = operator.index(m)  # a Python int: a narrow numpy int would overflow
+    m = integer(m, "resolution m", 1)
     n, s = poly.n, np.arange(poly.n)
     level, slot, index = sectors(n, m)
     t = slot / level
@@ -108,8 +104,8 @@ def mesh_patch(patch, m):
     vertices are evaluated directly on their boundary curve, at side 0's
     edge parameters, so the mesh boundary lies exactly on the input curves.
     """
+    m = integer(m, "resolution m", 1)
     dm = tessellate_domain(patch.domain, m)
-    m = operator.index(m)
     index = sectors(patch.n, m)[2]
     pts = np.empty((len(dm.vertices), 3))
     pts[:1] = patch.eval_many(dm.vertices[:1])

@@ -4,7 +4,7 @@ import numpy as np
 
 from .curves import bernstein, elevate
 from .domain import DomainPolygon, local_params
-from .errors import DomainError
+from .errors import DomainError, integer
 from .loop import opposite_curve
 
 # curve parameters per evaluation block (points x 4n curve columns): bounds
@@ -126,15 +126,14 @@ class Patch:
         return out
 
     def eval_boundary(self, i, t):
-        """Surface point on domain edge i (an integer, taken cyclically) at edge parameter t.
+        """Surface point on domain edge i (an integer, taken cyclically) at t in [0, 1].
 
         By the interpolation property this equals curve i evaluated at t;
         it is still computed through the full patch.
         """
-        if not isinstance(i, (int, np.integer)):
-            raise DomainError("side index must be an integer, got %r" % (i,))
-        if not isinstance(t, (int, float, np.integer, np.floating)):
-            raise DomainError("edge parameter must be a number, got %r" % (t,))
+        i = integer(i, "side index")
+        if not isinstance(t, (int, float, np.integer, np.floating)) or not 0 <= t <= 1:  # NaN too
+            raise DomainError("edge parameter must be a number in [0, 1], got %r" % (t,))
         return self.eval(self.domain.edge_point(i, t))
 
 

@@ -128,12 +128,14 @@ def test_eval_uv_not_two_numbers(square_file, capsys, uv):
 
 @pytest.mark.parametrize("argv", [
     ["--uv", "nan,0"], ["--uv", "0,inf"], ["--side", "1", "--t", "nan"],
+    # an infinite edge parameter used to warn (a NaN domain point) before the error line
+    ["--side", "1", "--t", "inf"],
 ])
 def test_eval_non_finite_input(square_file, capsys, argv):
     assert main(["eval", square_file] + argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [

@@ -130,3 +130,11 @@ def test_contours_match_reference_on_closed_meshes(name, axis):
     mesh = TriMesh(*CLOSED[name])
     for count in (1, 2, 5):
         assert_same_contours(mesh, _axis(axis, np.random.default_rng(axis)), count)
+
+
+def test_narrow_numpy_count_contours_like_an_int():
+    # the count is kept as a Python int: np.int8(127) + 1 overflowed to -128
+    mesh = mesh_patch(make_patch(bundled_loop("square")), 6)
+    want, got = contours(mesh, [1, 0, 0], 127), contours(mesh, [1, 0, 0], np.int8(127))
+    assert got.levels == want.levels and len(got.polylines) == len(want.polylines) > 0
+    assert all(np.array_equal(g, w) for g, w in zip(got.polylines, want.polylines))

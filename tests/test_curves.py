@@ -3,7 +3,7 @@ import pytest
 from conftest import bernstein_eval
 
 from npatch import BezierCurve
-from npatch.curves import elevate
+from npatch.curves import bernstein, elevate
 from npatch.errors import DomainError
 
 CUBIC = [(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)]
@@ -122,3 +122,17 @@ def test_elevate_keeps_the_curve(degree):
     stack = rng.normal(size=(degree + 1, 4, 3))
     assert np.array_equal(elevate(stack, 7),
                           np.stack([elevate(stack[:, j], 7) for j in range(4)], axis=1))
+
+
+@pytest.mark.parametrize("degree", range(8))
+@pytest.mark.parametrize("make", [float, np.float64, np.array])
+def test_bernstein_of_a_scalar_parameter(make, degree):
+    for t in (0.0, 0.3, 1.0):
+        got = bernstein(make(t), degree)
+        assert got.shape == (degree + 1,)
+        assert np.array_equal(got, bernstein([t], degree)[:, 0])
+
+
+def test_bernstein_narrow_numpy_degree():
+    # the degree is kept as a Python int: np.int8(127) + 1 overflowed to -128
+    assert np.array_equal(bernstein([0.5], np.int8(127)), bernstein([0.5], 127))

@@ -46,6 +46,8 @@ CHECKS = {
     "contour count": lambda: contours(mesh_patch(SQUARE, 2), [0, 0, 1], 0),
     "contour count not an integer": _contours_of(TRIANGLE, count=2.5),
     "contour count NaN": _contours_of(TRIANGLE, count=float("nan")),
+    # an integral float is refused too, as a float resolution m is
+    "contour count float": _contours_of(TRIANGLE, count=3.0),
     # levels that are not finite would cross no triangle: an empty, plausible result
     "contour NaN vertex": _contours_of(TRIANGLE + [[0.0, 0, np.nan]]),
     "contour inf vertex": _contours_of(TRIANGLE + [[0.0, 0, -np.inf]]),
@@ -58,9 +60,12 @@ CHECKS = {
     "random loop degree 0": lambda: random_loop(5, 0, np.random.default_rng(0)),
     "contour count string": _contours_of(TRIANGLE, count="3"),
     "contour count None": _contours_of(TRIANGLE, count=None),
-    # counts that numpy refuses to allocate an array for
     "contour count 1e300": _contours_of(TRIANGLE, count=1e300),
+    # more levels than one array can hold: numpy refuses 2**62 and wraps the
+    # lengths of the next two to 0, which gave no levels and no error
     "contour count 2**62": _contours_of(TRIANGLE, count=2**62),
+    "contour count 2**63 - 1": _contours_of(TRIANGLE, count=2**63 - 1),
+    "contour count uint64 2**63": _contours_of(TRIANGLE, count=np.uint64(2**63)),
     "eval of one coordinate": lambda: SQUARE.eval([0.1]),
     "eval of three coordinates": lambda: SQUARE.eval([0.1, 0.2, 0.3]),
     "eval of a string": lambda: SQUARE.eval("ab"),
@@ -70,6 +75,11 @@ CHECKS = {
     "polygon sides not an integer": lambda: DomainPolygon(3.5),
     "polygon sides string": lambda: DomainPolygon("5"),
     "boundary edge parameter string": lambda: SQUARE.eval_boundary(1, "x"),
+    # inf made a NaN domain point, with a RuntimeWarning first
+    "boundary edge parameter inf": lambda: SQUARE.eval_boundary(1, np.inf),
+    "boundary edge parameter NaN": lambda: SQUARE.eval_boundary(1, np.nan),
+    "boundary edge parameter above 1": lambda: SQUARE.eval_boundary(1, 1.5),
+    "boundary edge parameter below 0": lambda: SQUARE.eval_boundary(1, -0.1),
     "curvature step string": lambda: mean_curvature(SQUARE, [0.1, 0.1], h="x"),
     "curvature step None": lambda: mean_curvature(SQUARE, [0.1, 0.1], h=None),
     # a zero step used to be reported as a degenerate tangent plane (a NumericError)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from conftest import bundled_loop
 
-from npatch import BezierCurve, make_loop, opposite_curve
+from npatch import BezierCurve, DomainPolygon, make_loop, opposite_curve
 from npatch.errors import ClosureError
-from npatch.fixtures import polygon_corners, random_loop
+from npatch.fixtures import random_loop
 
 
 def test_square_fixture_valid():
@@ -30,7 +30,7 @@ def test_too_few_sides():
 
 
 def test_welding_averages_perturbed_corners():
-    corners = polygon_corners(5)
+    corners = np.column_stack([DomainPolygon(5).vertices, np.zeros(5)])
     rng = np.random.default_rng(3)
     curves = []
     ends = []
@@ -74,7 +74,7 @@ def test_opposite_curve_n4_reproduces_far_side():
 
 
 def test_opposite_curve_pentagon_hand_computed():
-    corners = polygon_corners(5)
+    corners = np.column_stack([DomainPolygon(5).vertices, np.zeros(5)])
     loop = make_loop([BezierCurve([a, b]) for a, b in zip(np.roll(corners, 1, axis=0), corners)])
     i = 0
     opp = opposite_curve(loop, i)
