@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DomainError, NumericError, SchemaError, integer
+from .errors import DomainError, NumericError, SchemaError, array, integer, real
 from .mesher import TriMesh, mesh_patch, vertex_indices
 from .surface import Patch
 
@@ -31,11 +31,8 @@ def mean_curvature(surface, p, h=CURVATURE_STEP):
     is not a finite number > 0, or (for a Patch) a point lies within 2h of
     the domain boundary.
     """
-    p = np.asarray(p)
-    if p.shape[-1:] != (2,) or p.ndim > 2 or p.dtype.kind not in "biuf":
-        raise DomainError("p must be a domain point or a (k, 2) array of numbers")
-    if not isinstance(h, (int, float, np.integer, np.floating)) or not 0 < h < np.inf:
-        raise DomainError("step h must be a finite number > 0, got %r" % (h,))
+    p = array(p, "p", (2,), (None, 2))
+    h = real(h, "step h", np.nextafter(0.0, 1.0))  # h > 0
     stencil = (np.atleast_2d(p)[:, None] + h * STENCIL).reshape(-1, 2)
     if isinstance(surface, Patch):
         if surface.domain.edge_distances_many(p.reshape(-1, 2)).min(initial=np.inf) < 2 * h:
@@ -117,9 +114,7 @@ def contours(mesh, axis, count):
     if count > np.iinfo(np.intp).max // 8:  # past this numpy refuses, or wraps to no levels
         raise DomainError("count is too large for one array of levels")
     steps = np.arange(1, count + 1)
-    axis = np.asarray(axis)
-    if axis.shape != (3,) or axis.dtype.kind not in "biuf":
-        raise DomainError("axis must be three numbers")
+    axis = array(axis, "axis", (3,))
     if mesh.vertices.shape[1:] != (3,) or not len(mesh.vertices):
         raise SchemaError("contours need a non-empty (k, 3) vertex array")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -214,14 +209,15 @@ def harmonic_fill(mesh):
     gradients on the SPD interior system, per coordinate).  The length
     scale of the tolerances is the boundary's bounding-box diagonal.  A
     mesh without interior vertices is returned unchanged.  SchemaError:
-    no boundary table, or a boundary index that is not a vertex index.
+    no boundary table, or a boundary index that is not a 1-D array of vertex indices.
     """
-    if mesh.boundary is None or len(mesh.boundary.index) == 0:
-        raise SchemaError("harmonic_fill needs a mesh with a boundary table")
     nv = len(mesh.vertices)
-    pos = mesh.vertices.copy()
     boundary = np.zeros(nv, dtype=bool)
-    boundary[vertex_indices(mesh.boundary.index, nv, "boundary")] = True
+    if mesh.boundary is not None:
+        boundary[vertex_indices(mesh.boundary.index, nv, "boundary", (None,))] = True
+    if not boundary.any():
+        raise SchemaError("harmonic_fill needs a mesh with a boundary table")
+    pos = mesh.vertices.copy()
 
     interior = np.nonzero(~boundary)[0]
     scale = float(np.linalg.norm(np.ptp(pos[boundary], axis=0)))
@@ -236,19 +232,13 @@ def harmonic_fill(mesh):
 
     x0 = np.mean(pos[boundary], axis=0)
     maxiter = 10 * max(len(interior), 1)
-    sol = np.empty((len(interior), 3))
     for c in range(3):
-        x, info = spla.cg(
-            a_mat, rhs[:, c], x0=np.full(len(interior), x0[c]),
-            rtol=1e-14, atol=1e-14 * max(scale, 1.0), maxiter=maxiter,
-        )
+        x, info = spla.cg(a_mat, rhs[:, c], x0=np.full(len(interior), x0[c]),
+                          rtol=1e-14, atol=1e-14 * max(scale, 1.0), maxiter=maxiter)
         if info != 0:
             res = np.linalg.norm(a_mat @ x - rhs[:, c])
-            raise NumericError(
-                "harmonic solve did not converge (residual %.3e)" % res
-            )
-        sol[:, c] = x
-    pos[interior] = sol
+            raise NumericError("harmonic solve did not converge (residual %.3e)" % res)
+        pos[interior, c] = x
 
     # verify the umbrella condition directly
     nb_sum = adjacency @ pos

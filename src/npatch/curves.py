@@ -4,7 +4,7 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .errors import DomainError, integer
+from .errors import DomainError, array, integer
 
 
 class BezierCurve:
@@ -16,14 +16,9 @@ class BezierCurve:
     """
 
     def __init__(self, control_points):
-        try:
-            pts = np.array(control_points, dtype=float)
-        except (TypeError, ValueError):  # not numbers, or ragged
-            raise DomainError("control points must be an (k, 3) array of numbers") from None
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
-            raise DomainError("control points must be an (k, 3) array, k >= 1")
-        if not np.all(np.isfinite(pts)):
-            raise DomainError("control points must be finite")
+        pts = array(control_points, "control points", (None, 3)).astype(float)  # a copy
+        if not len(pts) or not np.all(np.isfinite(pts)):
+            raise DomainError("a curve needs one or more control points, all finite")
         pts.setflags(write=False)
         self.control_points = pts
 
@@ -33,11 +28,11 @@ class BezierCurve:
 
     def eval(self, t):
         """Point at parameter t in [0, 1]."""
-        return self.eval_many(np.asarray([t]))[0]
+        return self.eval_many(array(t, "curve parameter", ()))[0]
 
     def eval_many(self, t):
         """Bernstein-basis evaluation: t of shape (k,) -> points of shape (k, 3)."""
-        return bernstein(np.reshape(t, -1), self.degree).T @ self.control_points
+        return bernstein(t, self.degree).reshape(self.degree + 1, -1).T @ self.control_points
 
     def end_derivative(self, end):
         """First derivative vector at 'start' (t=0) or 'end' (t=1).
@@ -69,7 +64,7 @@ def bernstein(t, degree):
     (degree + 1,) + t.shape.
     """
     degree = integer(degree, "Bernstein degree", 0)
-    t = np.asarray(t, dtype=float)
+    t = array(t, "curve parameter").astype(float, copy=False)
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DomainError("curve parameter outside [0, 1]")
     powers = np.empty((2, degree + 1) + t.shape)  # t^j and (1 - t)^j

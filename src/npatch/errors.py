@@ -1,9 +1,11 @@
-"""Exception hierarchy shared by the whole package: every library check raises
-an NPatchError.  The CLI exits with 2 on a NumericError, 1 on any other."""
+"""Exception hierarchy and argument checks shared by the whole package: every library check
+raises an NPatchError.  The CLI exits with 2 on a NumericError, 1 on any other."""
 
+import math
 import numbers
 import operator
 
+import numpy as np
 
 class NPatchError(Exception):
     """Base class for all library errors."""
@@ -36,10 +38,36 @@ class NumericError(NPatchError):
     """A numerical procedure failed to converge."""
 
 
-def integer(value, name, least=None):
-    """value as a Python int; DomainError unless it is a Python or numpy integer >= least."""
+def integer(value, name, least=-math.inf, most=math.inf):
+    """value as a Python int; DomainError unless a Python or numpy integer in [least, most]."""
     # int first: the ABC check alone is slow, and the kernel passes a Python int per block
-    if not isinstance(value, (int, numbers.Integral)) or (least is not None and value < least):
-        raise DomainError("%s must be an integer%s, got %r"
-                          % (name, "" if least is None else " >= %d" % least, value))
+    if not isinstance(value, (int, numbers.Integral)) or not least <= value <= most:
+        raise DomainError("%s must be an integer >= %s and <= %s, got %r"
+                          % (name, least, most, value))
     return operator.index(value)  # a narrow numpy int would overflow in arithmetic
+
+
+def real(value, name, least=-math.inf, most=math.inf):
+    """value as a Python float; DomainError unless it is a finite real number in [least, most]."""
+    value = float(array(value, name, ()))  # a narrow numpy float would round in arithmetic
+    if not (least <= value <= most and math.isfinite(value)):
+        raise DomainError("%s must be a finite number >= %s and <= %s, got %r"
+                          % (name, least, most, value))
+    return value
+
+
+def array(value, name, *shapes, error=DomainError):
+    """np.asarray(value), its dtype kept; error unless it is a rectangular array of
+    booleans, integers or reals of one of shapes, if any, where None matches any length."""
+    try:
+        value = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting; numpy's message varies by version
+        raise error("%s must be a rectangular array of numbers" % name) from None
+    got = value.shape
+    # by kind, before any cast: complex, str and object arrays fail here without a warning
+    if value.dtype.kind not in "biuf" or shapes and got not in [
+            tuple([v if k is None else k for k, v in zip(shape, got)])
+            for shape in shapes if len(shape) == len(got)]:
+        raise error("%s must be numbers of shape %s, got %s %s" % (name, " or ".join(
+            map(str, shapes)).replace("None", "k") or "any", value.dtype, got))
+    return value

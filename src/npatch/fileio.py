@@ -40,7 +40,7 @@ import sys
 import numpy as np
 
 from .curves import BezierCurve
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, array
 from .loop import make_loop
 
 
@@ -180,14 +180,9 @@ def _lines(prefix, table):
                      for i in range(0, len(table), step)])
 
 
-def _table(array, name):
-    """array as an (n, 3) table, one record per row; SchemaError if it is not one."""
-    array = np.asarray(array)
-    if array.size == 0:
-        return array.reshape(0, 3)
-    if array.shape[1:] != (3,):
-        raise SchemaError("%s: need an (n, 3) array, got shape %s" % (name, array.shape))
-    return array
+def _table(value, name):
+    """value as an (n, 3) array of numbers, one record per row ([] has none); else SchemaError."""
+    return array(value, name, (0,), (None, 3), error=SchemaError).reshape(-1, 3)
 
 
 def _polyline_text(polylines, base):
@@ -239,16 +234,13 @@ def read_loop(text):
         if not isinstance(cps, list):
             raise SchemaError("sides[%d].control_points: missing or not a list" % k)
         if len(cps) != degree + 1:
-            raise SchemaError(
-                "sides[%d].control_points: degree %d needs %d points, got %d"
-                % (k, degree, degree + 1, len(cps))
-            )
+            raise SchemaError("sides[%d].control_points: degree %d needs %d points, got %d"
+                              % (k, degree, degree + 1, len(cps)))
         for j, p in enumerate(cps):
             if not (isinstance(p, list) and len(p) == 3
                     and all(_is_number(c) for c in p)):
-                raise SchemaError(
-                    "sides[%d].control_points[%d]: need [x, y, z] of finite numbers" % (k, j)
-                )
+                raise SchemaError("sides[%d].control_points[%d]: need [x, y, z] of finite numbers"
+                                  % (k, j))
         curves.append(BezierCurve(cps))
     tol = doc.get("weld_tolerance")
     if tol is not None and not (_is_number(tol) and tol >= 0):
@@ -281,8 +273,7 @@ def write_obj(mesh, contour_set=None):
 def write_ply_scalar(mesh):
     """ASCII PLY with a per-vertex `quality` scalar; (n, 3) vertices and triangles."""
     vertices, triangles = _table(mesh.vertices, "vertices"), _table(mesh.triangles, "triangles")
-    if mesh.scalar is None or len(mesh.scalar) != len(vertices):
-        raise SchemaError("mesh needs a scalar channel with one value per vertex")
+    scalar = array(mesh.scalar, "scalar channel", (len(vertices),), error=SchemaError)
     header = [
         "ply",
         "format ascii 1.0",
@@ -296,5 +287,5 @@ def write_ply_scalar(mesh):
         "end_header",
     ]
     return "\n".join(header) + "\n" + (
-        _lines("", np.column_stack([vertices, mesh.scalar])) + _lines("3 ", triangles)
+        _lines("", np.column_stack([vertices, scalar])) + _lines("3 ", triangles)
     ).decode("ascii")

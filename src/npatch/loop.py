@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .curves import BezierCurve
-from .errors import ClosureError, DomainError
+from .errors import ClosureError, DomainError, real
 
 
 class BoundaryLoop:
@@ -48,9 +48,7 @@ def make_loop(curves, weld_tolerance=None):
         weld_tolerance = 1e-9 * _bbox_diagonal(curves)
         if math.isinf(weld_tolerance):
             raise DomainError("control points span more than the float range")
-    if not (isinstance(weld_tolerance, (int, float, np.integer, np.floating))
-            and weld_tolerance >= 0):  # NaN too
-        raise DomainError("weld_tolerance must be a number >= 0, got %r" % (weld_tolerance,))
+    weld_tolerance = real(weld_tolerance, "weld_tolerance", 0)
 
     n = len(curves)
     ends = [(curves[i].control_points[-1], curves[(i + 1) % n].control_points[0])
@@ -59,10 +57,8 @@ def make_loop(curves, weld_tolerance=None):
     bad = np.nonzero(gaps > weld_tolerance)[0]
     if bad.size:
         i = int(bad[0])
-        raise ClosureError(
-            "sides %d and %d do not meet: gap %.3e > tolerance %.3e"
-            % (i + 1, (i + 1) % n + 1, gaps[i], weld_tolerance)
-        )
+        raise ClosureError("sides %d and %d do not meet: gap %.3e > tolerance %.3e"
+                           % (i + 1, (i + 1) % n + 1, gaps[i], weld_tolerance))
 
     corners = [0.5 * a + 0.5 * b for a, b in ends]  # no overflow
     welded = []

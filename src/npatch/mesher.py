@@ -4,17 +4,16 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import SchemaError, integer
+from .errors import SchemaError, array, integer
 
 Boundary = namedtuple("Boundary", "index side t")
 Boundary.__doc__ = """Boundary vertices: indices, 0-based side and edge parameter t, shape (k,)."""
 
 
-def vertex_indices(values, count, what):
-    """values as an int array; SchemaError unless each is an integer in 0 .. count - 1."""
-    values = np.asarray(values)
-    kind = values.dtype.kind
-    if kind not in "biu" and (kind != "f" or not np.array_equal(values, np.trunc(values))):
+def vertex_indices(values, count, what, shape):
+    """values as an int array; SchemaError unless of shape and integers in 0 .. count - 1."""
+    values = array(values, what + " indices", shape, error=SchemaError)
+    if values.dtype.kind == "f" and not np.array_equal(values, np.trunc(values)):
         raise SchemaError("%s indices must be integers" % what)
     if np.any((values < 0) | (values >= count)):
         raise SchemaError("%s index out of range for %d vertices" % (what, count))
@@ -28,16 +27,17 @@ class TriMesh:
     boundary (None when unknown); scalar is an optional per-vertex channel;
     domain holds the (k, 2) domain points the vertices were mapped from
     (None when unknown).  SchemaError: the triangle table is not 2-D, holds
-    a value that is not an integer (NaN included) or an index out of range.
+    a value that is not an integer (NaN included) or an index out of range,
+    or vertices or scalar are not of the kinds just described.
     """
 
     def __init__(self, vertices, triangles, boundary=None, scalar=None, domain=None):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.triangles = vertex_indices(triangles, len(self.vertices), "triangle")
-        if self.triangles.ndim != 2:
-            raise SchemaError("triangles must be a 2-D table of vertex indices")
+        self.vertices = array(vertices, "vertices", (None,), (None, None),
+                              error=SchemaError).astype(float, copy=False)
+        self.triangles = vertex_indices(triangles, len(self.vertices), "triangle", (None, None))
         self.boundary = boundary
-        self.scalar = None if scalar is None else np.asarray(scalar, dtype=float)
+        self.scalar = None if scalar is None else array(
+            scalar, "scalar", (len(self.vertices),), error=SchemaError).astype(float, copy=False)
         self.domain = domain
 
     def edges(self):

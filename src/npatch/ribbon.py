@@ -8,7 +8,7 @@ formula happens here at evaluation time.
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, array
 from .loop import opposite_curve
 
 
@@ -31,8 +31,7 @@ class Ribbon:
         Three-term form: ruled surface in d, ruled surface in s, minus
         the bilinear corner correction.
         """
-        s = np.asarray(s, dtype=float)
-        d = np.asarray(d, dtype=float)
+        s, d = (array(x, "ribbon parameter").astype(float, copy=False) for x in (s, d))
         if not np.all((s >= 0) & (s <= 1) & (d >= 0) & (d <= 1)):
             raise DomainError("ribbon parameters outside [0, 1]")
         sc = s[:, None]

@@ -4,7 +4,7 @@ import numpy as np
 
 from .curves import bernstein, elevate
 from .domain import DomainPolygon, local_params
-from .errors import DomainError, integer
+from .errors import DomainError, array, integer, real
 from .loop import opposite_curve
 
 # curve parameters per evaluation block (points x 4n curve columns): bounds
@@ -58,7 +58,7 @@ class Patch:
 
     def eval(self, p):
         """Surface point at a single 2D domain point."""
-        return self.eval_many(np.asarray(p)[None])[0]
+        return self.eval_many([p])[0]
 
     def eval_many(self, points):
         """Surface points at an array of 2D domain points, shape (k, 2) -> (k, 3).
@@ -89,9 +89,7 @@ class Patch:
         return self._eval_blocks(points, controls.reshape(3 * n, -1), corners).reshape(-1, n, 3)
 
     def _eval_blocks(self, points, controls, corners):
-        points = np.asarray(points)
-        if points.shape[1:] != (2,) or points.dtype.kind not in "biuf":
-            raise DomainError("domain points must be a (k, 2) array of numbers")
+        points = array(points, "domain points", (None, 2))
         out = np.empty((len(points), len(controls)))
         block = max(1, BLOCK_VALUES // (4 * self.n))
         try:
@@ -131,10 +129,8 @@ class Patch:
         By the interpolation property this equals curve i evaluated at t;
         it is still computed through the full patch.
         """
-        i = integer(i, "side index")
-        if not isinstance(t, (int, float, np.integer, np.floating)) or not 0 <= t <= 1:  # NaN too
-            raise DomainError("edge parameter must be a number in [0, 1], got %r" % (t,))
-        return self.eval(self.domain.edge_point(i, t))
+        point = self.domain.edge_point(integer(i, "side index"), real(t, "edge parameter", 0, 1))
+        return self.eval(point)
 
 
 def make_patch(loop):
