@@ -1,9 +1,9 @@
 """Multi-sided C0 Coons patches: transfinite surfaces from boundary loops."""
 
 from .curves import BezierCurve
-from .domain import DomainPolygon, local_params
-from .loop import BoundaryLoop, make_loop, opposite_curve
-from .mesher import TriMesh, mesh_patch, tessellate_domain
+from .domain import DomainPolygon
+from .loop import BoundaryLoop, make_loop
+from .mesher import TriMesh, mesh_patch
 from .surface import Patch, make_patch
 
 __all__ = [
@@ -12,12 +12,9 @@ __all__ = [
     "DomainPolygon",
     "Patch",
     "TriMesh",
-    "local_params",
     "make_loop",
     "make_patch",
     "mesh_patch",
-    "opposite_curve",
-    "tessellate_domain",
 ]
 
 __version__ = "0.1.0"

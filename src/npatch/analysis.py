@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DomainError, NumericError, SchemaError, array, integer, real
+from .errors import SIZE_BUDGET, DomainError, NumericError, SchemaError, array, integer, real
 from .mesher import TriMesh, mesh_patch, vertex_indices
 from .surface import Patch
 
@@ -104,15 +104,13 @@ def contours(mesh, axis, count):
     each from its lower-id end, then cycles from their lowest edge id,
     leaving it by the lower-index triangle's segment and ending on a
     bitwise copy of the first point.  DomainError: count is not a Python
-    or numpy integer >= 1 or is too large for one array, the axis is not
-    three numbers, or the levels are not finite (a vertex or the axis is
+    or numpy integer in 1 .. errors.SIZE_BUDGET, the axis is not three
+    numbers, or the levels are not finite (a vertex or the axis is
     not finite, or the projection range passes the float range).
     SchemaError: the vertices are not a non-empty (k, 3) array, a crossed
     triangle repeats a vertex, or a cut edge is in more than two triangles.
     """
-    count = integer(count, "contour count", 1)
-    if count > np.iinfo(np.intp).max // 8:  # past this numpy refuses, or wraps to no levels
-        raise DomainError("count is too large for one array of levels")
+    count = integer(count, "contour count", 1, SIZE_BUDGET)
     steps = np.arange(1, count + 1)
     axis = array(axis, "axis", (3,))
     if mesh.vertices.shape[1:] != (3,) or not len(mesh.vertices):

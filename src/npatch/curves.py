@@ -4,7 +4,7 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .errors import DomainError, array, integer
+from .errors import SIZE_BUDGET, DomainError, array, integer
 
 
 class BezierCurve:
@@ -63,7 +63,7 @@ def bernstein(t, degree):
     running products of t and 1 - t; the result has shape
     (degree + 1,) + t.shape.
     """
-    degree = integer(degree, "Bernstein degree", 0)
+    degree = integer(degree, "Bernstein degree", 0, SIZE_BUDGET)
     t = array(t, "curve parameter").astype(float, copy=False)
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DomainError("curve parameter outside [0, 1]")

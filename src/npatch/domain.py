@@ -16,7 +16,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import DomainError, integer
+from .errors import SIZE_BUDGET, DomainError, integer
 
 # threshold below which s_i is flagged invalid (the matching blend
 # weight is of the same magnitude, so the skipped term is noise-level)
@@ -29,7 +29,8 @@ class DomainPolygon:
     """Regular n-gon inscribed in the unit circle, with precomputed edges."""
 
     def __init__(self, n):
-        self.n = n = integer(n, "polygon side count n", 3)
+        # n (n - 2) = (n - 1)^2 - 1 entries of _off_edges within SIZE_BUDGET
+        self.n = n = integer(n, "polygon side count n", 3, int(SIZE_BUDGET**0.5) + 1)
         angles = np.pi / 2 + 2 * np.pi * np.arange(n) / n
         self.vertices = np.column_stack([np.cos(angles), np.sin(angles)])
         self.apothem = np.cos(np.pi / n)

@@ -7,6 +7,10 @@ import operator
 
 import numpy as np
 
+# most triangles, off-edge table entries or contour levels a size argument may ask for
+SIZE_BUDGET = 2**28
+
+
 class NPatchError(Exception):
     """Base class for all library errors."""
 

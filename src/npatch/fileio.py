@@ -211,7 +211,7 @@ def read_loop(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    except (ValueError, RecursionError) as exc:  # bad bytes, over-long int, deep nesting
+    except (ValueError, TypeError, RecursionError) as exc:  # bad bytes, not text, long int, nesting
         raise ParseError("unreadable JSON: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")

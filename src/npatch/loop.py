@@ -5,6 +5,7 @@ the 1-based indices it presents to users.
 """
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -39,11 +40,12 @@ def _bbox_diagonal(curves):
 
 
 def make_loop(curves, weld_tolerance=None):
-    """Validate closure and weld corners by averaging the meeting endpoints."""
+    """Validate closure and weld corners by averaging the meeting endpoints; DomainError
+    unless curves is a sequence of BezierCurve instances and weld_tolerance finite and >= 0."""
+    if not isinstance(curves, Sequence) or not all(isinstance(c, BezierCurve) for c in curves):
+        raise DomainError("loop sides must be a sequence of BezierCurve instances")
     if len(curves) < 3:
         raise ClosureError("need at least 3 sides, got %d" % len(curves))
-    if not all(isinstance(c, BezierCurve) for c in curves):
-        raise DomainError("loop sides must be BezierCurve instances")
     if weld_tolerance is None:
         weld_tolerance = 1e-9 * _bbox_diagonal(curves)
         if math.isinf(weld_tolerance):

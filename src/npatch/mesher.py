@@ -4,7 +4,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import SchemaError, array, integer
+from .errors import SIZE_BUDGET, SchemaError, array, integer
 
 Boundary = namedtuple("Boundary", "index side t")
 Boundary.__doc__ = """Boundary vertices: indices, 0-based side and edge parameter t, shape (k,)."""
@@ -28,13 +28,15 @@ class TriMesh:
     domain holds the (k, 2) domain points the vertices were mapped from
     (None when unknown).  SchemaError: the triangle table is not 2-D, holds
     a value that is not an integer (NaN included) or an index out of range,
-    or vertices or scalar are not of the kinds just described.
+    or vertices, scalar or boundary are not of the kinds just described.
     """
 
     def __init__(self, vertices, triangles, boundary=None, scalar=None, domain=None):
         self.vertices = array(vertices, "vertices", (None,), (None, None),
                               error=SchemaError).astype(float, copy=False)
         self.triangles = vertex_indices(triangles, len(self.vertices), "triangle", (None, None))
+        if boundary is not None and not isinstance(boundary, Boundary):
+            raise SchemaError("boundary must be None or a mesher.Boundary table")
         self.boundary = boundary
         self.scalar = None if scalar is None else array(
             scalar, "scalar", (len(self.vertices),), error=SchemaError).astype(float, copy=False)
@@ -62,15 +64,15 @@ def tessellate_domain(poly, m):
 
     Ring l (l = m..1) is the polygon scaled by l/m about the center
     with l vertices per edge; ring 0 is the center point.  Ring m's
-    vertices form the boundary table, with uniform t.  Triangle count
-    is n*m*m.  DomainError: m is not an integer >= 1.
+    vertices form the boundary table, with uniform t.  DomainError: m is
+    not an integer >= 1, or the n*m*m triangles pass errors.SIZE_BUDGET.
 
     The strip between rings l and l-1 on side 0 merges its l outer and
     l-1 inner steps by their normalized ends (i+1)/l and (j+1)/(l-1),
     ties to the outer step; the count of the other chain's steps before
     a step (a floor division) gives its triangle and slot.
     """
-    m = integer(m, "resolution m", 1)
+    m = integer(m, "resolution m", 1, int((SIZE_BUDGET / poly.n) ** 0.5))  # n m^2 triangles
     n, s = poly.n, np.arange(poly.n)
     level, slot, index = sectors(n, m)
     t = slot / level
@@ -104,7 +106,7 @@ def mesh_patch(patch, m):
     vertices are evaluated directly on their boundary curve, at side 0's
     edge parameters, so the mesh boundary lies exactly on the input curves.
     """
-    m = integer(m, "resolution m", 1)
+    m = integer(m, "resolution m", 1, int((SIZE_BUDGET / patch.n) ** 0.5))
     dm = tessellate_domain(patch.domain, m)
     index = sectors(patch.n, m)[2]
     pts = np.empty((len(dm.vertices), 3))

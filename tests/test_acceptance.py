@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from conftest import bundled_loop, random_interior_points
 
-from npatch import (BezierCurve, DomainPolygon, local_params, make_loop, make_patch,
-                    mesh_patch, tessellate_domain)
+from npatch import BezierCurve, DomainPolygon, make_loop, make_patch, mesh_patch
 from npatch.analysis import (curvature_map, dirichlet_energy, harmonic_fill,
                              mean_curvature)
+from npatch.domain import local_params
 from npatch.fixtures import random_loop
 from npatch.ribbon import Ribbon
 from test_surface import classical_coons

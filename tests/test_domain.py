@@ -4,7 +4,7 @@ from conftest import random_interior_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npatch import DomainPolygon, local_params
+from npatch.domain import DomainPolygon, local_params
 from npatch.errors import DomainError
 
 

@@ -9,15 +9,18 @@ import warnings
 import numpy as np
 import pytest
 from conftest import bundled_loop, scaled_doc, scaled_square_doc
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from npatch import (BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch,
-                    tessellate_domain)
-from npatch.analysis import (contours, curvature_map, dirichlet_energy, harmonic_fill,
-                             mean_curvature)
+from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch
+from npatch.analysis import (ContourSet, contours, curvature_map, dirichlet_energy,
+                             harmonic_fill, mean_curvature)
 from npatch.curves import bernstein
 from npatch.errors import DomainError, NPatchError, SchemaError
-from npatch.fileio import read_loop
+from npatch.fileio import read_loop, write_obj, write_ply_scalar
 from npatch.fixtures import random_loop
+from npatch.mesher import Boundary, tessellate_domain
 
 LINE = [[0.0, 0, 0], [1, 0, 0]]
 TRIANGLE = [[0.0, 0, 0], [1, 0, 0], [0, 1, 1]]
@@ -93,6 +96,20 @@ CHECKS = {
     "Bernstein degree not an integer": lambda: bernstein(0.5, 2.5),
     # the end name is checked before a constant curve returns its zero derivative
     "constant curve end name": lambda: BezierCurve([[0.0, 0, 0]]).end_derivative("middle"),
+    # ragged nesting raised numpy's plain ValueError before any check ran
+    "eval_many of ragged points": lambda: SQUARE.eval_many([[0.1], [0.2, 0.3]]),
+    "mean curvature of ragged points": lambda: mean_curvature(SQUARE, [[0.1], [0.2, 0.3]]),
+    "contour axis ragged": _contours_of(TRIANGLE, axis=(0, [0], 1)),
+    # a complex array lost its imaginary part, with a ComplexWarning
+    "curve of complex points": lambda: BezierCurve(np.array([[0.0, 0, 1j]])),
+    "loop of None": lambda: make_loop(None),
+    # sizes past errors.SIZE_BUDGET that numpy itself refuses to allocate (a MemoryError)
+    "resolution 2**40": lambda: tessellate_domain(DomainPolygon(4), 2**40),
+    "mesh resolution 2**40": lambda: mesh_patch(SQUARE, 2**40),
+    "polygon sides 10**6": lambda: DomainPolygon(10**6),
+    "contour count 2**45": _contours_of(TRIANGLE, count=2**45),
+    "Bernstein degree 2**40": lambda: bernstein(0.5, 2**40),
+    "random loop degree 2**40": lambda: random_loop(5, 2**40, np.random.default_rng(0)),
 }
 
 
@@ -177,6 +194,9 @@ MALFORMED_MESHES = {
     "contours of a triangle index past the end": _contours_of(TRIANGLE, triangles=[[0, 1, 3]]),
     "contours without vertices": _contours_of(np.zeros((0, 3)), triangles=np.zeros((0, 3), int)),
     "contours of planar vertices": _contours_of(np.eye(3, 2)),
+    "ragged triangle table": lambda: TriMesh(np.eye(3), [[0, 1], [0, 1, 2]]),
+    # harmonic_fill read .index off it: an AttributeError or TypeError
+    "boundary that is not a Boundary table": lambda: TriMesh(np.eye(3), [[0, 1, 2]], boundary=[0]),
 }
 
 
@@ -184,3 +204,71 @@ MALFORMED_MESHES = {
 def test_malformed_meshes_are_schema_errors(name):
     with pytest.raises(SchemaError):
         MALFORMED_MESHES[name]()
+
+
+MESH = mesh_patch(SQUARE, 2)
+
+
+def _mesh_with(attribute, value):
+    """A one-triangle mesh with one attribute replaced after construction."""
+    mesh = TriMesh(np.eye(3), [[0, 1, 2]], scalar=np.zeros(3))
+    setattr(mesh, attribute, value)
+    return mesh
+
+
+# the value arguments of the public entry points, one drawn value each
+ENTRY_POINTS = {
+    "BezierCurve": BezierCurve,
+    "BezierCurve.eval": BezierCurve(LINE).eval,
+    "BezierCurve.eval_many": BezierCurve(LINE).eval_many,
+    "make_loop": make_loop,
+    "make_loop weld_tolerance": lambda x: make_loop(SQUARE_LOOP.sides, weld_tolerance=x),
+    "Patch.eval": SQUARE.eval,
+    "Patch.eval_many": SQUARE.eval_many,
+    "Patch.eval_rotations": SQUARE.eval_rotations,
+    "Patch.eval_boundary side": lambda x: SQUARE.eval_boundary(x, 0.5),
+    "Patch.eval_boundary t": lambda x: SQUARE.eval_boundary(1, x),
+    "mesh_patch m": lambda x: mesh_patch(SQUARE, x),
+    "TriMesh vertices": lambda x: TriMesh(x, [[0, 1, 2]]),
+    "TriMesh triangles": lambda x: TriMesh(np.eye(3), x),
+    "TriMesh boundary": lambda x: TriMesh(np.eye(3), [[0, 1, 2]], boundary=x),
+    "TriMesh scalar": lambda x: TriMesh(np.eye(3), [[0, 1, 2]], scalar=x),
+    "DomainPolygon": DomainPolygon,
+    "mean_curvature p": lambda x: mean_curvature(SQUARE, x),
+    "mean_curvature h": lambda x: mean_curvature(SQUARE, [0.1, 0.1], h=x),
+    "curvature_map m": lambda x: curvature_map(SQUARE, x),
+    "contours axis": lambda x: contours(MESH, x, 3),
+    "contours count": lambda x: contours(MESH, [0, 0, 1], x),
+    "harmonic_fill boundary index": lambda x: harmonic_fill(
+        TriMesh(MESH.vertices, MESH.triangles, boundary=Boundary(x, None, None))),
+    "read_loop": read_loop,
+    "write_obj vertices": lambda x: write_obj(_mesh_with("vertices", x)),
+    "write_obj polyline": lambda x: write_obj(MESH, ContourSet([0, 0, 1], [0.5], [x])),
+    "write_ply_scalar scalar": lambda x: write_ply_scalar(_mesh_with("scalar", x)),
+}
+
+# every size at most 2, so no drawn value makes the package allocate much
+_NUMBERS = st.sampled_from([-1, -0.5, 0, 0.5, 1, 2, np.nan, np.inf, -np.inf])
+_LEAVES = st.one_of(st.none(), st.booleans(), st.text(max_size=2), _NUMBERS, st.just(1j))
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=2)
+MALFORMED = st.one_of(
+    _LEAVES,
+    st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=2), max_leaves=4),  # ragged too
+    hnp.arrays(float, _SHAPES, elements=_NUMBERS),
+    hnp.arrays(int, _SHAPES, elements=st.integers(-2, 2)),
+    hnp.arrays(st.sampled_from([bool, complex, "U1"]), _SHAPES),
+    hnp.arrays(object, _SHAPES, elements=_LEAVES),
+)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(value=MALFORMED)
+def test_malformed_values_give_a_result_or_an_npatch_error(name, value):
+    # numpy's own exceptions and warnings (a ComplexWarning, a RuntimeWarning) fail the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ENTRY_POINTS[name](value)
+        except NPatchError:
+            pass

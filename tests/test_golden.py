@@ -26,11 +26,11 @@ import numpy as np
 import pytest
 from conftest import bundled_loop
 
-from npatch import DomainPolygon, make_patch, mesh_patch, tessellate_domain
+from npatch import DomainPolygon, make_patch, mesh_patch
 from npatch.analysis import ContourSet, contours, curvature_map, harmonic_fill
 from npatch.fileio import write_obj, write_ply_scalar
 from npatch.fixtures import FIXTURE_DIR
-from npatch.mesher import TriMesh
+from npatch.mesher import TriMesh, tessellate_domain
 
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 CONTOURS = json.loads((Path(__file__).parent / "golden_contours.json").read_text())

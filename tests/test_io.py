@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_writers import reference_obj, reference_ply
 
-from npatch import DomainPolygon, TriMesh, make_patch, mesh_patch, tessellate_domain
+from npatch import DomainPolygon, TriMesh, make_patch, mesh_patch
 from npatch.analysis import contours, curvature_map
 from npatch.errors import ClosureError, DomainError, NPatchError, ParseError, SchemaError
 from npatch.fileio import read_loop, write_loop, write_obj, write_ply_scalar
 from npatch.fixtures import FIXTURE_DIR, bundled, random_loop
+from npatch.mesher import tessellate_domain
 
 SQUARE_DOC = write_loop(bundled_loop("square"))
 
@@ -249,7 +250,8 @@ def test_integer_beyond_float_range(field, path):
     "[" * 100_000,  # nested past the parser's recursion limit
     '{"version": 1%s}' % ("0" * 5000),  # integer literal over Python's digit limit
     b'{"version": 1, "sides": "\xe9"}',  # Latin-1 bytes, not UTF-8
-], ids=["deep_nesting", "long_integer", "latin1_bytes"])
+    None,  # not text: json.loads raised a plain TypeError
+], ids=["deep_nesting", "long_integer", "latin1_bytes", "not_text"])
 def test_unreadable_json_is_parse_error(text):
     with pytest.raises(ParseError):
         read_loop(text)

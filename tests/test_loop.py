@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from conftest import bundled_loop
 
-from npatch import BezierCurve, DomainPolygon, make_loop, opposite_curve
+from npatch import BezierCurve, DomainPolygon, make_loop
+from npatch.loop import opposite_curve
 from npatch.errors import ClosureError
 from npatch.fixtures import random_loop
 

@@ -4,8 +4,9 @@ from conftest import bundled_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npatch import BezierCurve, DomainPolygon, make_loop, make_patch, mesh_patch, tessellate_domain
+from npatch import BezierCurve, DomainPolygon, make_loop, make_patch, mesh_patch
 from npatch.fixtures import random_loop
+from npatch.mesher import tessellate_domain
 
 
 def reference_tessellation(poly, m):

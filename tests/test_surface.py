@@ -6,7 +6,8 @@ from conftest import bundled_loop, random_affine, random_interior_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npatch import BezierCurve, DomainPolygon, local_params, make_loop, make_patch
+from npatch import BezierCurve, DomainPolygon, make_loop, make_patch
+from npatch.domain import local_params
 from npatch.errors import DomainError
 from npatch.fixtures import random_loop
 from npatch.ribbon import Ribbon
