@@ -1,5 +1,6 @@
 """Surface quality analysis and the discrete harmonic baseline."""
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -27,12 +28,15 @@ def mean_curvature(surface, p, h=CURVATURE_STEP):
     on a 9-point stencil, and H from the fundamental forms row by row.
     `surface` is a Patch, evaluated at the whole batch's stencil in one
     eval_many call, or any callable mapping a 2D point to R^3, called
-    point by point.  DomainError: p is not a point or rows of numbers, h
-    is not a finite number > 0, or (for a Patch) a point lies within 2h of
-    the domain boundary.
+    point by point.  Each stencil is divided by a power of two near its
+    values, which keeps every bit and the products in range, and H is
+    scaled back.  DomainError: p is not a
+    point or rows of numbers, h is not a finite number whose square is at
+    least the smallest normal float (2**-1022), (for a Patch) a point lies
+    within 2h of the domain boundary, or H passes the float range.
     """
     p = array(p, "p", (2,), (None, 2))
-    h = real(h, "step h", np.nextafter(0.0, 1.0))  # h > 0
+    h = real(h, "step h", 2.0**-511)  # h * h does not underflow
     stencil = (np.atleast_2d(p)[:, None] + h * STENCIL).reshape(-1, 2)
     if isinstance(surface, Patch):
         if surface.domain.edge_distances_many(p.reshape(-1, 2)).min(initial=np.inf) < 2 * h:
@@ -40,7 +44,9 @@ def mean_curvature(surface, p, h=CURVATURE_STEP):
         f = surface.eval_many(stencil)
     else:
         f = np.array([surface(q) for q in stencil])
-    fc, fxp, fxm, fyp, fym, fpp, fpm, fmp, fmm = f.reshape(-1, 9, 3).transpose(1, 0, 2)
+    f = f.reshape(-1, 9, 3)
+    unit = np.frexp(np.abs(f).max(axis=(1, 2)))[1]
+    fc, fxp, fxm, fyp, fym, fpp, fpm, fmp, fmm = np.ldexp(f, -unit[:, None, None]).transpose(1, 0, 2)
     su = (fxp - fxm) / (2 * h)
     sv = (fyp - fym) / (2 * h)
     suu = (fxp - 2 * fc + fxm) / (h * h)
@@ -55,7 +61,11 @@ def mean_curvature(surface, p, h=CURVATURE_STEP):
         raise NumericError("degenerate tangent plane, cannot evaluate curvature")
     normal /= nn
     l, mm, nq = np.einsum("skj,kj->sk", [suu, suv, svv], normal)
-    h_mean = (e * nq - 2 * ff * mm + g * l) / (2 * det)
+    try:
+        with np.errstate(over="raise"):  # H ~ 1 / size: a loop of subnormal size
+            h_mean = np.ldexp((e * nq - 2 * ff * mm + g * l) / (2 * det), -unit)
+    except FloatingPointError:
+        raise DomainError("mean curvature passes the float range") from None
     return float(h_mean[0]) if p.ndim == 1 else h_mean
 
 
@@ -192,10 +202,15 @@ def contours(mesh, axis, count):
 
 
 def dirichlet_energy(mesh):
-    """Uniform-weight discrete Dirichlet energy: sum over edges of |du|^2."""
+    """Uniform-weight discrete Dirichlet energy: sum over edges of |du|^2.
+    DomainError: the energy passes the float range."""
     e = mesh.edges()
-    d = mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]]
-    return float((d * d).sum())
+    with np.errstate(over="ignore"):
+        d = mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]]
+        energy = float((d * d).sum())
+    if math.isinf(energy):
+        raise DomainError("Dirichlet energy passes the float range")
+    return energy
 
 
 def harmonic_fill(mesh):
@@ -205,9 +220,11 @@ def harmonic_fill(mesh):
     mesh_patch result, the boundary curve samples) and every other
     vertex is solved to be the average of its neighbors (conjugate
     gradients on the SPD interior system, per coordinate).  The length
-    scale of the tolerances is the boundary's bounding-box diagonal.  A
-    mesh without interior vertices is returned unchanged.  SchemaError:
-    no boundary table, or a boundary index that is not a 1-D array of vertex indices.
+    scale of the tolerances is the boundary's bounding-box diagonal, and
+    the solve runs in units of a power of two near it.  A mesh without
+    interior vertices is returned unchanged.  SchemaError: no boundary
+    table, or a boundary index that is not a 1-D array of vertex indices.
+    DomainError: the boundary spans more than the float range.
     """
     nv = len(mesh.vertices)
     boundary = np.zeros(nv, dtype=bool)
@@ -215,10 +232,14 @@ def harmonic_fill(mesh):
         boundary[vertex_indices(mesh.boundary.index, nv, "boundary", (None,))] = True
     if not boundary.any():
         raise SchemaError("harmonic_fill needs a mesh with a boundary table")
-    pos = mesh.vertices.copy()
-
     interior = np.nonzero(~boundary)[0]
-    scale = float(np.linalg.norm(np.ptp(pos[boundary], axis=0)))
+    scale = math.dist(mesh.vertices[boundary].max(axis=0), mesh.vertices[boundary].min(axis=0))
+    if math.isinf(scale):
+        raise DomainError("mesh boundary spans more than the float range")
+    # dividing by a power of two keeps every bit, and no square below passes the float range
+    unit = math.ldexp(1.0, math.frexp(scale)[1])
+    pos = mesh.vertices / unit
+    tol_scale = max(scale, 1.0) / unit  # the tolerances' length, in those units
 
     # graph Laplacian rows for interior vertices: deg*x_v - sum(neighbors)
     u, v = mesh.triangles.ravel(), mesh.triangles[:, [1, 2, 0]].ravel()
@@ -232,9 +253,9 @@ def harmonic_fill(mesh):
     maxiter = 10 * max(len(interior), 1)
     for c in range(3):
         x, info = spla.cg(a_mat, rhs[:, c], x0=np.full(len(interior), x0[c]),
-                          rtol=1e-14, atol=1e-14 * max(scale, 1.0), maxiter=maxiter)
+                          rtol=1e-14, atol=1e-14 * tol_scale, maxiter=maxiter)
         if info != 0:
-            res = np.linalg.norm(a_mat @ x - rhs[:, c])
+            res = np.linalg.norm(a_mat @ x - rhs[:, c]) * unit
             raise NumericError("harmonic solve did not converge (residual %.3e)" % res)
         pos[interior, c] = x
 
@@ -242,7 +263,9 @@ def harmonic_fill(mesh):
     nb_sum = adjacency @ pos
     resid = pos[interior] - nb_sum[interior] / deg[interior, None]
     worst = float(np.abs(resid).max(initial=0.0))
-    if not worst <= UMBRELLA_TOL * max(scale, 1.0):  # NaN too
-        raise NumericError("umbrella residual %.3e above tolerance" % worst)
+    if not worst <= UMBRELLA_TOL * tol_scale:  # NaN too
+        raise NumericError("umbrella residual %.3e above tolerance" % (worst * unit))
 
+    pos[boundary] = mesh.vertices[boundary]  # as given, subnormal coordinates too
+    pos[interior] *= unit
     return TriMesh(pos, mesh.triangles, boundary=mesh.boundary)

@@ -43,21 +43,25 @@ class NumericError(NPatchError):
 
 
 def integer(value, name, least=-math.inf, most=math.inf):
-    """value as a Python int; DomainError unless a Python or numpy integer in [least, most]."""
+    """value as a Python int; DomainError unless a Python or numpy integer, not a boolean,
+    in [least, most]."""
     # int first: the ABC check alone is slow, and the kernel passes a Python int per block
-    if not isinstance(value, (int, numbers.Integral)) or not least <= value <= most:
+    if (not isinstance(value, (int, numbers.Integral)) or isinstance(value, bool)
+            or not least <= value <= most):
         raise DomainError("%s must be an integer >= %s and <= %s, got %r"
                           % (name, least, most, value))
     return operator.index(value)  # a narrow numpy int would overflow in arithmetic
 
 
 def real(value, name, least=-math.inf, most=math.inf):
-    """value as a Python float; DomainError unless it is a finite real number in [least, most]."""
-    value = float(array(value, name, ()))  # a narrow numpy float would round in arithmetic
-    if not (least <= value <= most and math.isfinite(value)):
+    """value as a Python float; DomainError unless it is a finite real number, not a
+    boolean, in [least, most]."""
+    values = array(value, name, ())
+    number = float(values)  # a narrow numpy float would round in arithmetic
+    if values.dtype.kind == "b" or not (least <= number <= most and math.isfinite(number)):
         raise DomainError("%s must be a finite number >= %s and <= %s, got %r"
                           % (name, least, most, value))
-    return value
+    return number
 
 
 def array(value, name, *shapes, error=DomainError):

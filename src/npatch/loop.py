@@ -21,9 +21,8 @@ class BoundaryLoop:
     point are bit-identical.
     """
 
-    def __init__(self, sides, weld_tolerance, corner_gaps):
+    def __init__(self, sides, corner_gaps):
         self.sides = tuple(sides)
-        self.weld_tolerance = weld_tolerance
         self.corner_gaps = corner_gaps  # pre-weld residuals, diagnostic only
 
     @property
@@ -69,7 +68,7 @@ def make_loop(curves, weld_tolerance=None):
         pts[0] = corners[(i - 1) % n]
         pts[-1] = corners[i]
         welded.append(BezierCurve(pts))
-    return BoundaryLoop(welded, weld_tolerance, gaps)
+    return BoundaryLoop(welded, gaps)
 
 
 def opposite_curve(loop, i):

@@ -38,19 +38,21 @@ class Patch:
                 np.stack([curves[j].control_points for j in group], axis=1), degree)
         i = np.arange(n)
         sides = controls[:, :n]
-        self._controls_t = np.concatenate(
-            [sides, sides[:, i - 1], sides[:, (i + 1) % n], controls[:, n:]], axis=1
-        ).reshape(-1, 3).T.copy()
-        # ribbon i's bilinear corner terms in the basis 1, s, d, s*d; its
-        # corners c00, c01, c10 and c11 are loop corners i - 1, i - 2, i, i + 1,
-        # the last control points of those sides (elevation keeps them bit for bit)
-        corners = sides[-1, (i[:, None] + [-1, -2, 0, 1]) % n]
-        c00, c01, c10, c11 = corners.transpose(1, 0, 2)
+        # ribbon i's bilinear corner term is ruled in d, (1 - d) L0(s) + d L1(1 - s),
+        # between the chords L0 from loop corner i - 1 to corner i and L1 from corner
+        # i + 1 to corner i - 2, the opposite curve's way; the base and opposite
+        # columns carry those Coons weights and parameters, so they hold curve - chord
+        corners = sides[-1]  # corner i ends side i; elevation keeps it bit for bit
+        start, end = corners[np.r_[i - 1, (i + 1) % n]], corners[np.r_[i, i - 2]]
+        u = np.linspace(0.0, 1.0, degree + 1)[:, None, None]
         try:
             with np.errstate(over="raise"):
-                self._corner_basis = (c00, c10 - c00, c01 - c00, c00 - c01 - c10 + c11)
+                folded = controls - ((1.0 - u) * start + u * end)
         except FloatingPointError:
-            raise DomainError("patch corner term overflows the float range") from None
+            raise DomainError("patch side minus its corner chord overflows the float range") from None
+        self._controls_t = np.concatenate(
+            [folded[:, :n], sides[:, i - 1], sides[:, (i + 1) % n], folded[:, n:]], axis=1
+        ).reshape(-1, 3).T.copy()
 
     @property
     def n(self):
@@ -67,10 +69,10 @@ class Patch:
         undefined), is linear in the curve samples.  Per block of
         BLOCK_VALUES / (4n) points, one Bernstein basis of degree D over
         all 4n curve columns, scaled by the Coons weights, multiplies the
-        control tensor; the corner terms are matrix products.  A sum past
-        the float range raises DomainError.
+        control tensor, whose base and opposite columns hold the corner
+        terms.  A sum past the float range raises DomainError.
         """
-        return self._eval_blocks(points, self._controls_t, self._corner_basis)
+        return self._eval_blocks(points, self._controls_t)
 
     def eval_rotations(self, points):
         """Surface points at every rotation of the domain points by 2 pi q / n,
@@ -78,17 +80,15 @@ class Patch:
 
         Rotating p shifts its Wachspress coordinates cyclically,
         lambda_i(R p) = lambda_{i-1}(p), so the parameter basis at p gives
-        rotation q's value against the control tensor and corner terms
-        with their side axis rolled by q; the n rolled copies stack into
-        one matrix product.
+        rotation q's value against the control tensor with its side axis
+        rolled by q; the n rolled copies stack into one matrix product.
         """
         n = self.n
         roll = (np.arange(n)[:, None] + np.arange(n)) % n  # [q, j] -> side j + q
         controls = np.moveaxis(self._controls_t.reshape(3, -1, 4, n)[..., roll], 3, 0)
-        corners = tuple(e[roll].transpose(1, 0, 2).reshape(n, 3 * n) for e in self._corner_basis)
-        return self._eval_blocks(points, controls.reshape(3 * n, -1), corners).reshape(-1, n, 3)
+        return self._eval_blocks(points, controls.reshape(3 * n, -1)).reshape(-1, n, 3)
 
-    def _eval_blocks(self, points, controls, corners):
+    def _eval_blocks(self, points, controls):
         points = array(points, "domain points", (None, 2))
         out = np.empty((len(points), len(controls)))
         block = max(1, BLOCK_VALUES // (4 * self.n))
@@ -96,13 +96,13 @@ class Patch:
             with np.errstate(over="raise"):
                 for start in range(0, len(points), block):
                     out[start:start + block] = self._eval_block(
-                        points[start:start + block], controls, corners)
+                        points[start:start + block], controls)
         except FloatingPointError:
             raise DomainError("patch evaluation overflows the float range") from None
         return out
 
-    def _eval_block(self, points, controls, corners):
-        # values (k, r) of r / 3 stacked control tensors (r, (D + 1) 4n), corner terms (n, r)
+    def _eval_block(self, points, controls):
+        # values (k, r) of r / 3 stacked control tensors (r, (D + 1) 4n)
         k, n = len(points), self.n
         lp = local_params(self.domain.wachspress_many(points))
         # sides with undefined s get weight 0 (and any finite s)
@@ -110,8 +110,6 @@ class Patch:
         s[~lp.valid] = 0.0
         w = 0.5 * (1.0 - d)
         w[~lp.valid] = 0.0
-        e0, es, ed, esd = corners
-        out = -(w @ e0 + (w * s) @ es + (w * d) @ ed + (w * s * d) @ esd)
         # curve-major (4n, k) parameters and weights of ribbon i's base, prev,
         # next and opposite curve
         s, d, w = s.T, d.T, w.T
@@ -120,8 +118,7 @@ class Patch:
         c *= w
         basis = bernstein(t, self._degree)
         basis *= c.reshape(4 * n, k)
-        out += (controls @ basis.reshape(-1, k)).T
-        return out
+        return (controls @ basis.reshape(-1, k)).T
 
     def eval_boundary(self, i, t):
         """Surface point on domain edge i (an integer, taken cyclically) at t in [0, 1].

@@ -61,3 +61,19 @@ def scaled_square_doc(scale, gap=0.0, **fields):
 def loop_doc(*sides):
     """Loop document of the given sides' control points, each side's degree from its count."""
     return json.dumps({"sides": [{"degree": len(p) - 1, "control_points": p} for p in sides]})
+
+
+def bulging_triangle_doc(degree, corner_z, interior_z):
+    """Loop document of the triangle fixture's chords as sides of the given degree, with the
+    corners lifted to corner_z and the interior control points to interior_z, and weld
+    tolerance 1e-9 (the default is refused past the float range)."""
+    doc = json.loads(write_loop(bundled_loop("triangle")))
+    for side in doc["sides"]:
+        a, b = np.array(side["control_points"])
+        t = np.linspace(0.0, 1.0, degree + 1)[:, None]
+        points = (1.0 - t) * a + t * b
+        points[:, 2] = interior_z
+        points[[0, -1], 2] = corner_z
+        side.update(degree=degree, control_points=points.tolist())
+    doc["weld_tolerance"] = 1e-9
+    return json.dumps(doc)

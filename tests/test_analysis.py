@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch
-from npatch.analysis import (contours, curvature_map, dirichlet_energy,
+from npatch.analysis import (UMBRELLA_TOL, contours, curvature_map, dirichlet_energy,
                              harmonic_fill, mean_curvature, pull_inward)
 from npatch.errors import DomainError, NumericError, SchemaError
 from npatch.fileio import read_loop
@@ -274,3 +274,26 @@ def test_degenerate_sides_mesh_fill_and_curve_finitely(name):
         assert np.all(np.isfinite(mesh.vertices))
         assert np.all(np.isfinite(harmonic_fill(mesh).vertices))
         assert np.all(np.isfinite(curvature_map(patch, 6).scalar))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(3, 12), degree=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       k=st.sampled_from([-260, -1, 1, 260]))
+def test_power_of_two_scale_equivariance(n, degree, seed, k):
+    # scaling a loop by 2**k scales every product and sum of the kernel, the mesh and the
+    # curvature stencils exactly, so the mesh scales by 2**k and H by 2**-k bit for bit
+    loop = random_loop(n, degree, np.random.default_rng(seed))
+    scaled = make_loop([BezierCurve(np.ldexp(c.control_points, k)) for c in loop.sides])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh, mesh_k = (mesh_patch(make_patch(lp), 5) for lp in (loop, scaled))
+        assert np.array_equal(mesh_k.vertices, np.ldexp(mesh.vertices, k))
+        curvature, curvature_k = (curvature_map(make_patch(lp), 5).scalar for lp in (loop, scaled))
+        assert np.array_equal(curvature_k, np.ldexp(curvature, -k))
+        harmonic, harmonic_k = (harmonic_fill(m).vertices for m in (mesh, mesh_k))
+    if k >= 0:
+        assert np.array_equal(harmonic_k, np.ldexp(harmonic, k))
+    else:
+        # the solve's absolute tolerance has a floor at unit scale
+        scale = scaled.bbox_diagonal()
+        assert np.abs(harmonic_k - np.ldexp(harmonic, k)).max() <= UMBRELLA_TOL * max(scale, 1.0)

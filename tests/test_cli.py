@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bundled_loop, loop_doc, scaled_doc, scaled_square_doc
+from conftest import bulging_triangle_doc, bundled_loop, loop_doc, scaled_doc, scaled_square_doc
 
 from npatch import make_patch, mesh_patch
 from npatch.analysis import contours, curvature_map, harmonic_fill
@@ -76,9 +76,24 @@ def test_mesh_huge_square_names_the_overflow(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fixture", ["triangle", "square"])
-def test_mesh_near_the_float_range_names_the_overflow(tmp_path, capsys, fixture):
+def test_mesh_near_the_float_range(tmp_path, capsys, fixture):
+    doc = scaled_doc(bundled_loop(fixture), 0.9e308, weld_tolerance=1e-9)
     path = tmp_path / "huge.json"
-    path.write_text(scaled_doc(bundled_loop(fixture), 0.9e308, weld_tolerance=1e-9))
+    path.write_text(doc)
+    assert main(["mesh", str(path), "-m", "2", "-o", str(tmp_path / "out.obj")]) == 0
+    assert capsys.readouterr() == ("", "")
+    mesh = mesh_patch(make_patch(read_loop(doc)), 2)
+    assert (tmp_path / "out.obj").read_text() == write_obj(mesh)
+
+
+@pytest.mark.parametrize("doc", [
+    bulging_triangle_doc(2, -1.7e308, 1.7e308),  # a side minus its corner chord
+    bulging_triangle_doc(3, 0.0, 1.7e308),  # the Coons sum near the centre
+    scaled_doc(bundled_loop("pentagon"), 1.7e308, weld_tolerance=1e-9),  # an end tangent
+], ids=["corner chord", "evaluation", "end derivative"])
+def test_mesh_past_the_float_range_names_the_overflow(tmp_path, capsys, doc):
+    path = tmp_path / "huge.json"
+    path.write_text(doc)
     assert main(["mesh", str(path), "-m", "2", "-o", str(tmp_path / "out.obj")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import bundled_loop, scaled_doc, scaled_square_doc
+from conftest import bulging_triangle_doc, bundled_loop, scaled_doc, scaled_square_doc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -110,6 +110,22 @@ CHECKS = {
     "contour count 2**45": _contours_of(TRIANGLE, count=2**45),
     "Bernstein degree 2**40": lambda: bernstein(0.5, 2**40),
     "random loop degree 2**40": lambda: random_loop(5, 2**40, np.random.default_rng(0)),
+    # a step whose square underflows divided 0 by 0 in the second differences
+    "curvature step 1e-170": lambda: mean_curvature(SQUARE, [0.1, 0.1], h=1e-170),
+    "curvature step 5e-324": lambda: mean_curvature(SQUARE, [0.1, 0.1], h=5e-324),
+    # a boolean is not a number to the argument checks: True meshed at m = 1 and drew one level
+    "mesh resolution True": lambda: mesh_patch(SQUARE, True),
+    "mesh resolution numpy True": lambda: mesh_patch(SQUARE, np.True_),
+    "contour count True": _contours_of(TRIANGLE, count=True),
+    "boundary side index True": lambda: SQUARE.eval_boundary(True, 0.5),
+    "boundary edge parameter True": lambda: SQUARE.eval_boundary(0, True),
+    "boundary edge parameter numpy True": lambda: SQUARE.eval_boundary(0, np.True_),
+    "curvature step True": lambda: mean_curvature(lambda q: [q[0], q[1], 0.0], [0.1, 0.1], h=True),
+    "weld tolerance False": lambda: make_loop(SQUARE_LOOP.sides, False),
+    # H ~ 1 / size of a loop of subnormal size, where numpy warned of an overflow in ldexp
+    "mean curvature past the float range": lambda: mean_curvature(make_patch(make_loop(
+        [BezierCurve(np.ldexp(c.control_points, -1030)) for c in bundled_loop("pentagon").sides])),
+        [0.0, 0.0]),
 }
 
 
@@ -130,24 +146,52 @@ def test_patch_of_huge_square_names_the_overflow():
             make_patch(loop)
 
 
-def test_patch_of_huge_triangle_names_the_overflow():
-    # a triangle has no opposite tangents: its corner terms overflow first
-    loop = read_loop(scaled_doc(bundled_loop("triangle"), 0.9e308, weld_tolerance=1e-9))
+# relative deviation of a loop scaled by 0.9e308 from its unit loop's mesh, times 0.9e308: the
+# factor is not a power of two, so the scaled input and each sum round a few times (at most
+# 6e-16 measured on the triangle, square, pentagon and pocket4 at m = 2, 6 and 30)
+NEAR_RANGE_TOL = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("fixture", ["triangle", "square"])
+def test_patch_near_the_float_range_meshes(fixture):
+    # the corner chords sit in the side columns, so no corner term is added onto a side's sum
+    loop = read_loop(scaled_doc(bundled_loop(fixture), 0.9e308, weld_tolerance=1e-9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vertices = mesh_patch(make_patch(loop), 6).vertices
+    unit = mesh_patch(make_patch(bundled_loop(fixture)), 6).vertices
+    assert np.abs(vertices - 0.9e308 * unit).max() <= NEAR_RANGE_TOL * 0.9e308
+
+
+def test_patch_of_a_side_far_from_its_chord_names_the_overflow():
+    # corners at z = -1.7e308 and middle control points at +1.7e308: a side minus its corner
+    # chord passes the float range when the patch is built
+    loop = read_loop(bulging_triangle_doc(2, -1.7e308, 1.7e308))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="overflows the float range"):
             make_patch(loop)
 
 
-def test_evaluating_huge_square_names_the_overflow():
-    # the patch builds, but the Coons sums at three of its corners pass the float range
-    patch = make_patch(read_loop(scaled_doc(bundled_loop("square"), 0.9e308, weld_tolerance=1e-9)))
+@pytest.mark.parametrize("z", [1.7e308, -1.7e308])
+def test_evaluating_a_far_bulging_triangle_names_the_overflow(z):
+    # the patch builds, but its Coons sum near the centre passes the float range
+    patch = make_patch(read_loop(bulging_triangle_doc(3, 0.0, z)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="overflows the float range"):
-            patch.eval_many(patch.domain.vertices)
+            patch.eval_many([[0.0, 0.0]])
         with pytest.raises(DomainError, match="overflows the float range"):
             mesh_patch(patch, 2)
+
+
+def test_patch_of_the_pentagon_past_the_float_range_names_the_overflow():
+    # an opposite cubic's end tangent of the pentagon scaled by 1.7e308 passes the float range
+    loop = read_loop(scaled_doc(bundled_loop("pentagon"), 1.7e308, weld_tolerance=1e-9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="end derivative overflows the float range"):
+            make_patch(loop)
 
 
 @pytest.mark.parametrize("triangles", [
