@@ -7,7 +7,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SIZE_BUDGET, DomainError, NumericError, SchemaError, array, integer, real
+from .errors import (SIZE_BUDGET, DomainError, NumericError, SchemaError, array, integer,
+                     overflow, real)
 from .mesher import TriMesh, mesh_patch, vertex_indices
 from .surface import Patch
 
@@ -17,7 +18,7 @@ CURVATURE_STEP = 1e-4
 # 9-point stencil offsets in units of h: center, +-x, +-y, then the diagonals
 STENCIL = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1],
                     [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
-# largest umbrella residual harmonic_fill accepts, relative to max(1, boundary scale)
+# largest umbrella residual harmonic_fill accepts, relative to the boundary's bbox diagonal
 UMBRELLA_TOL = 1e-10
 
 
@@ -33,7 +34,7 @@ def mean_curvature(surface, p, h=CURVATURE_STEP):
     scaled back.  DomainError: p is not a
     point or rows of numbers, h is not a finite number whose square is at
     least the smallest normal float (2**-1022), (for a Patch) a point lies
-    within 2h of the domain boundary, or H passes the float range.
+    within 2h of the domain boundary, or H overflows the float range.
     """
     p = array(p, "p", (2,), (None, 2))
     h = real(h, "step h", 2.0**-511)  # h * h does not underflow
@@ -61,11 +62,8 @@ def mean_curvature(surface, p, h=CURVATURE_STEP):
         raise NumericError("degenerate tangent plane, cannot evaluate curvature")
     normal /= nn
     l, mm, nq = np.einsum("skj,kj->sk", [suu, suv, svv], normal)
-    try:
-        with np.errstate(over="raise"):  # H ~ 1 / size: a loop of subnormal size
-            h_mean = np.ldexp((e * nq - 2 * ff * mm + g * l) / (2 * det), -unit)
-    except FloatingPointError:
-        raise DomainError("mean curvature passes the float range") from None
+    with overflow("mean curvature"):  # H ~ 1 / size: a loop of subnormal size
+        h_mean = np.ldexp((e * nq - 2 * ff * mm + g * l) / (2 * det), -unit)
     return float(h_mean[0]) if p.ndim == 1 else h_mean
 
 
@@ -203,14 +201,13 @@ def contours(mesh, axis, count):
 
 def dirichlet_energy(mesh):
     """Uniform-weight discrete Dirichlet energy: sum over edges of |du|^2.
-    DomainError: the energy passes the float range."""
+    DomainError: a vertex is not finite, or the energy overflows the float range."""
+    if not np.all(np.isfinite(mesh.vertices)):
+        raise DomainError("Dirichlet energy of a vertex that is not finite")
     e = mesh.edges()
-    with np.errstate(over="ignore"):
+    with overflow("Dirichlet energy"):
         d = mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]]
-        energy = float((d * d).sum())
-    if math.isinf(energy):
-        raise DomainError("Dirichlet energy passes the float range")
-    return energy
+        return float((d * d).sum())
 
 
 def harmonic_fill(mesh):
@@ -220,11 +217,13 @@ def harmonic_fill(mesh):
     mesh_patch result, the boundary curve samples) and every other
     vertex is solved to be the average of its neighbors (conjugate
     gradients on the SPD interior system, per coordinate).  The length
-    scale of the tolerances is the boundary's bounding-box diagonal, and
-    the solve runs in units of a power of two near it.  A mesh without
+    scale of the tolerances is the boundary's bounding-box diagonal (for a
+    boundary of one point, its largest coordinate magnitude), and the
+    solve runs in units of a power of two near it, so a loop scaled by a
+    power of two fills to the scaled result bit for bit.  A mesh without
     interior vertices is returned unchanged.  SchemaError: no boundary
     table, or a boundary index that is not a 1-D array of vertex indices.
-    DomainError: the boundary spans more than the float range.
+    DomainError: the boundary is not finite or spans more than the float range.
     """
     nv = len(mesh.vertices)
     boundary = np.zeros(nv, dtype=bool)
@@ -233,13 +232,15 @@ def harmonic_fill(mesh):
     if not boundary.any():
         raise SchemaError("harmonic_fill needs a mesh with a boundary table")
     interior = np.nonzero(~boundary)[0]
-    scale = math.dist(mesh.vertices[boundary].max(axis=0), mesh.vertices[boundary].min(axis=0))
-    if math.isinf(scale):
-        raise DomainError("mesh boundary spans more than the float range")
+    fixed = mesh.vertices[boundary]
+    # the tolerances' length: a boundary of one point has no extent, but a size
+    scale = math.dist(fixed.max(axis=0), fixed.min(axis=0)) or float(np.abs(fixed).max())
+    if not math.isfinite(scale):  # NaN too
+        raise DomainError("mesh boundary is not finite or spans more than the float range")
     # dividing by a power of two keeps every bit, and no square below passes the float range
     unit = math.ldexp(1.0, math.frexp(scale)[1])
     pos = mesh.vertices / unit
-    tol_scale = max(scale, 1.0) / unit  # the tolerances' length, in those units
+    tol_scale = scale / unit  # the tolerances' length, in those units
 
     # graph Laplacian rows for interior vertices: deg*x_v - sum(neighbors)
     u, v = mesh.triangles.ravel(), mesh.triangles[:, [1, 2, 0]].ravel()

@@ -1,10 +1,10 @@
 """Bezier space curves: the only curve primitive used by the rest of the package."""
 
-from math import comb, isfinite
+from math import comb
 
 import numpy as np
 
-from .errors import SIZE_BUDGET, DomainError, array, integer
+from .errors import DomainError, array, integer
 
 
 class BezierCurve:
@@ -34,24 +34,6 @@ class BezierCurve:
         """Bernstein-basis evaluation: t of shape (k,) -> points of shape (k, 3)."""
         return bernstein(t, self.degree).reshape(self.degree + 1, -1).T @ self.control_points
 
-    def end_derivative(self, end):
-        """First derivative vector at 'start' (t=0) or 'end' (t=1).
-
-        A degree-0 curve has no direction; the zero vector is returned.
-        A derivative beyond the float range raises DomainError.
-        """
-        if end not in ("start", "end"):
-            raise DomainError("end must be 'start' or 'end'")
-        p = self.control_points
-        if self.degree == 0:
-            return np.zeros(3)
-        a, b = (p[0], p[1]) if end == "start" else (p[-2], p[-1])
-        # in Python floats an overflow gives inf without a numpy warning
-        derivative = [self.degree * (y - x) for x, y in zip(a.tolist(), b.tolist())]
-        if not all(map(isfinite, derivative)):
-            raise DomainError("curve end derivative overflows the float range")
-        return np.array(derivative)
-
     def __repr__(self):
         return "BezierCurve(degree=%d)" % self.degree
 
@@ -63,7 +45,8 @@ def bernstein(t, degree):
     running products of t and 1 - t; the result has shape
     (degree + 1,) + t.shape.
     """
-    degree = integer(degree, "Bernstein degree", 0, SIZE_BUDGET)
+    # C(1030, 515) is past the float range: 1029 is the highest degree with finite binomials
+    degree = integer(degree, "Bernstein degree", 0, 1029)
     t = array(t, "curve parameter").astype(float, copy=False)
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DomainError("curve parameter outside [0, 1]")

@@ -1,5 +1,5 @@
-"""Exception hierarchy and argument checks shared by the whole package: every library check
-raises an NPatchError.  The CLI exits with 2 on a NumericError, 1 on any other."""
+"""Exception hierarchy and the argument and overflow checks shared by the whole package: every
+library check raises an NPatchError.  The CLI exits with 2 on a NumericError, 1 on any other."""
 
 import math
 import numbers
@@ -79,3 +79,20 @@ def array(value, name, *shapes, error=DomainError):
         raise error("%s must be numbers of shape %s, got %s %s" % (name, " or ".join(
             map(str, shapes)).replace("None", "k") or "any", value.dtype, got))
     return value
+
+
+class overflow:
+    """Context that runs its block under np.errstate(over="raise") and turns the
+    FloatingPointError of an overflow into DomainError("<what> overflows the float range")."""
+
+    def __init__(self, what):  # a class: a contextlib generator costs about 2 µs more per entry
+        self.what = what
+        self.state = np.errstate(over="raise")
+
+    def __enter__(self):
+        self.state.__enter__()
+
+    def __exit__(self, kind, error, trace):
+        self.state.__exit__(kind, error, trace)
+        if kind is not None and issubclass(kind, FloatingPointError):
+            raise DomainError("%s overflows the float range" % self.what) from None

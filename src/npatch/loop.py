@@ -10,7 +10,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .curves import BezierCurve
-from .errors import ClosureError, DomainError, real
+from .errors import ClosureError, DomainError, overflow, real
 
 
 class BoundaryLoop:
@@ -75,14 +75,18 @@ def opposite_curve(loop, i):
     """The curve closing ribbon i across the far side of the loop.
 
     For n >= 4 this is the cubic bridging corner i+1 to corner i-2
-    with end tangents borrowed from sides i+2 and i-2.  For n = 3 the
-    two far corners coincide and the curve degenerates to that point.
+    with end tangents borrowed from sides i+2 and i-2 (zero for a side of
+    degree 0).  For n = 3 the two far corners coincide and the curve
+    degenerates to that point.  DomainError: a control point overflows.
     """
     sides, n = loop.sides, loop.n
     p0 = sides[(i + 1) % n].control_points[-1]
     if n == 3:
         return BezierCurve([p0])
     p3 = sides[(i - 1) % n].control_points[0]
-    p1 = p0 + sides[(i + 2) % n].end_derivative("start") / 3.0
-    p2 = p3 - sides[(i - 2) % n].end_derivative("end") / 3.0
+    q, r = sides[(i + 2) % n].control_points, sides[(i - 2) % n].control_points
+    dq, dr = len(q) - 1, len(r) - 1  # their degrees
+    with overflow("opposite curve"):
+        p1 = p0 + dq * (q[min(1, dq)] - q[0]) / 3.0
+        p2 = p3 - dr * (r[-1] - r[-1 - min(1, dr)]) / 3.0
     return BezierCurve([p0, p1, p2, p3])

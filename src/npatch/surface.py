@@ -4,7 +4,7 @@ import numpy as np
 
 from .curves import bernstein, elevate
 from .domain import DomainPolygon, local_params
-from .errors import DomainError, array, integer, real
+from .errors import array, integer, overflow, real
 from .loop import opposite_curve
 
 # curve parameters per evaluation block (points x 4n curve columns): bounds
@@ -45,11 +45,8 @@ class Patch:
         corners = sides[-1]  # corner i ends side i; elevation keeps it bit for bit
         start, end = corners[np.r_[i - 1, (i + 1) % n]], corners[np.r_[i, i - 2]]
         u = np.linspace(0.0, 1.0, degree + 1)[:, None, None]
-        try:
-            with np.errstate(over="raise"):
-                folded = controls - ((1.0 - u) * start + u * end)
-        except FloatingPointError:
-            raise DomainError("patch side minus its corner chord overflows the float range") from None
+        with overflow("patch side minus its corner chord"):
+            folded = controls - ((1.0 - u) * start + u * end)
         self._controls_t = np.concatenate(
             [folded[:, :n], sides[:, i - 1], sides[:, (i + 1) % n], folded[:, n:]], axis=1
         ).reshape(-1, 3).T.copy()
@@ -92,13 +89,9 @@ class Patch:
         points = array(points, "domain points", (None, 2))
         out = np.empty((len(points), len(controls)))
         block = max(1, BLOCK_VALUES // (4 * self.n))
-        try:
-            with np.errstate(over="raise"):
-                for start in range(0, len(points), block):
-                    out[start:start + block] = self._eval_block(
-                        points[start:start + block], controls)
-        except FloatingPointError:
-            raise DomainError("patch evaluation overflows the float range") from None
+        with overflow("patch evaluation"):
+            for start in range(0, len(points), block):
+                out[start:start + block] = self._eval_block(points[start:start + block], controls)
         return out
 
     def _eval_block(self, points, controls):

@@ -77,3 +77,18 @@ def bulging_triangle_doc(degree, corner_z, interior_z):
         side.update(degree=degree, control_points=points.tolist())
     doc["weld_tolerance"] = 1e-9
     return json.dumps(doc)
+
+
+def near_range_square_doc():
+    """Loop document of the unit-square fixture scaled by 1.75e308, its first side raised to
+    degree 12 with the second control point moved 0.025e308 past the first, away from the
+    side, and weld tolerance 1e-9: every end derivative is finite, but the opposite cubic
+    across that side starts 4 * 0.025e308 past its corner, beyond the float range."""
+    doc = json.loads(scaled_doc(bundled_loop("square"), 1.75e308, weld_tolerance=1e-9))
+    side = doc["sides"][0]
+    a, b = np.array(side["control_points"])
+    t = np.linspace(0.0, 1.0, 13)[:, None]
+    points = (1.0 - t) * a + t * b
+    points[1] = a + [0.0, 0.025e308, 0.0]
+    side.update(degree=12, control_points=points.tolist())
+    return json.dumps(doc)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch
-from npatch.analysis import (UMBRELLA_TOL, contours, curvature_map, dirichlet_energy,
-                             harmonic_fill, mean_curvature, pull_inward)
+from npatch.analysis import (contours, curvature_map, dirichlet_energy, harmonic_fill,
+                             mean_curvature, pull_inward)
 from npatch.errors import DomainError, NumericError, SchemaError
 from npatch.fileio import read_loop
 from npatch.mesher import Boundary
@@ -231,6 +231,15 @@ def _triangle_mesh(vertices, pinned):
     return TriMesh(vertices, [[0, 1, 2]], boundary=Boundary(index, index, np.zeros(pinned)))
 
 
+@pytest.mark.parametrize("point", [(1.0, 2, 3), (-0.5, 0.1, 7e-6), (1e-300, 0, 0)],
+                         ids=["unit", "mixed", "tiny"])
+def test_harmonic_fill_of_a_point_loop_is_the_point(point):
+    # a boundary of one point has no extent; the tolerances take its size instead
+    mesh = mesh_patch(make_patch(make_loop([BezierCurve([point])] * 4)), 6)
+    filled = harmonic_fill(mesh).vertices
+    assert np.abs(filled - point).max() <= 1e-15 * np.abs(point).max()
+
+
 @pytest.mark.parametrize("source", ["no table", "empty table"])
 def test_harmonic_needs_boundary_table(source):
     if source == "no table":
@@ -280,8 +289,9 @@ def test_degenerate_sides_mesh_fill_and_curve_finitely(name):
 @given(n=st.integers(3, 12), degree=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
        k=st.sampled_from([-260, -1, 1, 260]))
 def test_power_of_two_scale_equivariance(n, degree, seed, k):
-    # scaling a loop by 2**k scales every product and sum of the kernel, the mesh and the
-    # curvature stencils exactly, so the mesh scales by 2**k and H by 2**-k bit for bit
+    # scaling a loop by 2**k scales every product and sum of the kernel, the mesh, the
+    # curvature stencils and the harmonic solve exactly, so the mesh and the harmonic fill
+    # scale by 2**k and H by 2**-k bit for bit
     loop = random_loop(n, degree, np.random.default_rng(seed))
     scaled = make_loop([BezierCurve(np.ldexp(c.control_points, k)) for c in loop.sides])
     with warnings.catch_warnings():
@@ -291,9 +301,4 @@ def test_power_of_two_scale_equivariance(n, degree, seed, k):
         curvature, curvature_k = (curvature_map(make_patch(lp), 5).scalar for lp in (loop, scaled))
         assert np.array_equal(curvature_k, np.ldexp(curvature, -k))
         harmonic, harmonic_k = (harmonic_fill(m).vertices for m in (mesh, mesh_k))
-    if k >= 0:
-        assert np.array_equal(harmonic_k, np.ldexp(harmonic, k))
-    else:
-        # the solve's absolute tolerance has a floor at unit scale
-        scale = scaled.bbox_diagonal()
-        assert np.abs(harmonic_k - np.ldexp(harmonic, k)).max() <= UMBRELLA_TOL * max(scale, 1.0)
+    assert np.array_equal(harmonic_k, np.ldexp(harmonic, k))

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bulging_triangle_doc, bundled_loop, loop_doc, scaled_doc, scaled_square_doc
+from conftest import (bulging_triangle_doc, bundled_loop, loop_doc, near_range_square_doc,
+                      scaled_doc, scaled_square_doc)
 
 from npatch import make_patch, mesh_patch
 from npatch.analysis import contours, curvature_map, harmonic_fill
@@ -90,7 +91,8 @@ def test_mesh_near_the_float_range(tmp_path, capsys, fixture):
     bulging_triangle_doc(2, -1.7e308, 1.7e308),  # a side minus its corner chord
     bulging_triangle_doc(3, 0.0, 1.7e308),  # the Coons sum near the centre
     scaled_doc(bundled_loop("pentagon"), 1.7e308, weld_tolerance=1e-9),  # an end tangent
-], ids=["corner chord", "evaluation", "end derivative"])
+    near_range_square_doc(),  # an opposite cubic's inner control point
+], ids=["corner chord", "evaluation", "end derivative", "opposite curve"])
 def test_mesh_past_the_float_range_names_the_overflow(tmp_path, capsys, doc):
     path = tmp_path / "huge.json"
     path.write_text(doc)
@@ -99,6 +101,20 @@ def test_mesh_past_the_float_range_names_the_overflow(tmp_path, capsys, doc):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "overflows the float range" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["mesh", "-m", "2", "-o", "out.obj"],
+                                  ["eval", "--uv", "0.1,0.2"]], ids=["mesh", "eval"])
+def test_side_of_degree_1030_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    # the binomials of degree 1030 pass the float range: float() raised OverflowError
+    monkeypatch.chdir(tmp_path)
+    Path("high.json").write_text(loop_doc(np.linspace([0, 0, 0], [1, 0, 0], 1031).tolist(),
+                                          [[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 0]]))
+    assert main(argv[:1] + ["high.json"] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
 
 

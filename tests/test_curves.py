@@ -66,27 +66,6 @@ def test_parameter_out_of_range():
         c.eval_many([0.5, np.nan])
 
 
-def test_end_derivative_segment():
-    c = BezierCurve([(0, 0, 0), (2, 0, 0)])
-    assert np.allclose(c.end_derivative("start"), (2, 0, 0), atol=0)
-
-
-def test_end_derivative_collinear_cubic():
-    c = BezierCurve([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
-    assert np.allclose(c.end_derivative("end"), (3, 0, 0), atol=0)
-
-
-def test_end_derivative_cubic_start():
-    c = BezierCurve(CUBIC)
-    assert np.allclose(c.end_derivative("start"), (0, 3, 0), atol=0)
-
-
-def test_degree_zero_derivative_is_zero():
-    c = BezierCurve([(1, 2, 3)])
-    assert np.array_equal(c.end_derivative("start"), np.zeros(3))
-    assert np.array_equal(c.end_derivative("end"), np.zeros(3))
-
-
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         BezierCurve(np.zeros((0, 3)))
@@ -94,13 +73,6 @@ def test_rejects_bad_input():
         BezierCurve([(0, 0, np.nan)])
     with pytest.raises(ValueError):
         BezierCurve([(0, 0)])
-
-
-def test_end_derivative_overflow_is_domain_error():
-    c = BezierCurve([(-1e308, 0, 0), (0, 0, 0), (1e308, 0, 0)])
-    for end in ("start", "end"):
-        with pytest.raises(DomainError, match="overflows the float range"):
-            c.end_derivative(end)
 
 
 @pytest.mark.parametrize("degree", range(8))

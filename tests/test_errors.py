@@ -35,7 +35,6 @@ CHECKS = {
     "curve shape": lambda: BezierCurve(np.zeros((2, 2))),
     "curve without points": lambda: BezierCurve(np.zeros((0, 3))),
     "curve not finite": lambda: BezierCurve([[0.0, 0, np.inf]]),
-    "curve end name": lambda: BezierCurve(LINE).end_derivative("middle"),
     "polygon sides": lambda: DomainPolygon(2),
     "negative weld tolerance": lambda: make_loop(SQUARE_LOOP.sides, weld_tolerance=-1.0),
     "NaN weld tolerance": lambda: make_loop(SQUARE_LOOP.sides, weld_tolerance=float("nan")),
@@ -94,8 +93,6 @@ CHECKS = {
     "weld tolerance string": lambda: make_loop(SQUARE_LOOP.sides, "x"),
     "Bernstein degree negative": lambda: bernstein(0.5, -1),
     "Bernstein degree not an integer": lambda: bernstein(0.5, 2.5),
-    # the end name is checked before a constant curve returns its zero derivative
-    "constant curve end name": lambda: BezierCurve([[0.0, 0, 0]]).end_derivative("middle"),
     # ragged nesting raised numpy's plain ValueError before any check ran
     "eval_many of ragged points": lambda: SQUARE.eval_many([[0.1], [0.2, 0.3]]),
     "mean curvature of ragged points": lambda: mean_curvature(SQUARE, [[0.1], [0.2, 0.3]]),
@@ -109,6 +106,8 @@ CHECKS = {
     "polygon sides 10**6": lambda: DomainPolygon(10**6),
     "contour count 2**45": _contours_of(TRIANGLE, count=2**45),
     "Bernstein degree 2**40": lambda: bernstein(0.5, 2**40),
+    # C(1030, 515) is past the float range: float() of it raised OverflowError
+    "Bernstein degree 1030": lambda: bernstein(0.5, 1030),
     "random loop degree 2**40": lambda: random_loop(5, 2**40, np.random.default_rng(0)),
     # a step whose square underflows divided 0 by 0 in the second differences
     "curvature step 1e-170": lambda: mean_curvature(SQUARE, [0.1, 0.1], h=1e-170),
@@ -122,6 +121,17 @@ CHECKS = {
     "boundary edge parameter numpy True": lambda: SQUARE.eval_boundary(0, np.True_),
     "curvature step True": lambda: mean_curvature(lambda q: [q[0], q[1], 0.0], [0.1, 0.1], h=True),
     "weld tolerance False": lambda: make_loop(SQUARE_LOOP.sides, False),
+    # a NaN boundary vertex passed the span check, and the solve warned of an invalid value
+    "harmonic fill of a NaN boundary vertex": lambda: harmonic_fill(TriMesh(
+        TRIANGLE[:2] + [[0, 1, np.nan], [0.3, 0.3, 0]], [[0, 1, 3], [1, 2, 3], [2, 0, 3]],
+        boundary=Boundary([0, 1, 2], None, None))),
+    "Dirichlet energy past the float range": lambda: dirichlet_energy(
+        TriMesh([[0.0, 0, -1e308], [1, 0, 1e308], [0, 1, 0]], [[0, 1, 2]])),
+    # an inf vertex gave an infinite energy without an overflow, a NaN one a NaN energy
+    "Dirichlet energy of an inf vertex":
+        lambda: dirichlet_energy(TriMesh(TRIANGLE[:2] + [[0, 1, np.inf]], [[0, 1, 2]])),
+    "Dirichlet energy of a NaN vertex":
+        lambda: dirichlet_energy(TriMesh(TRIANGLE[:2] + [[0, 1, np.nan]], [[0, 1, 2]])),
     # H ~ 1 / size of a loop of subnormal size, where numpy warned of an overflow in ldexp
     "mean curvature past the float range": lambda: mean_curvature(make_patch(make_loop(
         [BezierCurve(np.ldexp(c.control_points, -1030)) for c in bundled_loop("pentagon").sides])),
@@ -190,7 +200,7 @@ def test_patch_of_the_pentagon_past_the_float_range_names_the_overflow():
     loop = read_loop(scaled_doc(bundled_loop("pentagon"), 1.7e308, weld_tolerance=1e-9))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="end derivative overflows the float range"):
+        with pytest.raises(DomainError, match="opposite curve overflows the float range"):
             make_patch(loop)
 
 

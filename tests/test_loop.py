@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import bundled_loop
 
 from npatch import BezierCurve, DomainPolygon, make_loop
 from npatch.loop import opposite_curve
-from npatch.errors import ClosureError
+from npatch.errors import ClosureError, DomainError
 from npatch.fixtures import random_loop
 
 
@@ -95,3 +97,36 @@ def test_opposite_curve_endpoints(n):
         opp = opposite_curve(loop, i)
         assert np.array_equal(opp.eval(0.0), loop.sides[(i + 1) % n].control_points[-1])
         assert np.array_equal(opp.eval(1.0), loop.sides[i - 1].control_points[0])
+
+
+def _loop_with_far_sides(far):
+    """Five-sided loop whose sides 2 and 3, the ones ribbon 0's opposite curve takes its
+    end tangents from, are far and far translated to start where far ends."""
+    far = np.array(far, dtype=float)
+    next_far = far - far[0] + far[-1]
+    c4, c0 = (0.0, -2, 0), (-1.0, -1, 0)
+    sides = [[c4, c0], [c0, far[0]], far, next_far, [next_far[-1], c4]]
+    return make_loop([BezierCurve(p) for p in sides])
+
+
+@pytest.mark.parametrize("far, start, end", [
+    ([(0, 0, 0), (2, 0, 0)], (2, 0, 0), (2, 0, 0)),
+    ([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)], (3, 0, 0), (3, 0, 0)),
+    ([(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)], (0, 3, 0), (0, -3, 0)),
+    ([(1, 2, 3)], (0, 0, 0), (0, 0, 0)),  # a point has no direction: a zero tangent
+], ids=["segment", "collinear cubic", "cubic", "constant"])
+def test_opposite_curve_takes_the_far_end_tangents(far, start, end):
+    # the inner control points sit a third of the far sides' end derivatives inside the ends
+    loop = _loop_with_far_sides(far)
+    p0, p3 = loop.sides[1].control_points[-1], loop.sides[4].control_points[0]
+    expected = [p0, p0 + np.array(start) / 3.0, p3 - np.array(end) / 3.0, p3]
+    assert np.array_equal(opposite_curve(loop, 0).control_points, expected)
+
+
+def test_opposite_curve_past_the_float_range_names_the_overflow():
+    # the far sides' end derivative, 2 * 1e308, is beyond the float range
+    loop = _loop_with_far_sides([(0, 0, 0), (1e308, 0, 0), (0, 0, 0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="opposite curve overflows the float range"):
+            opposite_curve(loop, 0)
