@@ -221,16 +221,16 @@ def harmonic_fill(mesh):
     boundary of one point, its largest coordinate magnitude), and the
     solve runs in units of a power of two near it, so a loop scaled by a
     power of two fills to the scaled result bit for bit.  A mesh without
-    interior vertices is returned unchanged.  SchemaError: no boundary
-    table, or a boundary index that is not a 1-D array of vertex indices.
+    interior vertices is returned unchanged.  SchemaError: no boundary,
+    or a boundary that is not a 1-D array of vertex indices.
     DomainError: the boundary is not finite or spans more than the float range.
     """
     nv = len(mesh.vertices)
     boundary = np.zeros(nv, dtype=bool)
     if mesh.boundary is not None:
-        boundary[vertex_indices(mesh.boundary.index, nv, "boundary", (None,))] = True
+        boundary[vertex_indices(mesh.boundary, nv, "boundary", (None,))] = True
     if not boundary.any():
-        raise SchemaError("harmonic_fill needs a mesh with a boundary table")
+        raise SchemaError("harmonic_fill needs a mesh with a boundary")
     interior = np.nonzero(~boundary)[0]
     fixed = mesh.vertices[boundary]
     # the tolerances' length: a boundary of one point has no extent, but a size
@@ -243,10 +243,9 @@ def harmonic_fill(mesh):
     tol_scale = scale / unit  # the tolerances' length, in those units
 
     # graph Laplacian rows for interior vertices: deg*x_v - sum(neighbors)
-    u, v = mesh.triangles.ravel(), mesh.triangles[:, [1, 2, 0]].ravel()
+    u, v = mesh.edges().T
     adjacency = sp.csr_matrix((np.ones(2 * u.size), (np.r_[u, v], np.r_[v, u])), shape=(nv, nv))
-    adjacency.data[:] = 1.0  # a side shared by two triangles summed to 2
-    deg = np.diff(adjacency.indptr).astype(float)
+    deg = adjacency.sum(axis=1).A1  # row sums: a loop (v, v) counts 2, as in the neighbor sum
     a_mat = (sp.diags(deg) - adjacency).tocsr()[interior][:, interior]
     rhs = adjacency[interior][:, boundary] @ pos[boundary]
 

@@ -6,19 +6,22 @@ import numpy as np
 
 from .errors import DomainError, array, integer
 
+# C(1030, 515) is past the float range: 1029 is the highest degree with finite binomials
+MAX_DEGREE = 1029
+
 
 class BezierCurve:
     """Polynomial Bezier curve in R^3 of arbitrary degree >= 0.
 
     Degree 0 is a legitimate constant curve; it is needed for the
-    degenerate opposite curve of three-sided loops.  Instances are
-    immutable after construction.
+    degenerate opposite curve of three-sided loops.  The degree is at most
+    MAX_DEGREE.  Instances are immutable after construction.
     """
 
     def __init__(self, control_points):
         pts = array(control_points, "control points", (None, 3)).astype(float)  # a copy
-        if not len(pts) or not np.all(np.isfinite(pts)):
-            raise DomainError("a curve needs one or more control points, all finite")
+        if not 0 < len(pts) <= MAX_DEGREE + 1 or not np.all(np.isfinite(pts)):
+            raise DomainError("a curve needs 1 to %d control points, all finite" % (MAX_DEGREE + 1))
         pts.setflags(write=False)
         self.control_points = pts
 
@@ -45,8 +48,7 @@ def bernstein(t, degree):
     running products of t and 1 - t; the result has shape
     (degree + 1,) + t.shape.
     """
-    # C(1030, 515) is past the float range: 1029 is the highest degree with finite binomials
-    degree = integer(degree, "Bernstein degree", 0, 1029)
+    degree = integer(degree, "Bernstein degree", 0, MAX_DEGREE)
     t = array(t, "curve parameter").astype(float, copy=False)
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DomainError("curve parameter outside [0, 1]")

@@ -9,7 +9,7 @@ Loop document (JSON):
       "weld_tolerance": 1e-9,            # optional
       "sides": [
         {"degree": 1, "control_points": [[x, y, z], [x, y, z]]},
-        ...                              # >= 3 sides, count = degree + 1
+        ...                              # >= 3 sides, count = degree + 1 <= 1030
       ]
     }
 
@@ -39,7 +39,7 @@ import sys
 
 import numpy as np
 
-from .curves import BezierCurve
+from .curves import MAX_DEGREE, BezierCurve
 from .errors import ParseError, SchemaError, array
 from .loop import make_loop
 
@@ -229,8 +229,8 @@ def read_loop(text):
             raise SchemaError("sides[%d]: must be an object" % k)
         degree = side.get("degree")
         cps = side.get("control_points")
-        if type(degree) is not int or degree < 0:  # bool is an int subclass
-            raise SchemaError("sides[%d].degree: need a non-negative integer" % k)
+        if type(degree) is not int or not 0 <= degree <= MAX_DEGREE:  # bool is an int subclass
+            raise SchemaError("sides[%d].degree: need an integer in 0 .. %d" % (k, MAX_DEGREE))
         if not isinstance(cps, list):
             raise SchemaError("sides[%d].control_points: missing or not a list" % k)
         if len(cps) != degree + 1:

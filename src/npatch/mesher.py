@@ -1,19 +1,16 @@
 """Concentric-ring tessellation of the domain polygon and patch meshing."""
 
-from collections import namedtuple
-
 import numpy as np
 
 from .errors import SIZE_BUDGET, SchemaError, array, integer
 
-Boundary = namedtuple("Boundary", "index side t")
-Boundary.__doc__ = """Boundary vertices: indices, 0-based side and edge parameter t, shape (k,)."""
-
 
 def vertex_indices(values, count, what, shape):
-    """values as an int array; SchemaError unless of shape and integers in 0 .. count - 1."""
+    """values as an int array; SchemaError unless of shape and integers in 0 .. count - 1
+    (a boolean mask is not read as the indices 0 and 1)."""
     values = array(values, what + " indices", shape, error=SchemaError)
-    if values.dtype.kind == "f" and not np.array_equal(values, np.trunc(values)):
+    kind = values.dtype.kind
+    if kind == "b" or kind == "f" and not np.array_equal(values, np.trunc(values)):
         raise SchemaError("%s indices must be integers" % what)
     if np.any((values < 0) | (values >= count)):
         raise SchemaError("%s index out of range for %d vertices" % (what, count))
@@ -23,21 +20,21 @@ def vertex_indices(values, count, what, shape):
 class TriMesh:
     """Indexed triangle mesh (2D or 3D vertices).
 
-    boundary is a Boundary table of the vertices lying on the domain
-    boundary (None when unknown); scalar is an optional per-vertex channel;
-    domain holds the (k, 2) domain points the vertices were mapped from
-    (None when unknown).  SchemaError: the triangle table is not 2-D, holds
-    a value that is not an integer (NaN included) or an index out of range,
-    or vertices, scalar or boundary are not of the kinds just described.
+    boundary is a 1-D array of the indices of the vertices lying on the
+    domain boundary (None when unknown); scalar is an optional per-vertex
+    channel; domain holds the (k, 2) domain points the vertices were mapped
+    from (None when unknown).  SchemaError: the triangle table is not 2-D
+    or the boundary not 1-D, either holds a value that is not an integer
+    (a boolean or NaN included) or an index out of range, or vertices or
+    scalar are not of the kinds just described.
     """
 
     def __init__(self, vertices, triangles, boundary=None, scalar=None, domain=None):
         self.vertices = array(vertices, "vertices", (None,), (None, None),
                               error=SchemaError).astype(float, copy=False)
         self.triangles = vertex_indices(triangles, len(self.vertices), "triangle", (None, None))
-        if boundary is not None and not isinstance(boundary, Boundary):
-            raise SchemaError("boundary must be None or a mesher.Boundary table")
-        self.boundary = boundary
+        self.boundary = None if boundary is None else vertex_indices(
+            boundary, len(self.vertices), "boundary", (None,))
         self.scalar = None if scalar is None else array(
             scalar, "scalar", (len(self.vertices),), error=SchemaError).astype(float, copy=False)
         self.domain = domain
@@ -64,37 +61,36 @@ def tessellate_domain(poly, m):
 
     Ring l (l = m..1) is the polygon scaled by l/m about the center
     with l vertices per edge; ring 0 is the center point.  Ring m's
-    vertices form the boundary table, with uniform t.  DomainError: m is
-    not an integer >= 1, or the n*m*m triangles pass errors.SIZE_BUDGET.
+    vertices are the boundary, side by side: boundary[q*m + j] lies on
+    side q at t = j/m.  DomainError: m is not an integer >= 1, or the
+    n*m*m triangles pass errors.SIZE_BUDGET.
 
-    The strip between rings l and l-1 on side 0 merges its l outer and
-    l-1 inner steps by their normalized ends (i+1)/l and (j+1)/(l-1),
-    ties to the outer step; the count of the other chain's steps before
-    a step (a floor division) gives its triangle and slot.
+    The strip between rings l and l-1 on side 0 alternates its l outer
+    and l-1 inner steps, outer first, save that it ends with the last
+    outer step and then the last inner one (the order of their
+    normalized ends, ties to the outer step).
     """
     m = integer(m, "resolution m", 1, int((SIZE_BUDGET / poly.n) ** 0.5))  # n m^2 triangles
     n, s = poly.n, np.arange(poly.n)
     level, slot, index = sectors(n, m)
-    t = slot / level
     vertices = np.zeros((1 + index.size, 2))
-    vertices[index] = (level / m)[..., None] * poly.edge_point(s, t)
-    boundary = Boundary(index[-m:].T.ravel(), np.repeat(s, m), np.tile(t[-m:, 0], n))
+    vertices[index] = (level / m)[..., None] * poly.edge_point(s, slot / level)
 
-    # steps of side 0's strip at level lev: outer i < lev, then inner j < lev-1
+    # triangle k < 2 lev - 1 of side 0's strip at level lev, and its outer (a) and inner
+    # (b) steps before
     lev = np.repeat(np.arange(1, m + 1), np.arange(1, 2 * m, 2))
-    step = np.arange(lev.size) - (lev - 1) ** 2
-    inner = step >= lev
-    j = step - lev
-    a = np.where(inner, (j + 1) * lev // np.maximum(lev - 1, 1), step)  # outer steps before
-    b = np.where(inner, j, np.maximum(((step + 1) * (lev - 1) - 1) // lev, 0))  # inner steps before
+    k = np.arange(lev.size) - (lev - 1) ** 2
+    inner = (k % 2 == 1) != (k >= np.maximum(2 * lev - 3, 1))
+    a = (k + 1 + inner) // 2
+    b = k - a
     # corner (ring, slot <= ring) of side 0, moved s * ring on side s; slot n * ring wraps to 0
     ring = np.stack([lev, lev - inner, lev - 1], axis=-1)
     at = np.stack([a, np.where(inner, b, a) + 1, b], axis=-1)
     corners = np.r_[0, index[slot[:, 0] == 0, 0]][ring] + at + s[:, None, None] * ring
     corners[-1] -= n * ring * (at == ring)
     triangles = np.empty((n * m * m, 3), dtype=int)
-    triangles[n * (lev - 1) ** 2 + s[:, None] * (2 * lev - 1) + a + b] = corners
-    return TriMesh(vertices, triangles, boundary=boundary)
+    triangles[n * (lev - 1) ** 2 + s[:, None] * (2 * lev - 1) + k] = corners
+    return TriMesh(vertices, triangles, boundary=index[-m:].T.ravel())
 
 
 def mesh_patch(patch, m):
@@ -103,8 +99,8 @@ def mesh_patch(patch, m):
     The ring mesh maps onto itself under the rotation by 2 pi / n: side 0's
     slots of each ring go through Patch.eval_rotations, whose rotation q
     gives sector q, and the center through Patch.eval_many.  Boundary
-    vertices are evaluated directly on their boundary curve, at side 0's
-    edge parameters, so the mesh boundary lies exactly on the input curves.
+    vertices are evaluated directly on their boundary curve, at the edge
+    parameters j/m, so the mesh boundary lies exactly on the input curves.
     """
     m = integer(m, "resolution m", 1, int((SIZE_BUDGET / patch.n) ** 0.5))
     dm = tessellate_domain(patch.domain, m)
@@ -112,5 +108,5 @@ def mesh_patch(patch, m):
     pts = np.empty((len(dm.vertices), 3))
     pts[:1] = patch.eval_many(dm.vertices[:1])
     pts[index] = patch.eval_rotations(dm.vertices[index[:, 0]])
-    pts[index[-m:]] = np.stack([c.eval_many(dm.boundary.t[:m]) for c in patch.loop.sides], axis=1)
+    pts[index[-m:]] = np.stack([c.eval_many(np.arange(m) / m) for c in patch.loop.sides], axis=1)
     return TriMesh(pts, dm.triangles, boundary=dm.boundary, domain=dm.vertices)

@@ -135,7 +135,7 @@ def test_criterion_8_harmonic_baseline():
     assert np.array_equal(harmonic.triangles, patch_mesh.triangles)
 
     # umbrella residual, re-checked here against the 1e-9 criterion
-    boundary = set(harmonic.boundary.index.tolist())
+    boundary = set(harmonic.boundary.tolist())
     nbr = {}
     for tri in harmonic.triangles:
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
@@ -189,7 +189,9 @@ def test_criterion_10_mesh_integrity():
             ok &= f == n * m * m
             ok &= v - len(uniq) + f == 1
             ok &= set(np.unique(counts)) <= {1, 2}
-            for vi, side, t in zip(*mesh.boundary):
+            # the ring layout: boundary[q*m + j] lies on side q at t = j/m
+            for vi, side, t in zip(mesh.boundary, np.repeat(np.arange(n), m),
+                                   np.tile(np.arange(m) / m, n)):
                 worst_boundary = max(worst_boundary, np.abs(
                     mesh.vertices[vi] - loop.sides[side].eval(t)).max())
     ok &= worst_boundary <= 1e-15

@@ -11,7 +11,6 @@ from npatch.analysis import (contours, curvature_map, dirichlet_energy, harmonic
                              mean_curvature, pull_inward)
 from npatch.errors import DomainError, NumericError, SchemaError
 from npatch.fileio import read_loop
-from npatch.mesher import Boundary
 from npatch.fixtures import random_loop
 
 
@@ -188,7 +187,7 @@ def test_harmonic_planar_loop():
 def test_harmonic_umbrella_and_max_principle():
     loop = bundled_loop("pentagon")
     mesh = harmonic_fill(mesh_patch(make_patch(loop), 6))
-    boundary = set(mesh.boundary.index.tolist())
+    boundary = set(mesh.boundary.tolist())
     nbr = {}
     for tri in mesh.triangles:
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
@@ -225,10 +224,18 @@ def test_harmonic_other_fixtures(n):
     assert np.all(np.isfinite(mesh.vertices))
 
 
+def test_harmonic_fill_ignores_degenerate_triangles():
+    # a triangle that repeats a side adds no neighbor, and one of a single vertex a loop
+    # that counts in its degree and its neighbor sum alike
+    mesh = mesh_patch(make_patch(bundled_loop("pentagon")), 4)
+    extra = np.vstack([mesh.triangles, mesh.triangles[0, [0, 1, 0]], [7, 7, 7]])
+    degenerate = harmonic_fill(TriMesh(mesh.vertices, extra, boundary=mesh.boundary))
+    assert np.array_equal(degenerate.vertices, harmonic_fill(mesh).vertices)
+
+
 def _triangle_mesh(vertices, pinned):
     """One triangle plus any extra vertices; the first `pinned` vertices are boundary."""
-    index = np.arange(pinned)
-    return TriMesh(vertices, [[0, 1, 2]], boundary=Boundary(index, index, np.zeros(pinned)))
+    return TriMesh(vertices, [[0, 1, 2]], boundary=np.arange(pinned))
 
 
 @pytest.mark.parametrize("point", [(1.0, 2, 3), (-0.5, 0.1, 7e-6), (1e-300, 0, 0)],

@@ -105,9 +105,11 @@ def test_mesh_past_the_float_range_names_the_overflow(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize("argv", [["mesh", "-m", "2", "-o", "out.obj"],
-                                  ["eval", "--uv", "0.1,0.2"]], ids=["mesh", "eval"])
+                                  ["eval", "--uv", "0.1,0.2"], ["check"]],
+                         ids=["mesh", "eval", "check"])
 def test_side_of_degree_1030_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
-    # the binomials of degree 1030 pass the float range: float() raised OverflowError
+    # the binomials of degree 1030 pass the float range: float() raised OverflowError, and
+    # check passed the loop that no evaluation could use
     monkeypatch.chdir(tmp_path)
     Path("high.json").write_text(loop_doc(np.linspace([0, 0, 0], [1, 0, 0], 1031).tolist(),
                                           [[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 0]]))

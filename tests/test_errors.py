@@ -20,7 +20,7 @@ from npatch.curves import bernstein
 from npatch.errors import DomainError, NPatchError, SchemaError
 from npatch.fileio import read_loop, write_obj, write_ply_scalar
 from npatch.fixtures import random_loop
-from npatch.mesher import Boundary, tessellate_domain
+from npatch.mesher import tessellate_domain
 
 LINE = [[0.0, 0, 0], [1, 0, 0]]
 TRIANGLE = [[0.0, 0, 0], [1, 0, 0], [0, 1, 1]]
@@ -108,6 +108,8 @@ CHECKS = {
     "Bernstein degree 2**40": lambda: bernstein(0.5, 2**40),
     # C(1030, 515) is past the float range: float() of it raised OverflowError
     "Bernstein degree 1030": lambda: bernstein(0.5, 1030),
+    # a degree no evaluation can use: refused where the curve is made, not at its first use
+    "curve of 1031 control points": lambda: BezierCurve(np.zeros((1031, 3))),
     "random loop degree 2**40": lambda: random_loop(5, 2**40, np.random.default_rng(0)),
     # a step whose square underflows divided 0 by 0 in the second differences
     "curvature step 1e-170": lambda: mean_curvature(SQUARE, [0.1, 0.1], h=1e-170),
@@ -124,7 +126,7 @@ CHECKS = {
     # a NaN boundary vertex passed the span check, and the solve warned of an invalid value
     "harmonic fill of a NaN boundary vertex": lambda: harmonic_fill(TriMesh(
         TRIANGLE[:2] + [[0, 1, np.nan], [0.3, 0.3, 0]], [[0, 1, 3], [1, 2, 3], [2, 0, 3]],
-        boundary=Boundary([0, 1, 2], None, None))),
+        boundary=[0, 1, 2])),
     "Dirichlet energy past the float range": lambda: dirichlet_energy(
         TriMesh([[0.0, 0, -1e308], [1, 0, 1e308], [0, 1, 0]], [[0, 1, 2]])),
     # an inf vertex gave an infinite energy without an overflow, a NaN one a NaN energy
@@ -219,12 +221,21 @@ def test_contour_graph_of_degree_above_two_is_schema_error(triangles):
 
 
 def _harmonic_pinning(index):
-    """harmonic_fill of a square mesh whose boundary table's first index is replaced."""
+    """harmonic_fill of a square mesh whose boundary's first index is replaced."""
     def fill():
         mesh = mesh_patch(make_patch(bundled_loop("square")), 3)
-        mesh.boundary = mesh.boundary._replace(index=np.r_[index, mesh.boundary.index[1:]])
+        mesh.boundary = np.r_[index, mesh.boundary[1:]]
         return harmonic_fill(mesh)
     return fill
+
+
+def _harmonic_of_a_boundary_mask():
+    """harmonic_fill of a square mesh whose boundary is given as a boolean mask."""
+    mesh = mesh_patch(make_patch(bundled_loop("square")), 3)
+    mask = np.zeros(len(mesh.vertices), dtype=bool)
+    mask[mesh.boundary] = True
+    mesh.boundary = mask
+    return harmonic_fill(mesh)
 
 
 MALFORMED_MESHES = {
@@ -249,8 +260,14 @@ MALFORMED_MESHES = {
     "contours without vertices": _contours_of(np.zeros((0, 3)), triangles=np.zeros((0, 3), int)),
     "contours of planar vertices": _contours_of(np.eye(3, 2)),
     "ragged triangle table": lambda: TriMesh(np.eye(3), [[0, 1], [0, 1, 2]]),
-    # harmonic_fill read .index off it: an AttributeError or TypeError
-    "boundary that is not a Boundary table": lambda: TriMesh(np.eye(3), [[0, 1, 2]], boundary=[0]),
+    "boundary that is not a 1-D index array":
+        lambda: TriMesh(np.eye(3), [[0, 1, 2]], boundary=[[0]]),
+    # a boolean mask was read as the indices 0 and 1: the triangle [1, 0, 1], and a harmonic
+    # fill that pinned vertices 0 and 1 only and came out 0.62 off, without an error
+    "boolean triangle indices": lambda: TriMesh(np.eye(3), [[True, False, True]]),
+    "boolean boundary indices":
+        lambda: TriMesh(np.eye(3), [[0, 1, 2]], boundary=[True, False, True]),
+    "harmonic boundary mask": _harmonic_of_a_boundary_mask,
 }
 
 
@@ -293,8 +310,8 @@ ENTRY_POINTS = {
     "curvature_map m": lambda x: curvature_map(SQUARE, x),
     "contours axis": lambda x: contours(MESH, x, 3),
     "contours count": lambda x: contours(MESH, [0, 0, 1], x),
-    "harmonic_fill boundary index": lambda x: harmonic_fill(
-        TriMesh(MESH.vertices, MESH.triangles, boundary=Boundary(x, None, None))),
+    # assigned after construction, so harmonic_fill's own check sees it
+    "harmonic_fill boundary index": lambda x: harmonic_fill(_mesh_with("boundary", x)),
     "read_loop": read_loop,
     "write_obj vertices": lambda x: write_obj(_mesh_with("vertices", x)),
     "write_obj polyline": lambda x: write_obj(MESH, ContourSet([0, 0, 1], [0.5], [x])),

@@ -72,7 +72,8 @@ def writer_cases():
 @pytest.mark.parametrize("n", sorted({bundled_loop(name).n for name in FIXTURES}))
 def test_tessellation_bits(n, m):
     dm = tessellate_domain(DomainPolygon(n), m)
-    table = np.column_stack(dm.boundary)
+    # index, side and edge parameter: boundary[q*m + j] lies on side q at t = j/m
+    table = np.column_stack((dm.boundary, np.repeat(np.arange(n), m), np.tile(np.arange(m) / m, n)))
     want = GOLDEN["tessellation"]["%d,%d" % (n, m)]
     assert _sha(np.ascontiguousarray(dm.vertices, dtype="<f8").tobytes()) == want["vertices"]
     assert _sha(np.ascontiguousarray(dm.triangles, dtype="<i8").tobytes()) == want["triangles"]

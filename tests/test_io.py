@@ -42,6 +42,15 @@ def test_degree_count_mismatch():
         read_loop(json.dumps(doc))
 
 
+def test_degree_past_the_bound_names_the_side():
+    # its binomials pass the float range: the error came only at the first evaluation
+    doc = json.loads(SQUARE_DOC)
+    a, b = doc["sides"][1]["control_points"]
+    doc["sides"][1] = {"degree": 1030, "control_points": np.linspace(a, b, 1031).tolist()}
+    with pytest.raises(SchemaError, match=r"sides\[1\]\.degree: need an integer in 0 \.\. 1029"):
+        read_loop(json.dumps(doc))
+
+
 def test_bad_point_shape():
     doc = json.loads(SQUARE_DOC)
     doc["sides"][1]["control_points"][0] = [1, 2]
