@@ -4,8 +4,6 @@ import math
 from collections import namedtuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (SIZE_BUDGET, DomainError, NumericError, SchemaError, array, integer,
                      overflow, real)
@@ -242,6 +240,8 @@ def harmonic_fill(mesh):
     pos = mesh.vertices / unit
     tol_scale = scale / unit  # the tolerances' length, in those units
 
+    import scipy.sparse as sp  # here, not at the top: 0.2 s of import no other command needs
+    import scipy.sparse.linalg as spla
     # graph Laplacian rows for interior vertices: deg*x_v - sum(neighbors)
     u, v = mesh.edges().T
     adjacency = sp.csr_matrix((np.ones(2 * u.size), (np.r_[u, v], np.r_[v, u])), shape=(nv, nv))

@@ -42,14 +42,17 @@ class NumericError(NPatchError):
     """A numerical procedure failed to converge."""
 
 
+def _bounds(least, most):  # " >= least and <= most" for a message, infinite bounds left out
+    return " and".join(" %s %s" % b for b in ((">=", least), ("<=", most)) if math.isfinite(b[1]))
+
+
 def integer(value, name, least=-math.inf, most=math.inf):
     """value as a Python int; DomainError unless a Python or numpy integer, not a boolean,
     in [least, most]."""
     # int first: the ABC check alone is slow, and the kernel passes a Python int per block
     if (not isinstance(value, (int, numbers.Integral)) or isinstance(value, bool)
             or not least <= value <= most):
-        raise DomainError("%s must be an integer >= %s and <= %s, got %r"
-                          % (name, least, most, value))
+        raise DomainError("%s must be an integer%s, got %r" % (name, _bounds(least, most), value))
     return operator.index(value)  # a narrow numpy int would overflow in arithmetic
 
 
@@ -59,8 +62,8 @@ def real(value, name, least=-math.inf, most=math.inf):
     values = array(value, name, ())
     number = float(values)  # a narrow numpy float would round in arithmetic
     if values.dtype.kind == "b" or not (least <= number <= most and math.isfinite(number)):
-        raise DomainError("%s must be a finite number >= %s and <= %s, got %r"
-                          % (name, least, most, value))
+        raise DomainError("%s must be a finite number%s, got %r"
+                          % (name, _bounds(least, most), value))
     return number
 
 

@@ -1,7 +1,7 @@
 import json
+from math import comb
 
 import numpy as np
-from scipy.special import comb
 
 from npatch.fileio import read_loop, write_loop
 from npatch.fixtures import FIXTURE_DIR

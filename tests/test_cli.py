@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from conftest import (bulging_triangle_doc, bundled_loop, loop_doc, near_range_square_doc,
                       scaled_doc, scaled_square_doc)
 
+import npatch
 from npatch import make_patch, mesh_patch
 from npatch.analysis import contours, curvature_map, harmonic_fill
 from npatch.cli import main
@@ -219,6 +222,32 @@ def test_contours(pentagon_file, tmp_path):
                  "--count", "4", "-o", str(out)]) == 0
     text = out.read_text()
     assert any(l.startswith("l ") for l in text.splitlines())
+
+
+# runs the CLI in a fresh interpreter on the same npatch as the suite (argv[1] is its parent
+# directory); its last line lists the scipy modules loaded before `harmonic`, the npatch it
+# ran and whether scipy.sparse.linalg is loaded after `harmonic`
+SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from npatch.cli import main
+loop, out = sys.argv[2], sys.argv[3]
+for argv in (["check"], ["eval", "--uv", "0.1,0.2"], ["mesh", "-m", "6", "-o", out],
+             ["contours", "-m", "6", "-o", out], ["curvature", "-m", "4", "-o", out]):
+    assert main([argv[0], loop] + argv[1:]) == 0, argv
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert main(["harmonic", loop, "-m", "6", "-o", out]) == 0
+print(json.dumps([before, sys.modules["npatch"].__file__, "scipy.sparse.linalg" in sys.modules]))
+"""
+
+
+def test_only_harmonic_loads_scipy(pentagon_file, tmp_path):
+    # a subprocess: this session has imported scipy already
+    root = str(Path(npatch.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, root, pentagon_file,
+                           str(tmp_path / "out")], capture_output=True, text=True, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], npatch.__file__, True]
 
 
 def test_outputs_deterministic(pentagon_file, tmp_path):

@@ -149,6 +149,29 @@ def test_library_checks_raise_domain_error(name):
     assert isinstance(info.value, ValueError)
 
 
+# an infinite bound is left out of the message, a finite one kept
+MESSAGES = {
+    "side index": (lambda: SQUARE.eval_boundary("1", 0.5),
+                   "side index must be an integer, got '1'"),
+    "curvature step": (lambda: mean_curvature(SQUARE, [0.1, 0.1], h=-1.0),
+                       "step h must be a finite number >= %r, got -1.0" % 2.0**-511),
+    "weld tolerance": (lambda: make_loop(SQUARE_LOOP.sides, weld_tolerance=-1.0),
+                       "weld_tolerance must be a finite number >= 0, got -1.0"),
+    "edge parameter": (lambda: SQUARE.eval_boundary(0, 2.0),
+                       "edge parameter must be a finite number >= 0 and <= 1, got 2.0"),
+    "resolution": (lambda: tessellate_domain(DomainPolygon(5), 0),
+                   "resolution m must be an integer >= 1 and <= 7327, got 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESSAGES))
+def test_check_messages_name_only_finite_bounds(name):
+    call, message = MESSAGES[name]
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_patch_of_huge_square_names_the_overflow():
     # the opposite cubics' end tangents of a +-1e308 square are beyond the float range
     loop = read_loop(scaled_square_doc(1e308, weld_tolerance=1e-9))
