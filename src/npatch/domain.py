@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import SIZE_BUDGET, DomainError, integer
 
-# threshold below which s_i is flagged invalid (the matching blend
-# weight is of the same magnitude, so the skipped term is noise-level)
+# lambda_{i-1} + lambda_i below which s_i is undefined (flagged invalid); the
+# patch takes such a side at s_i = 0, with its weight (1 - d_i)/2 <= EPS_SD/2
 EPS_SD = 1e-10
 # boundary band for the inside test; distances in it snap to the edge
 EPS_GEOM = 1e-12
@@ -80,7 +80,7 @@ LocalParams.__doc__ = """Per-side sweep/distance parameters (s_i, d_i) at one or
 
 Arrays have shape (..., n).  Where lambda_{i-1} + lambda_i falls
 below EPS_SD, s_i is undefined: s holds NaN and valid is False.  The
-caller skips those sides; their blend weight vanishes anyway.
+patch takes those sides at s_i = 0, at weight (1 - d_i)/2 <= EPS_SD/2.
 """
 
 

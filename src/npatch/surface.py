@@ -16,9 +16,9 @@ BLOCK_VALUES = 2**14
 class Patch:
     """Transfinite n-sided surface over the regular n-gon domain.
 
-    S(p) = sum_i R_i(s_i, d_i) * (1 - d_i) / 2, where the sum skips
-    sides whose sweep parameter is undefined (their weight vanishes).
-    No renormalization is applied.
+    S(p) = sum_i R_i(s_i, d_i) * (1 - d_i) / 2 over every side; where s_i
+    is undefined (weight at most EPS_SD / 2), side i is taken at s_i = 0,
+    so the weights always sum to one.  No renormalization is applied.
     """
 
     def __init__(self, loop):
@@ -62,7 +62,7 @@ class Patch:
     def eval_many(self, points):
         """Surface points at an array of 2D domain points, shape (k, 2) -> (k, 3).
 
-        S = sum_i w_i R_i(s_i, d_i), w_i = (1 - d_i)/2 (0 where s_i is
+        S = sum_i w_i R_i(s_i, d_i), w_i = (1 - d_i)/2 (s_i = 0 where it is
         undefined), is linear in the curve samples.  Per block of
         BLOCK_VALUES / (4n) points, one Bernstein basis of degree D over
         all 4n curve columns, scaled by the Coons weights, multiplies the
@@ -98,11 +98,10 @@ class Patch:
         # values (k, r) of r / 3 stacked control tensors (r, (D + 1) 4n)
         k, n = len(points), self.n
         lp = local_params(self.domain.wachspress_many(points))
-        # sides with undefined s get weight 0 (and any finite s)
+        # undefined s is taken as 0; its side keeps its weight, so the weights sum to one
         s, d = lp.s, lp.d
         s[~lp.valid] = 0.0
         w = 0.5 * (1.0 - d)
-        w[~lp.valid] = 0.0
         # curve-major (4n, k) parameters and weights of ribbon i's base, prev,
         # next and opposite curve
         s, d, w = s.T, d.T, w.T

@@ -1,10 +1,30 @@
 import json
+from functools import partial
 from math import comb
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from npatch.fileio import read_loop, write_loop
 from npatch.fixtures import FIXTURE_DIR
+
+# every hypothesis test draws the same examples on every run and is not timed;
+# each one sets only its max_examples
+settings.register_profile("npatch", deadline=None, derandomize=True)
+settings.load_profile("npatch")
+
+# the bound on the paper's invariants: 64 units of roundoff (they hold within about
+# 6), times the loop's bbox diagonal where the values are points in space
+EPS64 = 64 * np.finfo(float).eps
+# the random loops the invariants are checked on: side counts, degrees and seeds
+SIDES = range(3, 17)
+DEGREES = st.integers(1, 7)
+SEEDS = st.integers(0, 2**32 - 1)
+# distances 10**e from a corner toward the center: on this range the far sides'
+# lambda_{i-1} + lambda_i falls through EPS_SD (a partial, not a lambda, whose
+# source hypothesis would parse on every run)
+CORNER_DISTANCES = st.floats(-9, -3).map(partial(pow, 10.0))
 
 
 def bundled_loop(name):
@@ -26,6 +46,11 @@ def random_interior_points(rng, poly, count):
     """Uniform-ish interior samples as random convex combinations of vertices."""
     w = rng.dirichlet(np.ones(poly.n), size=count)
     return w @ poly.vertices
+
+
+def probe_points(rng, poly, distance, count=50):
+    """count random interior points, then every corner moved distance toward the center."""
+    return np.vstack([random_interior_points(rng, poly, count), poly.vertices * (1.0 - distance)])
 
 
 def random_affine(rng):

@@ -163,7 +163,7 @@ def test_closed_contours_close_bitwise():
     assert all(np.array_equal(poly[0], poly[-1]) for poly in closed)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(n=st.integers(3, 12), degree=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
        axis=st.sampled_from(np.eye(3).tolist()))
 def test_contours_on_level_planes(n, degree, seed, axis):
@@ -292,7 +292,7 @@ def test_degenerate_sides_mesh_fill_and_curve_finitely(name):
         assert np.all(np.isfinite(curvature_map(patch, 6).scalar))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(n=st.integers(3, 12), degree=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
        k=st.sampled_from([-260, -1, 1, 260]))
 def test_power_of_two_scale_equivariance(n, degree, seed, k):

@@ -94,7 +94,7 @@ def _axis(kind, rng):
     return np.eye(3)[kind] if kind < 3 else rng.standard_normal(3)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(n=st.integers(3, 12), degree=st.integers(1, 5), m=st.integers(1, 50),
        count=st.integers(1, 15), axis=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
 def test_contours_match_reference_on_random_loops(n, degree, m, count, axis, seed):

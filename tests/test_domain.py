@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import random_interior_points
+from conftest import (CORNER_DISTANCES, EPS64, SEEDS, SIDES, probe_points,
+                      random_interior_points)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,14 +90,15 @@ def test_wachspress_square_equals_bilinear():
     assert np.allclose(poly.wachspress_many(mid[None]), [0.5, 0.5, 0, 0], atol=1e-14)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 10])
-def test_partition_of_unity_and_linear_precision(n):
+@pytest.mark.parametrize("n", SIDES)
+@settings(max_examples=5)
+@given(seed=SEEDS, distance=CORNER_DISTANCES)
+def test_partition_of_unity_and_linear_precision(n, seed, distance):
     poly = DomainPolygon(n)
-    rng = np.random.default_rng(n)
-    pts = random_interior_points(rng, poly, 2000)
+    pts = probe_points(np.random.default_rng(seed), poly, distance, count=1000)
     lam = poly.wachspress_many(pts)
-    assert np.abs(lam.sum(axis=1) - 1).max() <= 1e-12
-    assert np.abs(lam @ poly.vertices - pts).max() <= 1e-12
+    assert np.abs(lam.sum(axis=1) - 1).max() <= EPS64
+    assert np.abs(lam @ poly.vertices - pts).max() <= EPS64
     assert lam.min() >= 0
 
 
@@ -138,40 +140,28 @@ def test_local_params_far_edge():
         assert not lp.valid[0, i]
 
 
-@pytest.mark.parametrize("n", range(3, 11))
-def test_d_properties(n):
+@pytest.mark.parametrize("n", SIDES)
+@settings(max_examples=5)
+@given(t=st.lists(st.floats(0, 1), min_size=1, max_size=20), seed=SEEDS,
+       distance=CORNER_DISTANCES)
+def test_d_properties(n, t, seed, distance):
     poly = DomainPolygon(n)
-    t = np.linspace(0, 1, 100)
-    for i in range(n):
-        pts = np.array([poly.edge_point(i, tk) for tk in t])
-        lp = local_params(poly.wachspress_many(pts))
-        assert np.abs(lp.d[:, i]).max() <= 1e-12
-        assert np.abs(lp.d[:, (i - 1) % n] + lp.d[:, (i + 1) % n] - 1).max() <= 1e-12
-        for j in range(n):
-            if j in ((i - 1) % n, i, (i + 1) % n):
-                continue
-            assert np.abs(lp.d[:, j] - 1).max() <= 1e-12
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(n=st.integers(3, 16), t=st.lists(st.floats(0, 1), min_size=1, max_size=20),
-       seed=st.integers(0, 2**32 - 1))
-def test_d_properties_at_random_parameters(n, t, seed):
-    poly = DomainPolygon(n)
-    t = np.array(t)
-    for i in range(n):
-        d = local_params(poly.wachspress_many(poly.edge_point(i, t))).d
-        assert np.abs(d[:, i]).max() <= 1e-12
-        assert np.abs(d[:, (i - 1) % n] + d[:, (i + 1) % n] - 1).max() <= 1e-12
-        far = np.setdiff1d(np.arange(n), [(i - 1) % n, i, (i + 1) % n])
-        assert np.abs(d[:, far] - 1).max(initial=0.0) <= 1e-12
+    i = np.arange(n)
+    t = np.r_[0.0, t, distance, 1.0 - distance, 1.0]
+    # d[i, k, j]: side j's d at edge i's point t[k]
+    d = local_params(poly.wachspress_many(poly.edge_point(i[:, None], t).reshape(-1, 2))).d
+    d = d.reshape(n, t.size, n)
+    assert np.abs(d[i, :, i]).max() <= EPS64
+    assert np.abs(d[i, :, i - 1] + d[i, :, (i + 1) % n] - 1).max() <= EPS64
+    far = np.abs((i - i[:, None] + 1) % n - 1) > 1  # [i, j]: j is not side i - 1, i or i + 1
+    assert np.abs(d - 1).transpose(0, 2, 1)[far].max(initial=0.0) <= EPS64
     # inside the polygon every side is at a distance strictly between 0 and 1
     pts = random_interior_points(np.random.default_rng(seed), poly, 200)
     d = local_params(poly.wachspress_many(pts)).d
     assert d.min() > 0 and d.max() < 1
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(n=st.integers(3, 16), seed=st.integers(0, 2**32 - 1))
 def test_rotation_shifts_the_coordinates(n, seed):
     # lambda_i(R p) = lambda_{i-1}(p) for the rotation R by 2 pi / n, and so

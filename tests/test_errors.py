@@ -356,7 +356,7 @@ MALFORMED = st.one_of(
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(value=MALFORMED)
 def test_malformed_values_give_a_result_or_an_npatch_error(name, value):
     # numpy's own exceptions and warnings (a ComplexWarning, a RuntimeWarning) fail the test

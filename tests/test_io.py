@@ -131,7 +131,7 @@ def test_loop_document_roundtrip():
         assert np.abs(a.control_points - b.control_points).max() <= 1e-15
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(n=st.integers(3, 16), degree=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
 def test_loop_document_roundtrip_on_random_loops(n, degree, seed):
     rng = np.random.default_rng(seed)
@@ -309,7 +309,7 @@ def test_read_loop_special_value_in_every_field():
                     read_loop(json.dumps(_replace(doc, path, value)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(data=st.data(), base=st.sampled_from(range(len(LOOP_DOCS))),
        count=st.integers(1, 3))
 def test_read_loop_mutations_raise_only_npatch_error(data, base, count):
@@ -321,7 +321,7 @@ def test_read_loop_mutations_raise_only_npatch_error(data, base, count):
         read_loop(json.dumps(doc))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(raw=st.one_of(st.text(), st.binary()))
 def test_read_loop_arbitrary_input_raises_only_npatch_error(raw):
     with suppress(NPatchError):

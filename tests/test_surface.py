@@ -2,8 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import bundled_loop, random_affine, random_interior_points
-from hypothesis import given, settings
+from conftest import (CORNER_DISTANCES, DEGREES, EPS64, SEEDS, SIDES, bundled_loop,
+                      probe_points, random_affine, random_interior_points)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from npatch import BezierCurve, DomainPolygon, make_loop, make_patch
@@ -36,48 +37,88 @@ def classical_coons(loop, lam):
     )
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-def test_boundary_interpolation(n):
-    loop = random_loop(n, 5, np.random.default_rng(40 + n))
+@pytest.mark.parametrize("n", SIDES)
+@settings(max_examples=5)
+@given(degree=DEGREES, seed=SEEDS, distance=CORNER_DISTANCES)
+def test_boundary_interpolation(n, degree, seed, distance):
+    rng = np.random.default_rng(seed)
+    loop = random_loop(n, degree, rng)
     patch = make_patch(loop)
-    tol = 1e-9 * loop.bbox_diagonal()
-    t = np.linspace(0, 1, 50)
-    for i in range(n):
-        pts = np.array([patch.domain.edge_point(i, tk) for tk in t])
-        err = np.abs(patch.eval_many(pts) - loop.sides[i].eval_many(t)).max()
-        assert err <= tol
+    t = np.r_[distance, rng.uniform(0, 1, 20), 1.0 - distance]
+    on_edges = patch.domain.edge_point(np.arange(n)[:, None], t).reshape(-1, 2)
+    want = np.vstack([c.eval_many(t) for c in loop.sides])
+    assert np.abs(patch.eval_many(on_edges) - want).max() <= EPS64 * loop.bbox_diagonal()
 
 
-def test_corner_interpolation():
-    for n in (3, 5, 8):
-        loop = random_loop(n, 3, np.random.default_rng(50 + n))
-        patch = make_patch(loop)
-        for i in range(n):
-            got = patch.eval(patch.domain.vertices[i])
-            assert np.abs(got - loop.sides[i].control_points[-1]).max() <= 1e-12
+@settings(max_examples=20)
+@given(n=st.sampled_from(SIDES), degree=DEGREES, seed=SEEDS)
+def test_corner_interpolation(n, degree, seed):
+    loop = random_loop(n, degree, np.random.default_rng(seed))
+    corners = np.array([c.control_points[-1] for c in loop.sides])
+    got = make_patch(loop).eval_many(DomainPolygon(n).vertices)
+    assert np.abs(got - corners).max() <= EPS64 * loop.bbox_diagonal()
 
 
-def test_planar_loop_planar_patch():
-    loop = random_loop(6, 3, np.random.default_rng(51))
-    flat = make_loop([BezierCurve(c.control_points * [1, 1, 0]) for c in loop.sides])
+@pytest.mark.parametrize("n", SIDES)
+@settings(max_examples=5)
+@given(seed=SEEDS, distance=CORNER_DISTANCES)
+def test_blend_partition_of_unity(n, seed, distance):
+    poly = DomainPolygon(n)
+    pts = probe_points(np.random.default_rng(seed), poly, distance)
+    d = local_params(poly.wachspress_many(pts)).d
+    assert np.abs((0.5 * (1.0 - d)).sum(axis=1) - 1).max() <= EPS64
+
+
+@settings(max_examples=20)
+@given(degree=st.integers(1, 3), seed=SEEDS, distance=CORNER_DISTANCES)
+def test_square_matches_classical_coons(degree, seed, distance):
+    # the opposite curve is a cubic with the far side's end tangents, so it is
+    # that side itself only up to degree 3
+    rng = np.random.default_rng(seed)
+    loop = random_loop(4, degree, rng)
+    patch = make_patch(loop)
+    pts = probe_points(rng, patch.domain, distance)
+    want = np.array([classical_coons(loop, lam) for lam in patch.domain.wachspress_many(pts)])
+    assert np.abs(patch.eval_many(pts) - want).max() <= EPS64 * loop.bbox_diagonal()
+
+
+@settings(max_examples=20)
+@given(n=st.sampled_from(SIDES), degree=DEGREES, seed=SEEDS, distance=CORNER_DISTANCES)
+def test_planar_loop_planar_patch(n, degree, seed, distance):
+    # exactly: every term of the patch and of each ribbon is a multiple of a zero z
+    rng = np.random.default_rng(seed)
+    flat = make_loop([BezierCurve(c.control_points * [1, 1, 0])
+                      for c in random_loop(n, degree, rng).sides])
     patch = make_patch(flat)
-    pts = random_interior_points(np.random.default_rng(52), patch.domain, 500)
-    assert np.abs(patch.eval_many(pts)[:, 2]).max() <= 1e-12
+    assert not patch.eval_many(probe_points(rng, patch.domain, distance))[:, 2].any()
+    s, d = rng.uniform(0, 1, (2, 50))
+    assert not any(Ribbon(flat, i).eval_many(s, d)[:, 2].any() for i in range(n))
 
 
-@pytest.mark.parametrize("n", range(3, 11))
-def test_blend_partition_of_unity(n):
-    patch_domain = make_patch(random_loop(n, 3, np.random.default_rng(60 + n))).domain
-    pts = random_interior_points(np.random.default_rng(61), patch_domain, 5000)
-    lp = local_params(patch_domain.wachspress_many(pts))
-    blend = 0.5 * (1.0 - lp.d)
-    assert np.abs(blend.sum(axis=1) - 1).max() <= 1e-12
+@settings(max_examples=25)
+@given(n=st.sampled_from(SIDES), degree=DEGREES, seed=SEEDS, distance=CORNER_DISTANCES)
+# near this corner a side's lambda_{i-1} + lambda_i is below EPS_SD: unless that side keeps
+# its weight (about 5e-11), the weights miss one and the map's translation leaks in
+@example(n=5, degree=3, seed=0, distance=1e-5)
+def test_affine_equivariance(n, degree, seed, distance):
+    # the patch, and each of its ribbons, commutes with an affine map of the loop
+    rng = np.random.default_rng(seed)
+    loop = random_loop(n, degree, rng)
+    a, b = random_affine(np.random.default_rng(seed + 1))
+    mapped = make_loop([BezierCurve(c.control_points @ a.T + b) for c in loop.sides])
+    bound = EPS64 * mapped.bbox_diagonal()
+    pts = probe_points(rng, DomainPolygon(n), distance)
+    routed = make_patch(loop).eval_many(pts) @ a.T + b
+    assert np.abs(make_patch(mapped).eval_many(pts) - routed).max() <= bound
+    s, d = rng.uniform(0, 1, (2, 50))
+    for i in range(n):
+        routed = Ribbon(loop, i).eval_many(s, d) @ a.T + b
+        assert np.abs(Ribbon(mapped, i).eval_many(s, d) - routed).max() <= bound
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
 def test_matches_per_ribbon_sum(n):
-    # reference: S = sum over valid sides of R_i(s_i, d_i) (1 - d_i) / 2,
-    # one Ribbon evaluation per side
+    # reference: S = sum_i R_i(s_i, d_i) (1 - d_i) / 2, one Ribbon evaluation per side
     loop = random_loop(n, 5, np.random.default_rng(63 + n))
     patch = make_patch(loop)
     poly = patch.domain
@@ -92,95 +133,18 @@ def test_matches_per_ribbon_sum(n):
     assert np.abs(patch.eval(pts[0]) - want[0]).max() <= tol
 
 
-def test_square_matches_classical_coons():
-    rng = np.random.default_rng(62)
-    loop = random_loop(4, 3, rng)
-    patch = make_patch(loop)
-    tol = 1e-9 * loop.bbox_diagonal()
-    pts = random_interior_points(rng, patch.domain, 300)
-    lam = patch.domain.wachspress_many(pts)
-    got = patch.eval_many(pts)
-    for k in range(len(pts)):
-        assert np.abs(got[k] - classical_coons(loop, lam[k])).max() <= tol
-
-
 def test_eval_boundary_matches_curves():
     loop = random_loop(5, 5, np.random.default_rng(63))
     patch = make_patch(loop)
     for i in range(5):
-        assert np.abs(patch.eval_boundary(i, 0.0) - loop.sides[i].eval(0.0)).max() <= 1e-12
-        assert np.abs(patch.eval_boundary(i, 1.0) - loop.sides[i].eval(1.0)).max() <= 1e-12
-        assert np.abs(patch.eval_boundary(i, 0.37) - loop.sides[i].eval(0.37)).max() <= 1e-10
-
-
-def test_affine_equivariance():
-    rng = np.random.default_rng(64)
-    loop = random_loop(5, 3, rng)
-    patch = make_patch(loop)
-    pts = random_interior_points(rng, patch.domain, 100)
-    for _ in range(5):
-        a, b = random_affine(rng)
-        mapped = make_loop([BezierCurve(c.control_points @ a.T + b) for c in loop.sides])
-        direct = make_patch(mapped).eval_many(pts)
-        routed = patch.eval_many(pts) @ a.T + b
-        assert np.abs(direct - routed).max() <= 1e-9
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(n=st.integers(3, 16), degree=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
-def test_invariants_on_random_loops(n, degree, seed):
-    rng = np.random.default_rng(seed)
-    loop = random_loop(n, degree, rng)
-    patch = make_patch(loop)
-    poly = patch.domain
-    tol = 1e-9 * loop.bbox_diagonal()
-    # boundary and corner interpolation, every side in one batch
-    t = np.linspace(0, 1, 9)
-    on_edges = poly.edge_point(np.repeat(np.arange(n), t.size), np.tile(t, n))
-    want = np.vstack([c.eval_many(t) for c in loop.sides])
-    assert np.abs(patch.eval_many(on_edges) - want).max() <= tol
-    corners = np.array([loop.sides[i].control_points[-1] for i in range(n)])
-    assert np.abs(patch.eval_many(poly.vertices) - corners).max() <= 1e-12
-    # Wachspress and blend-weight partition of unity
-    pts = random_interior_points(rng, poly, 50)
-    lam = poly.wachspress_many(pts)
-    assert np.abs(lam.sum(axis=1) - 1).max() <= 1e-12
-    blend = 0.5 * (1.0 - local_params(lam).d)
-    assert np.abs(blend.sum(axis=1) - 1).max() <= 1e-12
-    # affine equivariance
-    a, b = random_affine(rng)
-    mapped = make_loop([BezierCurve(c.control_points @ a.T + b) for c in loop.sides])
-    direct = make_patch(mapped).eval_many(pts)
-    routed = patch.eval_many(pts) @ a.T + b
-    assert np.abs(direct - routed).max() <= 1e-9
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(degree=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_square_matches_classical_coons_on_random_loops(degree, seed):
-    # the opposite curve is a cubic with the far side's end tangents, so it is
-    # that side itself only up to degree 3
-    rng = np.random.default_rng(seed)
-    loop = random_loop(4, degree, rng)
-    patch = make_patch(loop)
-    pts = random_interior_points(rng, patch.domain, 50)
-    want = np.array([classical_coons(loop, lam) for lam in patch.domain.wachspress_many(pts)])
-    assert np.abs(patch.eval_many(pts) - want).max() <= 1e-9 * loop.bbox_diagonal()
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(n=st.integers(3, 16), degree=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
-def test_planar_random_loops_give_planar_patches(n, degree, seed):
-    rng = np.random.default_rng(seed)
-    loop = random_loop(n, degree, rng)
-    flat = make_loop([BezierCurve(c.control_points * [1, 1, 0]) for c in loop.sides])
-    patch = make_patch(flat)
-    pts = random_interior_points(rng, patch.domain, 50)
-    assert np.abs(patch.eval_many(pts)[:, 2]).max() <= 1e-12
+        for t in (0.0, 0.37, 1.0):
+            err = np.abs(patch.eval_boundary(i, t) - loop.sides[i].eval(t)).max()
+            assert err <= EPS64 * loop.bbox_diagonal()
 
 
 def test_continuity_across_skip_threshold():
-    # pairs straddling the s-validity threshold near a far edge must not jump
+    # near a far edge the sides across have lambda_{i-1} + lambda_i below EPS_SD, where s_i
+    # is undefined and the kernel takes s_i = 0: pairs straddling that threshold must not jump
     loop = random_loop(6, 3, np.random.default_rng(65))
     patch = make_patch(loop)
     poly = patch.domain
@@ -217,13 +181,14 @@ def test_triangle_patch_builds():
 
 
 def ribbon_sum(patch, pts):
-    """Per-ribbon oracle: S = sum over valid sides of R_i(s_i, d_i) (1 - d_i) / 2."""
+    """Per-ribbon oracle: S = sum_i R_i(s_i, d_i) (1 - d_i) / 2 over every side, with
+    s_i = 0 where it is undefined (lambda_{i-1} + lambda_i <= EPS_SD)."""
     lp = local_params(patch.domain.wachspress_many(pts))
+    s = np.where(lp.valid, lp.s, 0.0)
     want = np.zeros((len(pts), 3))
     for i in range(patch.n):
-        v = lp.valid[:, i]
-        s, d = lp.s[v, i], lp.d[v, i]
-        want[v] += Ribbon(patch.loop, i).eval_many(s, d) * (0.5 * (1 - d))[:, None]
+        d = lp.d[:, i]
+        want += Ribbon(patch.loop, i).eval_many(s[:, i], d) * (0.5 * (1 - d))[:, None]
     return want
 
 

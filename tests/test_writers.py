@@ -137,13 +137,13 @@ def test_int_fields_print_as_percent_d():
             assert _fields(values, dtype) == ["%d" % i for i in values], (dtype, values)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=40))
 def test_any_float_field_prints_as_percent_g(values):
     assert _fields(values, float) == ["%.9g" % x for x in values]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=40))
 def test_any_int_field_prints_as_percent_d(values):
     assert _fields(values, np.int64) == ["%d" % i for i in values]
