@@ -18,9 +18,6 @@ import numpy as np
 
 from .errors import SIZE_BUDGET, DomainError, integer
 
-# lambda_{i-1} + lambda_i below which s_i is undefined (flagged invalid); the
-# patch takes such a side at s_i = 0, with its weight (1 - d_i)/2 <= EPS_SD/2
-EPS_SD = 1e-10
 # boundary band for the inside test; distances in it snap to the edge
 EPS_GEOM = 1e-12
 
@@ -78,17 +75,18 @@ class DomainPolygon:
 LocalParams = namedtuple("LocalParams", "s d valid")
 LocalParams.__doc__ = """Per-side sweep/distance parameters (s_i, d_i) at one or many points.
 
-Arrays have shape (..., n).  Where lambda_{i-1} + lambda_i falls
-below EPS_SD, s_i is undefined: s holds NaN and valid is False.  The
-patch takes those sides at s_i = 0, at weight (1 - d_i)/2 <= EPS_SD/2.
+Arrays have shape (..., n); s and d lie in [0, 1].  valid marks the
+sides of non-zero weight, lambda_{i-1} + lambda_i > 0.  Elsewhere s_i
+is undefined and holds 0, and d_i = 1, so the weight (1 - d_i)/2 is 0.
 """
 
 
 def local_params(lam):
-    """Compute (s_i, d_i) from Wachspress coordinates (last axis = side)."""
+    """Compute (s_i, d_i) from Wachspress coordinates (last axis = side):
+    s_i = lambda_i / (lambda_{i-1} + lambda_i), d_i = 1 - lambda_{i-1} - lambda_i."""
     lam = np.asarray(lam, dtype=float)
     den = lam[..., np.arange(-1, lam.shape[-1] - 1)] + lam  # lambda_{i-1} + lambda_i
     d = np.clip(1.0 - den, 0.0, 1.0)
-    valid = den > EPS_SD
-    s = np.divide(lam, den, out=np.full_like(lam, np.nan), where=valid)
+    valid = den > 0
+    s = np.divide(lam, den, out=np.zeros_like(lam), where=valid)
     return LocalParams(s, d, valid)

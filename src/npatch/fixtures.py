@@ -7,9 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import BezierCurve
+from .curves import MAX_DEGREE, BezierCurve
 from .domain import DomainPolygon
-from .errors import SIZE_BUDGET, integer
+from .errors import integer
 from .fileio import read_loop
 from .loop import make_loop
 
@@ -22,7 +22,7 @@ BUNDLED = ("triangle", "square", "pentagon", "pocket3a", "pocket3b", "pocket4", 
 def random_loop(n, degree, rng):
     """Seeded random closed loop: perturbed n-gon corners (|z| <= 0.4), jittered interiors."""
     # a degree-0 side cannot join two distinct corners
-    degree = integer(degree, "random_loop degree", 1, SIZE_BUDGET)
+    degree = integer(degree, "random_loop degree", 1, MAX_DEGREE)
     corners = np.column_stack([DomainPolygon(n).vertices, np.zeros(n)])  # in the z = 0 plane
     corners[:, :2] += rng.normal(scale=0.05, size=(n, 2))
     corners[:, 2] = rng.uniform(-0.4, 0.4, size=n)

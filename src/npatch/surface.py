@@ -16,9 +16,10 @@ BLOCK_VALUES = 2**14
 class Patch:
     """Transfinite n-sided surface over the regular n-gon domain.
 
-    S(p) = sum_i R_i(s_i, d_i) * (1 - d_i) / 2 over every side; where s_i
-    is undefined (weight at most EPS_SD / 2), side i is taken at s_i = 0,
-    so the weights always sum to one.  No renormalization is applied.
+    S(p) = sum_i R_i(s_i, d_i) * (1 - d_i) / 2 over all n sides, with no
+    cut-off: a side with lambda_{i-1} + lambda_i = 0, where s_i is
+    undefined, has weight exactly 0.  The weights sum to one, and no
+    renormalization is applied.
     """
 
     def __init__(self, loop):
@@ -62,12 +63,12 @@ class Patch:
     def eval_many(self, points):
         """Surface points at an array of 2D domain points, shape (k, 2) -> (k, 3).
 
-        S = sum_i w_i R_i(s_i, d_i), w_i = (1 - d_i)/2 (s_i = 0 where it is
-        undefined), is linear in the curve samples.  Per block of
-        BLOCK_VALUES / (4n) points, one Bernstein basis of degree D over
-        all 4n curve columns, scaled by the Coons weights, multiplies the
-        control tensor, whose base and opposite columns hold the corner
-        terms.  A sum past the float range raises DomainError.
+        S = sum_i w_i R_i(s_i, d_i), w_i = (1 - d_i)/2, over all n sides,
+        is linear in the curve samples.  Per block of BLOCK_VALUES / (4n)
+        points, one Bernstein basis of degree D over all 4n curve columns,
+        scaled by the Coons weights, multiplies the control tensor, whose
+        base and opposite columns hold the corner terms.  A sum past the
+        float range raises DomainError.
         """
         return self._eval_blocks(points, self._controls_t)
 
@@ -97,10 +98,7 @@ class Patch:
     def _eval_block(self, points, controls):
         # values (k, r) of r / 3 stacked control tensors (r, (D + 1) 4n)
         k, n = len(points), self.n
-        lp = local_params(self.domain.wachspress_many(points))
-        # undefined s is taken as 0; its side keeps its weight, so the weights sum to one
-        s, d = lp.s, lp.d
-        s[~lp.valid] = 0.0
+        s, d, _ = local_params(self.domain.wachspress_many(points))
         w = 0.5 * (1.0 - d)
         # curve-major (4n, k) parameters and weights of ribbon i's base, prev,
         # next and opposite curve

@@ -44,7 +44,7 @@ def test_criterion_1_boundary_interpolation():
 
 
 def test_criterion_2_d_properties():
-    report("2 d-properties (<= 64 eps)", *cases(test_domain.test_d_properties))
+    report("2 d-properties and s in [0, 1] (<= 64 eps)", *cases(test_domain.test_d_properties))
 
 
 def test_criterion_3_wachspress():

@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch
 from npatch.analysis import (ContourSet, contours, curvature_map, dirichlet_energy,
                              harmonic_fill, mean_curvature)
-from npatch.curves import bernstein
+from npatch.curves import MAX_DEGREE, bernstein
 from npatch.errors import DomainError, NPatchError, SchemaError
 from npatch.fileio import read_loop, write_obj, write_ply_scalar
 from npatch.fixtures import random_loop
@@ -161,6 +161,8 @@ MESSAGES = {
                        "edge parameter must be a finite number >= 0 and <= 1, got 2.0"),
     "resolution": (lambda: tessellate_domain(DomainPolygon(5), 0),
                    "resolution m must be an integer >= 1 and <= 7327, got 0"),
+    "random loop degree": (lambda: random_loop(5, MAX_DEGREE + 1, np.random.default_rng(0)),
+                           "random_loop degree must be an integer >= 1 and <= 1029, got 1030"),
 }
 
 

@@ -97,8 +97,8 @@ def test_planar_loop_planar_patch(n, degree, seed, distance):
 
 @settings(max_examples=25)
 @given(n=st.sampled_from(SIDES), degree=DEGREES, seed=SEEDS, distance=CORNER_DISTANCES)
-# near this corner a side's lambda_{i-1} + lambda_i is below EPS_SD: unless that side keeps
-# its weight (about 5e-11), the weights miss one and the map's translation leaks in
+# 1e-5 from this corner a far side's lambda_{i-1} + lambda_i is about 6e-11: unless that side
+# keeps its weight (about 3e-11), the weights miss one and the map's translation leaks in
 @example(n=5, degree=3, seed=0, distance=1e-5)
 def test_affine_equivariance(n, degree, seed, distance):
     # the patch, and each of its ribbons, commutes with an affine map of the loop
@@ -114,6 +114,19 @@ def test_affine_equivariance(n, degree, seed, distance):
     for i in range(n):
         routed = Ribbon(loop, i).eval_many(s, d) @ a.T + b
         assert np.abs(Ribbon(mapped, i).eval_many(s, d) - routed).max() <= bound
+
+
+@pytest.mark.parametrize("n", SIDES)
+@settings(max_examples=5)
+@given(degree=DEGREES, seed=SEEDS, distance=CORNER_DISTANCES)
+def test_exact_ribbon_sum(n, degree, seed, distance):
+    # the patch is the paper's sum over all n ribbons, the far sides' tiny weights included
+    rng = np.random.default_rng(seed)
+    loop = random_loop(n, degree, rng)
+    patch = make_patch(loop)
+    pts = probe_points(rng, patch.domain, distance)
+    err = np.abs(patch.eval_many(pts) - ribbon_sum(patch, pts)).max()
+    assert err <= EPS64 * loop.bbox_diagonal()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
@@ -143,8 +156,9 @@ def test_eval_boundary_matches_curves():
 
 
 def test_continuity_across_skip_threshold():
-    # near a far edge the sides across have lambda_{i-1} + lambda_i below EPS_SD, where s_i
-    # is undefined and the kernel takes s_i = 0: pairs straddling that threshold must not jump
+    # 1e-8 and 3e-8 inside an edge the far sides' lambda_{i-1} + lambda_i are about 1e-9 to
+    # 3e-8, so their weights are tiny and their s_i ratios of tiny numbers: the patch must not
+    # jump between such pairs
     loop = random_loop(6, 3, np.random.default_rng(65))
     patch = make_patch(loop)
     poly = patch.domain
@@ -158,7 +172,7 @@ def test_continuity_across_skip_threshold():
     diff = np.linalg.norm(patch.eval_many(pts) - patch.eval_many(q), axis=1)
     lips = (diff[ok] / step[ok]).max()
 
-    # straddle points: on edge 0 the far sides' lambda pair sum crosses EPS_SD
+    # pairs of points 1e-8 and 3e-8 inside edge 0
     for t in rng.uniform(0.1, 0.9, 20):
         base = poly.edge_point(0, t)
         inward = -poly.edge_normals[0]
@@ -181,14 +195,17 @@ def test_triangle_patch_builds():
 
 
 def ribbon_sum(patch, pts):
-    """Per-ribbon oracle: S = sum_i R_i(s_i, d_i) (1 - d_i) / 2 over every side, with
-    s_i = 0 where it is undefined (lambda_{i-1} + lambda_i <= EPS_SD)."""
-    lp = local_params(patch.domain.wachspress_many(pts))
-    s = np.where(lp.valid, lp.s, 0.0)
+    """Per-ribbon oracle, with its own local parameters: S = sum_i R_i(s_i, d_i) (1 - d_i) / 2
+    over every side, s_i = lambda_i / (lambda_{i-1} + lambda_i) and d_i = 1 - lambda_{i-1} -
+    lambda_i; a side whose lambda pair sums to 0 has weight 0 and is left out."""
+    lam = patch.domain.wachspress_many(pts)
     want = np.zeros((len(pts), 3))
     for i in range(patch.n):
-        d = lp.d[:, i]
-        want += Ribbon(patch.loop, i).eval_many(s[:, i], d) * (0.5 * (1 - d))[:, None]
+        den = lam[:, i - 1] + lam[:, i]
+        ok = den > 0
+        d = np.clip(1.0 - den[ok], 0.0, 1.0)
+        r = Ribbon(patch.loop, i).eval_many(lam[ok, i] / den[ok], d)
+        want[ok] += r * (0.5 * (1 - d))[:, None]
     return want
 
 
