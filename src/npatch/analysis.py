@@ -25,14 +25,14 @@ def mean_curvature(surface, p, h=CURVATURE_STEP):
 
     Partial derivatives come from central finite differences of step h
     on a 9-point stencil, and H from the fundamental forms row by row.
-    `surface` is a Patch, evaluated at the whole batch's stencil in one
-    eval_many call, or any callable mapping a 2D point to R^3, called
-    point by point.  Each stencil is divided by a power of two near its
-    values, which keeps every bit and the products in range, and H is
-    scaled back.  DomainError: p is not a
-    point or rows of numbers, h is not a finite number whose square is at
-    least the smallest normal float (2**-1022), (for a Patch) a point lies
-    within 2h of the domain boundary, or H overflows the float range.
+    `surface` is a Patch or a callable mapping a (k, 2) array of domain
+    points to (k, 3) points, called once on the whole (9k, 2) stencil.
+    Each stencil is divided by a power of two near its values, which keeps
+    every bit and the products in range, and H is scaled back.
+    DomainError: p is not a point or rows of numbers, h is not a finite
+    number whose square is at least the smallest normal float (2**-1022),
+    (for a Patch) a point lies within 2h of the domain boundary, the values
+    are not (9k, 3) numbers, or H overflows the float range.
     """
     p = array(p, "p", (2,), (None, 2))
     h = real(h, "step h", 2.0**-511)  # h * h does not underflow
@@ -40,9 +40,8 @@ def mean_curvature(surface, p, h=CURVATURE_STEP):
     if isinstance(surface, Patch):
         if surface.domain.edge_distances_many(p.reshape(-1, 2)).min(initial=np.inf) < 2 * h:
             raise DomainError("point closer than 2h to the domain boundary")
-        f = surface.eval_many(stencil)
-    else:
-        f = np.array([surface(q) for q in stencil])
+        surface = surface.eval_many
+    f = array(surface(stencil), "surface values", (len(stencil), 3)).astype(float, copy=False)
     f = f.reshape(-1, 9, 3)
     unit = np.frexp(np.abs(f).max(axis=(1, 2)))[1]
     fc, fxp, fxm, fyp, fym, fpp, fpm, fmp, fmm = np.ldexp(f, -unit[:, None, None]).transpose(1, 0, 2)
@@ -251,7 +250,7 @@ def harmonic_fill(mesh):
 
     x0 = np.mean(pos[boundary], axis=0)
     maxiter = 10 * max(len(interior), 1)
-    for c in range(3):
+    for c in range(pos.shape[1]):
         x, info = spla.cg(a_mat, rhs[:, c], x0=np.full(len(interior), x0[c]),
                           rtol=1e-14, atol=1e-14 * tol_scale, maxiter=maxiter)
         if info != 0:

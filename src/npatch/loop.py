@@ -29,14 +29,6 @@ class BoundaryLoop:
     def n(self):
         return len(self.sides)
 
-    def bbox_diagonal(self):
-        return _bbox_diagonal(self.sides)
-
-
-def _bbox_diagonal(curves):
-    pts = np.vstack([c.control_points for c in curves])
-    return math.dist(pts.max(axis=0), pts.min(axis=0))  # scaled: inf only when the diagonal is
-
 
 def make_loop(curves, weld_tolerance=None):
     """Validate closure and weld corners by averaging the meeting endpoints; DomainError
@@ -46,7 +38,9 @@ def make_loop(curves, weld_tolerance=None):
     if len(curves) < 3:
         raise ClosureError("need at least 3 sides, got %d" % len(curves))
     if weld_tolerance is None:
-        weld_tolerance = 1e-9 * _bbox_diagonal(curves)
+        pts = np.vstack([c.control_points for c in curves])
+        # the bbox diagonal, scaled: inf only when the diagonal is
+        weld_tolerance = 1e-9 * math.dist(pts.max(axis=0), pts.min(axis=0))
         if math.isinf(weld_tolerance):
             raise DomainError("control points span more than the float range")
     weld_tolerance = real(weld_tolerance, "weld_tolerance", 0)

@@ -18,25 +18,24 @@ def vertex_indices(values, count, what, shape):
 
 
 class TriMesh:
-    """Indexed triangle mesh (2D or 3D vertices).
+    """Indexed triangle mesh of (k, d) vertices, or of none as a (0,) array.
 
     boundary is a 1-D array of the indices of the vertices lying on the
-    domain boundary (None when unknown); scalar is an optional per-vertex
-    channel; domain holds the (k, 2) domain points the vertices were mapped
-    from (None when unknown).  SchemaError: the triangle table is not 2-D
-    or the boundary not 1-D, either holds a value that is not an integer
-    (a boolean or NaN included) or an index out of range, or vertices or
-    scalar are not of the kinds just described.
+    domain boundary (None when unknown); domain holds the (k, 2) domain
+    points the vertices were mapped from (None when unknown); scalar, a
+    per-vertex channel, is None until assigned (curvature_map sets it).
+    SchemaError: the vertices are not of those shapes, the triangle table
+    is not 2-D or the boundary not 1-D, or either holds a value that is not
+    an integer (a boolean or NaN included) or an index out of range.
     """
 
-    def __init__(self, vertices, triangles, boundary=None, scalar=None, domain=None):
-        self.vertices = array(vertices, "vertices", (None,), (None, None),
+    def __init__(self, vertices, triangles, boundary=None, domain=None):
+        self.vertices = array(vertices, "vertices", (0,), (None, None),
                               error=SchemaError).astype(float, copy=False)
         self.triangles = vertex_indices(triangles, len(self.vertices), "triangle", (None, None))
         self.boundary = None if boundary is None else vertex_indices(
             boundary, len(self.vertices), "boundary", (None,))
-        self.scalar = None if scalar is None else array(
-            scalar, "scalar", (len(self.vertices),), error=SchemaError).astype(float, copy=False)
+        self.scalar = None
         self.domain = domain
 
     def edges(self):

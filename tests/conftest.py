@@ -1,6 +1,6 @@
 import json
 from functools import partial
-from math import comb
+from math import comb, dist
 
 import numpy as np
 from hypothesis import Phase, settings
@@ -32,6 +32,12 @@ CORNER_DISTANCES = st.floats(-9, -3).map(partial(pow, 10.0))
 def bundled_loop(name):
     """The bundled loop document FIXTURE_DIR/<name>.json, read and welded."""
     return read_loop((FIXTURE_DIR / (name + ".json")).read_text())
+
+
+def bbox_diagonal(loop):
+    """The diagonal of the bounding box of the loop's control points."""
+    pts = np.vstack([c.control_points for c in loop.sides])
+    return dist(pts.max(axis=0), pts.min(axis=0))
 
 
 def bernstein_eval(control_points, t):

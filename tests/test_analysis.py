@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import bundled_loop, loop_doc, random_interior_points
+from conftest import bbox_diagonal, bundled_loop, loop_doc, random_interior_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,36 +12,57 @@ from npatch.analysis import (contours, curvature_map, dirichlet_energy, harmonic
 from npatch.errors import DomainError, NumericError, SchemaError
 from npatch.fileio import read_loop
 from npatch.fixtures import random_loop
+from npatch.mesher import tessellate_domain
+
+
+# the analytic surfaces map a (k, 2) array of domain points to (k, 3) points
+def _plane(q):
+    return np.column_stack([q, np.zeros(len(q))])
 
 
 def test_curvature_plane():
-    plane = lambda p: np.array([p[0], p[1], 0.0])
-    assert abs(mean_curvature(plane, np.array([0.2, -0.1]))) <= 1e-6
+    assert abs(mean_curvature(_plane, np.array([0.2, -0.1]))) <= 1e-6
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_callable_surface_is_called_once_on_the_stencil(k):
+    shapes = []
+
+    def plane(q):
+        shapes.append(q.shape)
+        return _plane(q)
+
+    assert mean_curvature(plane, np.full((k, 2), 0.1)).shape == (k,)
+    assert shapes == [(9 * k, 2)]
+
+
+# three points a call, kept away from the poles of the sphere
+POINTS = np.array([[0.1, 0.05], [0.4, 0.1], [-0.2, 0.3]])
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
 def test_curvature_sphere(r):
-    def sphere(p):
-        u, v = 0.3 + p[0], 0.2 + p[1]  # keep away from the poles
-        return r * np.array([np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), np.sin(u)])
+    def sphere(q):
+        u, v = 0.3 + q[:, 0], 0.2 + q[:, 1]
+        return r * np.column_stack([np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), np.sin(u)])
 
-    h = abs(mean_curvature(sphere, np.array([0.1, 0.05])))
-    assert abs(h - 1 / r) / (1 / r) <= 1e-3
+    h = np.abs(mean_curvature(sphere, POINTS))
+    assert np.all(np.abs(h - 1 / r) / (1 / r) <= 1e-3)
 
 
 @pytest.mark.parametrize("r", [0.5, 2.0])
 def test_curvature_cylinder(r):
-    def cylinder(p):
-        return np.array([r * np.cos(p[0]), r * np.sin(p[0]), p[1]])
+    def cylinder(q):
+        return np.column_stack([r * np.cos(q[:, 0]), r * np.sin(q[:, 0]), q[:, 1]])
 
-    h = abs(mean_curvature(cylinder, np.array([0.4, 0.1])))
-    assert abs(h - 1 / (2 * r)) / (1 / (2 * r)) <= 1e-3
+    h = np.abs(mean_curvature(cylinder, POINTS))
+    assert np.all(np.abs(h - 1 / (2 * r)) / (1 / (2 * r)) <= 1e-3)
 
 
 def test_curvature_step_consistency():
     # halving h: second-order method, error should shrink ~4x (allow slack)
-    def surf(p):
-        return np.array([p[0], p[1], np.sin(p[0]) * np.cos(p[1])])
+    def surf(q):
+        return np.column_stack([q, np.sin(q[:, 0]) * np.cos(q[:, 1])])
 
     p = np.array([0.3, 0.2])
     exact = mean_curvature(surf, p, h=1e-5)
@@ -68,7 +89,7 @@ def test_patch_boundary_margin_enforced_batch():
 
 def test_constant_surface_has_no_tangent_plane():
     with pytest.raises(NumericError, match="degenerate tangent plane"):
-        mean_curvature(lambda q: np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2]))
+        mean_curvature(lambda q: np.full((len(q), 3), [1.0, 2.0, 3.0]), np.array([0.1, 0.2]))
 
 
 def test_mean_curvature_batch_matches_points():
@@ -173,7 +194,7 @@ def test_contours_on_level_planes(n, degree, seed, axis):
     for poly in cs.polylines:
         proj = poly @ cs.axis
         level = levels[np.abs(levels - proj[0]).argmin()]
-        assert np.abs(proj - level).max() <= 1e-12 * loop.bbox_diagonal()
+        assert np.abs(proj - level).max() <= 1e-12 * bbox_diagonal(loop)
 
 
 def test_harmonic_planar_loop():
@@ -193,7 +214,7 @@ def test_harmonic_umbrella_and_max_principle():
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             nbr.setdefault(int(a), set()).add(int(b))
             nbr.setdefault(int(b), set()).add(int(a))
-    scale = loop.bbox_diagonal()
+    scale = bbox_diagonal(loop)
     bpts = mesh.vertices[sorted(boundary)]
     lo, hi = bpts.min(axis=0), bpts.max(axis=0)
     for v, ns in nbr.items():
@@ -222,6 +243,24 @@ def test_harmonic_other_fixtures(n):
     loop = random_loop(n, 3, np.random.default_rng(80 + n))
     mesh = harmonic_fill(mesh_patch(make_patch(loop), 5))
     assert np.all(np.isfinite(mesh.vertices))
+
+
+def _lifted(mesh):
+    """mesh with a zero coordinate appended to every vertex."""
+    return TriMesh(np.pad(mesh.vertices, ((0, 0), (0, 1))), mesh.triangles, boundary=mesh.boundary)
+
+
+# each coordinate is its own solve: the 2-D domain mesh fills as its lift to z = 0 does
+# (it raised numpy's IndexError), and 4-D vertices as their 3-D columns (the fourth
+# was left unsolved, and the umbrella check failed)
+@pytest.mark.parametrize("mesh, columns", [
+    (_lifted(tessellate_domain(DomainPolygon(5), 3)), [0, 1]),
+    (mesh_patch(make_patch(bundled_loop("pentagon")), 6), [0, 1, 2, 2]),
+], ids=["2-D", "4-D"])
+def test_harmonic_fill_solves_every_coordinate(mesh, columns):
+    picked = TriMesh(mesh.vertices[:, columns], mesh.triangles, boundary=mesh.boundary)
+    filled = harmonic_fill(mesh).vertices[:, columns]
+    assert np.abs(harmonic_fill(picked).vertices - filled).max() <= 1e-12
 
 
 def test_harmonic_fill_ignores_degenerate_triangles():

@@ -121,7 +121,8 @@ CHECKS = {
     "boundary side index True": lambda: SQUARE.eval_boundary(True, 0.5),
     "boundary edge parameter True": lambda: SQUARE.eval_boundary(0, True),
     "boundary edge parameter numpy True": lambda: SQUARE.eval_boundary(0, np.True_),
-    "curvature step True": lambda: mean_curvature(lambda q: [q[0], q[1], 0.0], [0.1, 0.1], h=True),
+    "curvature step True": lambda: mean_curvature(lambda q: np.pad(q, ((0, 0), (0, 1))),
+                                                  [0.1, 0.1], h=True),
     "weld tolerance False": lambda: make_loop(SQUARE_LOOP.sides, False),
     # a NaN boundary vertex passed the span check, and the solve warned of an invalid value
     "harmonic fill of a NaN boundary vertex": lambda: harmonic_fill(TriMesh(
@@ -268,6 +269,9 @@ MALFORMED_MESHES = {
     "triangle index past the end": lambda: TriMesh(np.eye(4, 3), [[0, 1, 5]]),
     "negative triangle index": lambda: TriMesh(np.eye(4, 3), [[0, 1, -1]]),
     "triangle without vertices": lambda: TriMesh(np.zeros((0, 3)), [[0, 0, 0]]),
+    # 1-D vertices have no coordinates to solve: harmonic_fill raised numpy's TypeError
+    "harmonic fill of 1-D vertices":
+        lambda: harmonic_fill(TriMesh(np.arange(4.0), [[0, 1, 3], [1, 2, 3]], boundary=[0, 1, 2])),
     "energy of a triangle index past the end":
         lambda: dirichlet_energy(TriMesh(np.eye(4, 3), [[0, 1, 5]])),
     # a fractional index would be truncated to another vertex (energy 6.0)
@@ -306,8 +310,9 @@ MESH = mesh_patch(SQUARE, 2)
 
 
 def _mesh_with(attribute, value):
-    """A one-triangle mesh with one attribute replaced after construction."""
-    mesh = TriMesh(np.eye(3), [[0, 1, 2]], scalar=np.zeros(3))
+    """A one-triangle mesh with a zero scalar channel and one attribute replaced."""
+    mesh = TriMesh(np.eye(3), [[0, 1, 2]])
+    mesh.scalar = np.zeros(3)
     setattr(mesh, attribute, value)
     return mesh
 
@@ -328,10 +333,10 @@ ENTRY_POINTS = {
     "TriMesh vertices": lambda x: TriMesh(x, [[0, 1, 2]]),
     "TriMesh triangles": lambda x: TriMesh(np.eye(3), x),
     "TriMesh boundary": lambda x: TriMesh(np.eye(3), [[0, 1, 2]], boundary=x),
-    "TriMesh scalar": lambda x: TriMesh(np.eye(3), [[0, 1, 2]], scalar=x),
     "DomainPolygon": DomainPolygon,
     "mean_curvature p": lambda x: mean_curvature(SQUARE, x),
     "mean_curvature h": lambda x: mean_curvature(SQUARE, [0.1, 0.1], h=x),
+    "mean_curvature surface values": lambda x: mean_curvature(lambda q: x, [0.1, 0.2]),
     "curvature_map m": lambda x: curvature_map(SQUARE, x),
     "contours axis": lambda x: contours(MESH, x, 3),
     "contours count": lambda x: contours(MESH, [0, 0, 1], x),

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bundled_loop
+from conftest import bbox_diagonal, bundled_loop
 
 from npatch import DomainPolygon, make_patch, mesh_patch
 from npatch.analysis import ContourSet, contours, curvature_map, harmonic_fill
@@ -55,10 +55,12 @@ def writer_cases():
                  [1e-9, 1e9, 0.5], [np.pi, -np.e, 2.0 / 3.0], [7.0, -7.0, 1e16],
                  [0.999999999, 0.9999999995, 9.9999999949e-5], [1e-5, 1e-4, 1e15]]
     tris = rng.integers(0, len(verts), (60, 3))
-    mesh = TriMesh(verts, tris, scalar=rng.standard_normal(40) * 1e3)
+    mesh = TriMesh(verts, tris)
+    mesh.scalar = rng.standard_normal(40) * 1e3
     polylines = [verts[:5], rng.uniform(-1, 1, (2, 3)), verts[10:30:3]]
     contour_set = ContourSet([0, 0, 1], [0.5], polylines)
-    empty = TriMesh(verts[:3], np.zeros((0, 3), dtype=int), scalar=[0.0, -1.0, 2.0])
+    empty = TriMesh(verts[:3], np.zeros((0, 3), dtype=int))
+    empty.scalar = np.array([0.0, -1.0, 2.0])
     return [
         ("obj", write_obj(mesh)),
         ("obj_contours", write_obj(mesh, contour_set)),
@@ -87,7 +89,7 @@ def test_patch_vertices(name, m):
     want = GOLDEN["patch_samples"]["%s,%d" % (name, m)]
     got = mesh_patch(make_patch(loop), m).vertices[want["index"]]
     err = np.abs(got - np.array(want["vertices"])).max()
-    assert err <= PATCH_TOL * loop.bbox_diagonal()
+    assert err <= PATCH_TOL * bbox_diagonal(loop)
 
 
 @pytest.mark.parametrize("key", ["obj", "obj_contours", "obj_empty", "ply", "ply_empty"])
@@ -132,7 +134,7 @@ def test_contour_polylines(name, m):
     got = [[] for _ in cs.levels]
     for poly in cs.polylines:
         got[int(np.abs(np.array(cs.levels) - poly[0, 2]).argmin())].append(poly)
-    tol = CONTOUR_TOL * loop.bbox_diagonal()
+    tol = CONTOUR_TOL * bbox_diagonal(loop)
     for level_got, level_want in zip(got, want["polylines"]):
         assert len(level_got) == len(level_want)
         for w in map(np.array, level_want):

@@ -203,7 +203,8 @@ def test_ply_requires_scalar():
 
 
 def test_ply_roundtrip_zeros():
-    mesh = TriMesh(np.eye(3), np.array([[0, 1, 2]]), scalar=np.zeros(3))
+    mesh = TriMesh(np.eye(3), np.array([[0, 1, 2]]))
+    mesh.scalar = np.zeros(3)
     text = write_ply_scalar(mesh)
     assert text == reference_ply(mesh)
     assert text.endswith("end_header\n1 0 0 0\n0 1 0 0\n0 0 1 0\n3 0 1 2\n")
@@ -211,14 +212,15 @@ def test_ply_roundtrip_zeros():
 
 def test_ply_roundtrip_random_mesh():
     rng = np.random.default_rng(92)
-    mesh = TriMesh(rng.normal(size=(10, 3)), np.array([[0, 1, 2], [3, 4, 5]]),
-                   scalar=rng.normal(size=10))
+    mesh = TriMesh(rng.normal(size=(10, 3)), np.array([[0, 1, 2], [3, 4, 5]]))
+    mesh.scalar = rng.normal(size=10)
     text = write_ply_scalar(mesh)
     assert text == reference_ply(mesh)
     records = np.array([line.split() for line in text.splitlines()[10:20]], float)  # x y z quality
     assert np.abs(records - np.column_stack([mesh.vertices, mesh.scalar])).max() <= 1e-7
     # the printed values print as themselves
-    again = TriMesh(records[:, :3], mesh.triangles, scalar=records[:, 3])
+    again = TriMesh(records[:, :3], mesh.triangles)
+    again.scalar = records[:, 3]
     assert write_ply_scalar(again) == text
 
 

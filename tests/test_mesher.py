@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import DEGREES, SEEDS, bundled_loop
+from conftest import DEGREES, SEEDS, bbox_diagonal, bundled_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -200,7 +200,7 @@ def test_sector_vertices_match_the_kernel(n, degree, m, seed):
     mesh = mesh_patch(patch, m)
     inner = _off_boundary(mesh)
     want = patch.eval_many(mesh.domain[inner])
-    assert np.abs(mesh.vertices[inner] - want).max() <= 1e-14 * loop.bbox_diagonal()
+    assert np.abs(mesh.vertices[inner] - want).max() <= 1e-14 * bbox_diagonal(loop)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8])
@@ -220,7 +220,7 @@ def test_narrow_numpy_integers_mesh_like_ints(dtype):
 def test_many_sided_loops(n):
     loop = random_loop(n, 3, np.random.default_rng(n))
     patch = make_patch(loop)
-    scale = loop.bbox_diagonal()
+    scale = bbox_diagonal(loop)
     mesh = mesh_patch(patch, 10)
     assert np.all(np.isfinite(mesh.vertices))
     inner = _off_boundary(mesh)

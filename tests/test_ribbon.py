@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import CORNER_DISTANCES, DEGREES, EPS64, SEEDS, SIDES, bundled_loop
+from conftest import (CORNER_DISTANCES, DEGREES, EPS64, SEEDS, SIDES, bbox_diagonal,
+                      bundled_loop)
 from hypothesis import given, settings
 
 from npatch.errors import DomainError
@@ -14,7 +15,7 @@ from npatch.ribbon import Ribbon
 def test_boundary_reproduction(n, degree, seed, distance):
     rng = np.random.default_rng(seed)
     loop = random_loop(n, degree, rng)
-    bound = EPS64 * loop.bbox_diagonal()
+    bound = EPS64 * bbox_diagonal(loop)
     t = np.r_[0.0, distance, rng.uniform(0, 1, 20), 1.0 - distance, 1.0]
     zeros = np.zeros_like(t)
     ones = np.ones_like(t)

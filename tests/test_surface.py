@@ -2,8 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import (CORNER_DISTANCES, DEGREES, EPS64, SEEDS, SIDES, bundled_loop,
-                      probe_points, random_affine, random_interior_points)
+from conftest import (CORNER_DISTANCES, DEGREES, EPS64, SEEDS, SIDES, bbox_diagonal,
+                      bundled_loop, probe_points, random_affine, random_interior_points)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -47,7 +47,7 @@ def test_boundary_interpolation(n, degree, seed, distance):
     t = np.r_[distance, rng.uniform(0, 1, 20), 1.0 - distance]
     on_edges = patch.domain.edge_point(np.arange(n)[:, None], t).reshape(-1, 2)
     want = np.vstack([c.eval_many(t) for c in loop.sides])
-    assert np.abs(patch.eval_many(on_edges) - want).max() <= EPS64 * loop.bbox_diagonal()
+    assert np.abs(patch.eval_many(on_edges) - want).max() <= EPS64 * bbox_diagonal(loop)
 
 
 @settings(max_examples=20)
@@ -56,7 +56,7 @@ def test_corner_interpolation(n, degree, seed):
     loop = random_loop(n, degree, np.random.default_rng(seed))
     corners = np.array([c.control_points[-1] for c in loop.sides])
     got = make_patch(loop).eval_many(DomainPolygon(n).vertices)
-    assert np.abs(got - corners).max() <= EPS64 * loop.bbox_diagonal()
+    assert np.abs(got - corners).max() <= EPS64 * bbox_diagonal(loop)
 
 
 @pytest.mark.parametrize("n", SIDES)
@@ -79,7 +79,7 @@ def test_square_matches_classical_coons(degree, seed, distance):
     patch = make_patch(loop)
     pts = probe_points(rng, patch.domain, distance)
     want = np.array([classical_coons(loop, lam) for lam in patch.domain.wachspress_many(pts)])
-    assert np.abs(patch.eval_many(pts) - want).max() <= EPS64 * loop.bbox_diagonal()
+    assert np.abs(patch.eval_many(pts) - want).max() <= EPS64 * bbox_diagonal(loop)
 
 
 @settings(max_examples=20)
@@ -106,7 +106,7 @@ def test_affine_equivariance(n, degree, seed, distance):
     loop = random_loop(n, degree, rng)
     a, b = random_affine(np.random.default_rng(seed + 1))
     mapped = make_loop([BezierCurve(c.control_points @ a.T + b) for c in loop.sides])
-    bound = EPS64 * mapped.bbox_diagonal()
+    bound = EPS64 * bbox_diagonal(mapped)
     pts = probe_points(rng, DomainPolygon(n), distance)
     routed = make_patch(loop).eval_many(pts) @ a.T + b
     assert np.abs(make_patch(mapped).eval_many(pts) - routed).max() <= bound
@@ -126,7 +126,7 @@ def test_exact_ribbon_sum(n, degree, seed, distance):
     patch = make_patch(loop)
     pts = probe_points(rng, patch.domain, distance)
     err = np.abs(patch.eval_many(pts) - ribbon_sum(patch, pts)).max()
-    assert err <= EPS64 * loop.bbox_diagonal()
+    assert err <= EPS64 * bbox_diagonal(loop)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
@@ -141,7 +141,7 @@ def test_matches_per_ribbon_sum(n):
         poly.vertices * (1 - 1e-9), np.zeros((1, 2)),
     ])
     want = ribbon_sum(patch, pts)
-    tol = 1e-13 * loop.bbox_diagonal()
+    tol = 1e-13 * bbox_diagonal(loop)
     assert np.abs(patch.eval_many(pts) - want).max() <= tol
     assert np.abs(patch.eval(pts[0]) - want[0]).max() <= tol
 
@@ -152,7 +152,7 @@ def test_eval_boundary_matches_curves():
     for i in range(5):
         for t in (0.0, 0.37, 1.0):
             err = np.abs(patch.eval_boundary(i, t) - loop.sides[i].eval(t)).max()
-            assert err <= EPS64 * loop.bbox_diagonal()
+            assert err <= EPS64 * bbox_diagonal(loop)
 
 
 def test_continuity_across_skip_threshold():
@@ -233,7 +233,7 @@ def test_stacked_kernel_on_mixed_degrees(n):
         poly.vertices, 0.5 * (poly.vertices + np.roll(poly.vertices, 1, axis=0)),
         poly.vertices * (1 - 1e-9), np.zeros((1, 2)),
     ])
-    assert np.abs(patch.eval_many(pts) - ribbon_sum(patch, pts)).max() <= 1e-13 * loop.bbox_diagonal()
+    assert np.abs(patch.eval_many(pts) - ribbon_sum(patch, pts)).max() <= 1e-13 * bbox_diagonal(loop)
 
 
 def test_batch_of_several_blocks_matches_single_points():
@@ -242,7 +242,7 @@ def test_batch_of_several_blocks_matches_single_points():
     block = BLOCK_VALUES // (4 * patch.n)
     pts = random_interior_points(np.random.default_rng(73), patch.domain, 3 * block + 7)
     single = np.array([patch.eval(p) for p in pts])
-    assert np.abs(patch.eval_many(pts) - single).max() <= 1e-14 * loop.bbox_diagonal()
+    assert np.abs(patch.eval_many(pts) - single).max() <= 1e-14 * bbox_diagonal(loop)
 
 
 def test_rotations_of_several_blocks_match_rotated_points():
@@ -255,16 +255,16 @@ def test_rotations_of_several_blocks_match_rotated_points():
     for q in range(7):
         a = 2 * np.pi * q / 7
         rotated = pts @ np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
-        assert np.abs(got[:, q] - patch.eval_many(rotated)).max() <= 1e-14 * loop.bbox_diagonal()
+        assert np.abs(got[:, q] - patch.eval_many(rotated)).max() <= 1e-14 * bbox_diagonal(loop)
 
 
 def test_huge_degree_seven_loop_evaluates_finitely():
     # the binomials stay in the basis: control points near 2e307 times
     # C(7, 3) = 35 would overflow
     loop = random_loop(5, 7, np.random.default_rng(74))
-    scale = 4e307 / loop.bbox_diagonal()
+    scale = 4e307 / bbox_diagonal(loop)
     big = make_loop([BezierCurve(c.control_points * scale) for c in loop.sides])
-    assert big.bbox_diagonal() == pytest.approx(4e307)
+    assert bbox_diagonal(big) == pytest.approx(4e307)
     poly = DomainPolygon(5)
     pts = np.vstack([random_interior_points(np.random.default_rng(75), poly, 200), poly.vertices])
     with warnings.catch_warnings():
