@@ -5,9 +5,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import (SIZE_BUDGET, DomainError, NumericError, SchemaError, array, integer,
-                     overflow, real)
-from .mesher import TriMesh, mesh_patch, vertex_indices
+from .errors import (SIZE_BUDGET, DomainError, NumericError, SchemaError, array, indices,
+                     integer, overflow, real)
+from .mesher import TriMesh, mesh_patch
 from .surface import Patch
 
 # central-difference step in domain units (circumradius 1): balances
@@ -210,22 +210,21 @@ def dirichlet_energy(mesh):
 def harmonic_fill(mesh):
     """Discrete 'soap film' on a mesh's connectivity, boundary fixed.
 
-    The vertices listed in mesh.boundary keep their positions (for a
-    mesh_patch result, the boundary curve samples) and every other
-    vertex is solved to be the average of its neighbors (conjugate
-    gradients on the SPD interior system, per coordinate).  The length
-    scale of the tolerances is the boundary's bounding-box diagonal (for a
-    boundary of one point, its largest coordinate magnitude), and the
-    solve runs in units of a power of two near it, so a loop scaled by a
-    power of two fills to the scaled result bit for bit.  A mesh without
-    interior vertices is returned unchanged.  SchemaError: no boundary,
-    or a boundary that is not a 1-D array of vertex indices.
+    The vertices listed in mesh.boundary keep their positions (for a mesh_patch result, the
+    boundary curve samples) and every other vertex is solved to be the average of its neighbors
+    (conjugate gradients on the SPD interior system, per coordinate).  The length scale of the
+    tolerances is the boundary's bounding-box diagonal (for a boundary of one point, its largest
+    coordinate magnitude).  The solve runs in unit, the power of two at or below that length,
+    about origin, the multiple of unit nearest the bbox centre: a loop scaled by 2**k fills to
+    the scaled result bit for bit, and a translated one in its own frame, not on rounding at
+    the size of the offset.  A mesh without interior vertices is returned unchanged.
+    SchemaError: no boundary, or a boundary that is not a 1-D array of vertex indices.
     DomainError: the boundary is not finite or spans more than the float range.
     """
     nv = len(mesh.vertices)
     boundary = np.zeros(nv, dtype=bool)
     if mesh.boundary is not None:
-        boundary[vertex_indices(mesh.boundary, nv, "boundary", (None,))] = True
+        boundary[indices(mesh.boundary, nv, "boundary", (None,))] = True
     if not boundary.any():
         raise SchemaError("harmonic_fill needs a mesh with a boundary")
     interior = np.nonzero(~boundary)[0]
@@ -234,9 +233,11 @@ def harmonic_fill(mesh):
     scale = math.dist(fixed.max(axis=0), fixed.min(axis=0)) or float(np.abs(fixed).max())
     if not math.isfinite(scale):  # NaN too
         raise DomainError("mesh boundary is not finite or spans more than the float range")
-    # dividing by a power of two keeps every bit, and no square below passes the float range
-    unit = math.ldexp(1.0, math.frexp(scale)[1])
-    pos = mesh.vertices / unit
+    # a power of two unit <= scale keeps every bit, and no square below passes the float range;
+    # origin keeps an offset's rounding out of the solve (+0.0 where 0: x - +0.0 keeps a -0.0)
+    unit = math.ldexp(1.0, math.frexp(scale)[1] - 1)
+    origin = np.round((fixed.max(axis=0) / 2 + fixed.min(axis=0) / 2) / unit) * unit + 0.0
+    pos = (mesh.vertices - origin) / unit
     tol_scale = scale / unit  # the tolerances' length, in those units
 
     import scipy.sparse as sp  # here, not at the top: 0.2 s of import no other command needs
@@ -266,5 +267,5 @@ def harmonic_fill(mesh):
         raise NumericError("umbrella residual %.3e above tolerance" % (worst * unit))
 
     pos[boundary] = mesh.vertices[boundary]  # as given, subnormal coordinates too
-    pos[interior] *= unit
+    pos[interior] = pos[interior] * unit - (0.0 - origin)  # x + origin, keeping a -0.0
     return TriMesh(pos, mesh.triangles, boundary=mesh.boundary)

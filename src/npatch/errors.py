@@ -80,8 +80,21 @@ def array(value, name, *shapes, error=DomainError):
             tuple([v if k is None else k for k, v in zip(shape, got)])
             for shape in shapes if len(shape) == len(got)]:
         raise error("%s must be numbers of shape %s, got %s %s" % (name, " or ".join(
-            map(str, shapes)).replace("None", "k") or "any", value.dtype, got))
+            map(str, shapes)).replace("None, None", "k, d").replace("None", "k") or "any",
+            value.dtype, got))
     return value
+
+
+def indices(values, count, what, shape):
+    """values as an int array; SchemaError unless of shape and integers in 0 .. count - 1
+    (a boolean mask is not read as the indices 0 and 1)."""
+    values = array(values, what + " indices", shape, error=SchemaError)
+    kind = values.dtype.kind
+    if kind == "b" or kind == "f" and not np.array_equal(values, np.trunc(values)):
+        raise SchemaError("%s indices must be integers" % what)
+    if np.any((values < 0) | (values >= count)):
+        raise SchemaError("%s index out of range for %d vertices" % (what, count))
+    return values.astype(int, copy=False)
 
 
 class overflow:

@@ -40,7 +40,7 @@ import sys
 import numpy as np
 
 from .curves import MAX_DEGREE, BezierCurve
-from .errors import ParseError, SchemaError, array
+from .errors import ParseError, SchemaError, array, indices
 from .loop import make_loop
 
 
@@ -261,18 +261,20 @@ def write_loop(loop):
 
 
 def write_obj(mesh, contour_set=None):
-    """Indexed-mesh OBJ text; optional contour polylines as `l` elements.
-    Vertices, triangles and polylines must be (n, 3) arrays (SchemaError)."""
+    """Indexed-mesh OBJ text; optional contour polylines as `l` elements. Vertices and
+    polylines must be (n, 3) arrays, triangles pass errors.indices (SchemaError)."""
     vertices = _table(mesh.vertices, "vertices")
-    blocks = [_lines("v ", vertices), _lines("f ", _table(mesh.triangles, "triangles") + 1)]
+    triangles = indices(mesh.triangles, len(vertices), "triangle", (None, 3))
+    blocks = [_lines("v ", vertices), _lines("f ", triangles + 1)]
     if contour_set is not None and len(contour_set.polylines):
         blocks.append(_polyline_text(contour_set.polylines, len(vertices)))
     return (b"".join(blocks) or b"\n").decode("ascii")
 
 
 def write_ply_scalar(mesh):
-    """ASCII PLY with a per-vertex `quality` scalar; (n, 3) vertices and triangles."""
-    vertices, triangles = _table(mesh.vertices, "vertices"), _table(mesh.triangles, "triangles")
+    """ASCII PLY with a per-vertex `quality` scalar; (n, 3) vertices and triangles (indices)."""
+    vertices = _table(mesh.vertices, "vertices")
+    triangles = indices(mesh.triangles, len(vertices), "triangle", (None, 3))
     scalar = array(mesh.scalar, "scalar channel", (len(vertices),), error=SchemaError)
     header = [
         "ply",

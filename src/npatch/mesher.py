@@ -2,19 +2,7 @@
 
 import numpy as np
 
-from .errors import SIZE_BUDGET, SchemaError, array, integer
-
-
-def vertex_indices(values, count, what, shape):
-    """values as an int array; SchemaError unless of shape and integers in 0 .. count - 1
-    (a boolean mask is not read as the indices 0 and 1)."""
-    values = array(values, what + " indices", shape, error=SchemaError)
-    kind = values.dtype.kind
-    if kind == "b" or kind == "f" and not np.array_equal(values, np.trunc(values)):
-        raise SchemaError("%s indices must be integers" % what)
-    if np.any((values < 0) | (values >= count)):
-        raise SchemaError("%s index out of range for %d vertices" % (what, count))
-    return values.astype(int, copy=False)
+from .errors import SIZE_BUDGET, SchemaError, array, indices, integer
 
 
 class TriMesh:
@@ -24,16 +12,16 @@ class TriMesh:
     domain boundary (None when unknown); domain holds the (k, 2) domain
     points the vertices were mapped from (None when unknown); scalar, a
     per-vertex channel, is None until assigned (curvature_map sets it).
-    SchemaError: the vertices are not of those shapes, the triangle table
-    is not 2-D or the boundary not 1-D, or either holds a value that is not
-    an integer (a boolean or NaN included) or an index out of range.
+    SchemaError (errors.indices): the vertices are not of those shapes, the
+    triangles are not a (k, 3) table or the boundary a 1-D array of vertex
+    indices, integers (not booleans or NaN) in range.
     """
 
     def __init__(self, vertices, triangles, boundary=None, domain=None):
         self.vertices = array(vertices, "vertices", (0,), (None, None),
                               error=SchemaError).astype(float, copy=False)
-        self.triangles = vertex_indices(triangles, len(self.vertices), "triangle", (None, None))
-        self.boundary = None if boundary is None else vertex_indices(
+        self.triangles = indices(triangles, len(self.vertices), "triangle", (None, 3))
+        self.boundary = None if boundary is None else indices(
             boundary, len(self.vertices), "boundary", (None,))
         self.scalar = None
         self.domain = domain

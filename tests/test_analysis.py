@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import bbox_diagonal, bundled_loop, loop_doc, random_interior_points
+from conftest import bbox_diagonal, bundled_loop, loop_doc, random_interior_points, scaled_doc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -243,6 +243,29 @@ def test_harmonic_other_fixtures(n):
     loop = random_loop(n, 3, np.random.default_rng(80 + n))
     mesh = harmonic_fill(mesh_patch(make_patch(loop), 5))
     assert np.all(np.isfinite(mesh.vertices))
+
+
+@pytest.mark.parametrize("shift", [1e6, 1e10])
+def test_harmonic_fill_of_a_translated_loop(shift):
+    # the solve runs about the boundary's bbox centre, so the umbrella check reads the fill's
+    # own rounding, not rounding at the size of the offset
+    loop = bundled_loop("pentagon")
+    moved = make_loop([BezierCurve(c.control_points + shift) for c in loop.sides])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filled = harmonic_fill(mesh_patch(make_patch(moved), 6)).vertices
+    unshifted = harmonic_fill(mesh_patch(make_patch(loop), 6)).vertices
+    assert np.abs(filled - (unshifted + shift)).max() <= 16 * np.spacing(shift)
+
+
+def test_harmonic_fill_near_the_float_range():
+    # the solve's unit is the power of two at or below the boundary's 1.27e308 diagonal: the
+    # one above it, 2**1024, is past the float range
+    loop = read_loop(scaled_doc(bundled_loop("square"), 0.9e308, weld_tolerance=1e-9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filled = harmonic_fill(mesh_patch(make_patch(loop), 6)).vertices
+    assert np.all(np.isfinite(filled))
 
 
 def _lifted(mesh):

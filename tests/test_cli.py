@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,38 @@ def test_mesh_past_the_float_range_names_the_overflow(tmp_path, capsys, doc):
     assert captured.err.startswith("error:")
     assert "overflows the float range" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", [260, -260])
+def test_every_mesh_command_at_a_power_of_two_scale(tmp_path, capsys, k):
+    # the patch, the curvature stencils and the harmonic solve scale exactly, without a warning
+    path = tmp_path / "scaled.json"
+    path.write_text(scaled_doc(bundled_loop("pentagon"), 2.0**k))
+    for command in ["mesh", "harmonic", "curvature", "contours"]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(path), "-m", "6", "-o", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_harmonic_of_a_translated_loop(tmp_path, capsys):
+    # the solve runs about the loop's centre, not on rounding at the size of the offset
+    path = tmp_path / "moved.json"
+    doc = json.loads(write_loop(bundled_loop("pentagon")))
+    for side in doc["sides"]:
+        side["control_points"] = [[x + 1e6 for x in p] for p in side["control_points"]]
+    path.write_text(json.dumps(doc))
+    assert main(["harmonic", str(path), "-m", "6", "-o", str(tmp_path / "out.obj")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_harmonic_near_the_float_range_names_the_energy_overflow(tmp_path, capsys):
+    # the fill is finite; its Dirichlet energy is not
+    path = tmp_path / "huge.json"
+    path.write_text(scaled_doc(bundled_loop("square"), 0.9e308, weld_tolerance=1e-9))
+    assert main(["harmonic", str(path), "-m", "6", "-o", str(tmp_path / "out.obj")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: Dirichlet energy overflows the float range\n"
 
 
 @pytest.mark.parametrize("argv", [["mesh", "-m", "2", "-o", "out.obj"],

@@ -164,13 +164,17 @@ MESSAGES = {
                    "resolution m must be an integer >= 1 and <= 7327, got 0"),
     "random loop degree": (lambda: random_loop(5, MAX_DEGREE + 1, np.random.default_rng(0)),
                            "random_loop degree must be an integer >= 1 and <= 1029, got 1030"),
+    # two free dimensions are independent, so each has its own letter
+    "mesh vertices": (lambda: TriMesh(np.arange(4.0), [[0, 1, 2]]),
+                      "vertices must be numbers of shape (0,) or (k, d), got float64 (4,)"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MESSAGES))
 def test_check_messages_name_only_finite_bounds(name):
     call, message = MESSAGES[name]
-    with pytest.raises(DomainError) as info:
+    # a mesh field raises SchemaError, every other argument DomainError
+    with pytest.raises(SchemaError if name.startswith("mesh") else DomainError) as info:
         call()
     assert str(info.value) == message
 
@@ -297,6 +301,13 @@ MALFORMED_MESHES = {
     "boolean boundary indices":
         lambda: TriMesh(np.eye(3), [[0, 1, 2]], boundary=[True, False, True]),
     "harmonic boundary mask": _harmonic_of_a_boundary_mask,
+    # three corners is the only face width: edges, contours and the writers read no other
+    "quad face table": lambda: TriMesh(np.eye(4, 3), [[0, 1, 2, 3]]),
+    "two-corner face table": lambda: TriMesh(np.eye(3), [[0, 1]]),
+    # the writers check faces as TriMesh does: faces may be reassigned after construction
+    "write_obj face out of range": lambda: write_obj(_mesh_with("triangles", [[0, 1, 5]])),
+    "write_ply_scalar fractional face":
+        lambda: write_ply_scalar(_mesh_with("triangles", [[0, 1, 1.5]])),
 }
 
 
@@ -340,8 +351,9 @@ ENTRY_POINTS = {
     "curvature_map m": lambda x: curvature_map(SQUARE, x),
     "contours axis": lambda x: contours(MESH, x, 3),
     "contours count": lambda x: contours(MESH, [0, 0, 1], x),
-    # assigned after construction, so harmonic_fill's own check sees it
+    # assigned after construction, so the callee's own check sees it
     "harmonic_fill boundary index": lambda x: harmonic_fill(_mesh_with("boundary", x)),
+    "write_obj triangles": lambda x: write_obj(_mesh_with("triangles", x)),
     "read_loop": read_loop,
     "write_obj vertices": lambda x: write_obj(_mesh_with("vertices", x)),
     "write_obj polyline": lambda x: write_obj(MESH, ContourSet([0, 0, 1], [0.5], [x])),

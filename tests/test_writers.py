@@ -87,8 +87,9 @@ def test_empty_arrays_match_reference():
 
 @pytest.mark.parametrize("case", ["planar vertices", "quad faces", "planar polyline"])
 def test_writers_reject_records_of_other_widths(case):
-    mesh = TriMesh(np.zeros((4, 2 if case == "planar vertices" else 3)),
-                   [[0, 1, 2, 3]] if case == "quad faces" else [[0, 1, 2]])
+    mesh = TriMesh(np.zeros((4, 2 if case == "planar vertices" else 3)), [[0, 1, 2]])
+    if case == "quad faces":  # TriMesh refuses them, so they are assigned after construction
+        mesh.triangles = np.array([[0, 1, 2, 3]])
     mesh.scalar = np.zeros(4)
     contour_set = ContourSet([0, 0, 1], [0.5], [np.zeros((3, 2 if case == "planar polyline" else 3))])
     with pytest.raises(SchemaError):
