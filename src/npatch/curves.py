@@ -13,8 +13,8 @@ MAX_DEGREE = 1029
 class BezierCurve:
     """Polynomial Bezier curve in R^3 of arbitrary degree >= 0.
 
-    Degree 0 is a legitimate constant curve; it is needed for the
-    degenerate opposite curve of three-sided loops.  The degree is at most
+    Degree 0 is a legitimate constant curve, such as the degenerate
+    opposite curve of a three-sided loop.  The degree is at most
     MAX_DEGREE.  Instances are immutable after construction.
     """
 
@@ -23,11 +23,16 @@ class BezierCurve:
         if not 0 < len(pts) <= MAX_DEGREE + 1 or not np.all(np.isfinite(pts)):
             raise DomainError("a curve needs 1 to %d control points, all finite" % (MAX_DEGREE + 1))
         pts.setflags(write=False)
-        self.control_points = pts
+        self._points = pts
+
+    @property
+    def control_points(self):
+        """The (degree + 1, 3) control points: a read-only array, and not reassignable."""
+        return self._points
 
     @property
     def degree(self):
-        return self.control_points.shape[0] - 1
+        return self._points.shape[0] - 1
 
     def eval(self, t):
         """Point at parameter t in [0, 1]."""
@@ -41,27 +46,46 @@ class BezierCurve:
         return "BezierCurve(degree=%d)" % self.degree
 
 
+def trusted_curve(points):
+    """BezierCurve of a float array that passes its checks, not run again: kept, read-only."""
+    curve = object.__new__(BezierCurve)
+    points.setflags(write=False)
+    curve._points = points
+    return curve
+
+
 def bernstein(t, degree):
     """Bernstein basis of a degree at parameters t in [0, 1] of any shape.
 
-    Row j, of t's shape, is C(degree, j) t^j (1 - t)^(degree - j), from
-    running products of t and 1 - t; the result has shape
-    (degree + 1,) + t.shape.
+    Row j, of t's shape, is C(degree, j) t^j (1 - t)^(degree - j); the
+    result has shape (degree + 1,) + t.shape.  bernstein_basis, checked.
     """
     degree = integer(degree, "Bernstein degree", 0, MAX_DEGREE)
     t = array(t, "curve parameter").astype(float, copy=False)
     if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DomainError("curve parameter outside [0, 1]")
-    powers = np.empty((2, degree + 1) + t.shape)  # t^j and (1 - t)^j
+    return bernstein_basis(t, binomials(degree))
+
+
+def binomials(degree):
+    return np.array([comb(degree, j) for j in range(degree + 1)], dtype=float)
+
+
+def bernstein_basis(t, binomials):
+    """bernstein unchecked, for a float array t in [0, 1] and binomials(degree)."""
+    powers = np.empty((2, len(binomials)) + t.shape)  # t^j and (1 - t)^j
     powers[:, 0] = 1.0
-    if degree:
-        powers[0, 1] = t
-        np.subtract(1.0, t, out=powers[1, 1, ...])  # an array even for a 0-d t
-    for j in range(1, degree):
-        np.multiply(powers[:, j], powers[:, 1], out=powers[:, j + 1])
+    if t.size <= 64:  # one call; accumulate steps along j parameter by parameter, slow for many
+        powers[0, 1:] = t
+        np.subtract(1.0, t, out=powers[1, 1:])
+        np.multiply.accumulate(powers, axis=1, out=powers)
+    else:
+        powers[0, 1:2] = t
+        np.subtract(1.0, t, out=powers[1, 1:2])
+        for j in range(1, len(binomials) - 1):
+            np.multiply(powers[:, j], powers[:, 1], out=powers[:, j + 1])
     basis = powers[0]
-    basis *= np.array([comb(degree, j) for j in range(degree + 1)],
-                      dtype=float).reshape((-1,) + (1,) * t.ndim)
+    basis *= binomials.reshape((-1,) + (1,) * t.ndim)
     basis *= powers[1, ::-1]
     return basis
 

@@ -51,10 +51,10 @@ class DomainPolygon:
         evaluation exact.
         """
         points = np.asarray(points, dtype=float)
-        if not np.all(np.isfinite(points)):
+        if not np.isfinite(points).all():
             raise DomainError("domain point is not finite")
         d = self.apothem - points @ self.edge_normals.T
-        if np.any(d < -EPS_GEOM):
+        if (d < -EPS_GEOM).any():
             raise DomainError("point outside the domain polygon")
         d[np.abs(d) <= EPS_GEOM] = 0.0
         return d

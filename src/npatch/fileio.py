@@ -39,7 +39,7 @@ import sys
 
 import numpy as np
 
-from .curves import MAX_DEGREE, BezierCurve
+from .curves import MAX_DEGREE, trusted_curve
 from .errors import ParseError, SchemaError, array, indices
 from .loop import make_loop
 
@@ -199,8 +199,8 @@ def _polyline_text(polylines, base):
 
 
 def _is_number(x):
-    """A JSON number within the float range: not true/false (bool), NaN,
-    infinity or an int too large for a float."""
+    """A JSON number within the float range, read as the nearest float: not true/false
+    (bool), NaN, infinity or an int past the float maximum."""
     return type(x) in (int, float) and abs(x) <= sys.float_info.max
 
 
@@ -241,7 +241,7 @@ def read_loop(text):
                     and all(_is_number(c) for c in p)):
                 raise SchemaError("sides[%d].control_points[%d]: need [x, y, z] of finite numbers"
                                   % (k, j))
-        curves.append(BezierCurve(cps))
+        curves.append(trusted_curve(np.array(cps, dtype=float)))  # checked as BezierCurve does
     tol = doc.get("weld_tolerance")
     if tol is not None and not (_is_number(tol) and tol >= 0):
         raise SchemaError("weld_tolerance: need a finite number >= 0")

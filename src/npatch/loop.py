@@ -9,7 +9,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .curves import BezierCurve
+from .curves import BezierCurve, trusted_curve
 from .errors import ClosureError, DomainError, overflow, real
 
 
@@ -23,11 +23,8 @@ class BoundaryLoop:
 
     def __init__(self, sides, corner_gaps):
         self.sides = tuple(sides)
+        self.n = len(self.sides)
         self.corner_gaps = corner_gaps  # pre-weld residuals, diagnostic only
-
-    @property
-    def n(self):
-        return len(self.sides)
 
 
 def make_loop(curves, weld_tolerance=None):
@@ -37,50 +34,48 @@ def make_loop(curves, weld_tolerance=None):
         raise DomainError("loop sides must be a sequence of BezierCurve instances")
     if len(curves) < 3:
         raise ClosureError("need at least 3 sides, got %d" % len(curves))
+    pts, first, last = _stack(curves)  # pts a copy, welded below
     if weld_tolerance is None:
-        pts = np.vstack([c.control_points for c in curves])
         # the bbox diagonal, scaled: inf only when the diagonal is
         weld_tolerance = 1e-9 * math.dist(pts.max(axis=0), pts.min(axis=0))
         if math.isinf(weld_tolerance):
             raise DomainError("control points span more than the float range")
     weld_tolerance = real(weld_tolerance, "weld_tolerance", 0)
 
-    n = len(curves)
-    ends = [(curves[i].control_points[-1], curves[(i + 1) % n].control_points[0])
-            for i in range(n)]
-    gaps = np.array([math.dist(a, b) for a, b in ends])
+    ends, starts = pts[last], pts[(last + 1) % len(pts)]  # side i's end, side i + 1's start
+    gaps = np.array(list(map(math.dist, ends.tolist(), starts.tolist())))
     bad = np.nonzero(gaps > weld_tolerance)[0]
     if bad.size:
         i = int(bad[0])
         raise ClosureError("sides %d and %d do not meet: gap %.3e > tolerance %.3e"
-                           % (i + 1, (i + 1) % n + 1, gaps[i], weld_tolerance))
+                           % (i + 1, (i + 1) % len(curves) + 1, gaps[i], weld_tolerance))
 
-    corners = [0.5 * a + 0.5 * b for a, b in ends]  # no overflow
-    welded = []
-    for i in range(n):
-        pts = curves[i].control_points.copy()
-        pts[0] = corners[(i - 1) % n]
-        pts[-1] = corners[i]
-        welded.append(BezierCurve(pts))
-    return BoundaryLoop(welded, gaps)
+    corners = 0.5 * ends + 0.5 * starts  # no overflow
+    pts[(last + 1) % len(pts)] = corners  # side i + 1 starts at corner i
+    pts[last] = corners  # after the starts: a side of degree 0 ends at its corner
+    return BoundaryLoop([trusted_curve(pts[a:b + 1]) for a, b in zip(first, last)], gaps)
 
 
-def opposite_curve(loop, i):
-    """The curve closing ribbon i across the far side of the loop.
+def _stack(curves):
+    """The curves' control points stacked in one new array, and each one's first and last row."""
+    counts = [len(c.control_points) for c in curves]
+    last = np.cumsum(counts) - 1
+    return np.concatenate([c.control_points for c in curves]), last - counts + 1, last
 
-    For n >= 4 this is the cubic bridging corner i+1 to corner i-2
-    with end tangents borrowed from sides i+2 and i-2 (zero for a side of
-    degree 0).  For n = 3 the two far corners coincide and the curve
-    degenerates to that point.  DomainError: a control point overflows.
-    """
-    sides, n = loop.sides, loop.n
-    p0 = sides[(i + 1) % n].control_points[-1]
+
+def opposite_curve(loop):
+    """Control points (4, n, 3) of the n curves closing the ribbons across the far side of
+    the loop: for n >= 4 column i is the cubic bridging corner i+1 to corner i-2 with end
+    tangents borrowed from sides i+2 and i-2 (zero for a side of degree 0).  For n = 3 the
+    far corners coincide and the shape is (1, 3, 3).  DomainError: a point overflows."""
+    points, first, last = _stack(loop.sides)
+    n, i = loop.n, np.arange(loop.n)
+    p0, p3 = points[last[(i + 1) % n]], points[first[i - 1]]
     if n == 3:
-        return BezierCurve([p0])
-    p3 = sides[(i - 1) % n].control_points[0]
-    q, r = sides[(i + 2) % n].control_points, sides[(i - 2) % n].control_points
-    dq, dr = len(q) - 1, len(r) - 1  # their degrees
-    with overflow("opposite curve"):
-        p1 = p0 + dq * (q[min(1, dq)] - q[0]) / 3.0
-        p2 = p3 - dr * (r[-1] - r[-1 - min(1, dr)]) / 3.0
-    return BezierCurve([p0, p1, p2, p3])
+        return p0[None]
+    degree = (last - first)[:, None]
+    step = np.minimum(1, last - first)  # to the next point, none on a side of degree 0
+    with overflow("opposite curve"):  # each side's end derivatives, over 3
+        start = degree * (points[first + step] - points[first]) / 3.0
+        end = degree * (points[last] - points[last - step]) / 3.0
+        return np.stack([p0, p0 + start[(i + 2) % n], p3 - end[i - 2], p3])

@@ -6,9 +6,8 @@ i+1 to corner i-2); the parameter reversal needed by the blending
 formula happens here at evaluation time.
 """
 
-import numpy as np
-
-from .errors import DomainError, array
+from .curves import BezierCurve
+from .errors import array
 from .loop import opposite_curve
 
 
@@ -18,7 +17,7 @@ class Ribbon:
     def __init__(self, loop, i):
         n = loop.n
         self.prev, self.base, self.next = (loop.sides[(i + k) % n] for k in (-1, 0, 1))
-        self.opp = opposite_curve(loop, i)
+        self.opp = BezierCurve(opposite_curve(loop)[:, i])
         # corner matrix rows: s in {0,1}; columns: d in {0,1}
         self.c00 = self.base.control_points[0]   # C_i(0)
         self.c01 = self.prev.control_points[0]   # C_{i-1}(0)
@@ -26,14 +25,12 @@ class Ribbon:
         self.c11 = self.next.control_points[-1]  # C_{i+1}(1)
 
     def eval_many(self, s, d):
-        """Bilinearly blended Coons sum at parameter arrays s, d in [0, 1].
+        """Bilinearly blended Coons sum at parameter arrays s, d in [0, 1] (else DomainError).
 
         Three-term form: ruled surface in d, ruled surface in s, minus
         the bilinear corner correction.
         """
         s, d = (array(x, "ribbon parameter").astype(float, copy=False) for x in (s, d))
-        if not np.all((s >= 0) & (s <= 1) & (d >= 0) & (d <= 1)):
-            raise DomainError("ribbon parameters outside [0, 1]")
         sc = s[:, None]
         dc = d[:, None]
         ruled_d = (1.0 - dc) * self.base.eval_many(s) + dc * self.opp.eval_many(1.0 - s)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .curves import bernstein, elevate
+from .curves import bernstein_basis, binomials, elevate
 from .domain import DomainPolygon, local_params
 from .errors import array, integer, overflow, real
 from .loop import opposite_curve
@@ -11,6 +11,7 @@ from .loop import opposite_curve
 # the block's transients, the (points, n, n - 2) Wachspress gather
 # included, whatever n is
 BLOCK_VALUES = 2**14
+_COONS = np.array([1, 3, 0, 2])  # the parameter blocks s, 1 - d, d, 1 - s as Coons weights
 
 
 class Patch:
@@ -23,20 +24,22 @@ class Patch:
     """
 
     def __init__(self, loop):
-        self.loop = loop
+        self.loop, self.n = loop, loop.n
         self.domain = DomainPolygon(loop.n)
         # the n sides and the n opposite curves, elevated to the highest degree
         # D among them; the control tensor (D + 1, 4n, 3) holds in column
         # block r = 0..3 ribbon i's base, prev, next and opposite curve, and is
         # kept flattened and transposed, (3, (D + 1) 4n), for the kernel's matmul
-        n = loop.n
-        curves = loop.sides + tuple(opposite_curve(loop, i) for i in range(n))
-        self._degree = degree = max(c.degree for c in curves)
+        n, curves = loop.n, loop.sides
+        opposite = opposite_curve(loop)
+        degree = max(len(opposite) - 1, *(c.degree for c in curves))
         controls = np.empty((degree + 1, 2 * n, 3))
         for d in {c.degree for c in curves}:
             group = [j for j, c in enumerate(curves) if c.degree == d]
             controls[:, group] = elevate(
                 np.stack([curves[j].control_points for j in group], axis=1), degree)
+        controls[:, n:] = elevate(opposite, degree)
+        self._binomials = binomials(degree)
         i = np.arange(n)
         sides = controls[:, :n]
         # ribbon i's bilinear corner term is ruled in d, (1 - d) L0(s) + d L1(1 - s),
@@ -44,17 +47,13 @@ class Patch:
         # i + 1 to corner i - 2, the opposite curve's way; the base and opposite
         # columns carry those Coons weights and parameters, so they hold curve - chord
         corners = sides[-1]  # corner i ends side i; elevation keeps it bit for bit
-        start, end = corners[np.r_[i - 1, (i + 1) % n]], corners[np.r_[i, i - 2]]
+        start, end = (corners[np.concatenate(j)] for j in ([i - 1, (i + 1) % n], [i, i - 2]))
         u = np.linspace(0.0, 1.0, degree + 1)[:, None, None]
         with overflow("patch side minus its corner chord"):
             folded = controls - ((1.0 - u) * start + u * end)
         self._controls_t = np.concatenate(
             [folded[:, :n], sides[:, i - 1], sides[:, (i + 1) % n], folded[:, n:]], axis=1
         ).reshape(-1, 3).T.copy()
-
-    @property
-    def n(self):
-        return self.loop.n
 
     def eval(self, p):
         """Surface point at a single 2D domain point."""
@@ -101,12 +100,14 @@ class Patch:
         s, d, _ = local_params(self.domain.wachspress_many(points))
         w = 0.5 * (1.0 - d)
         # curve-major (4n, k) parameters and weights of ribbon i's base, prev,
-        # next and opposite curve
+        # next and opposite curve; the parameters lie in [0, 1] unchecked, since
+        # edge_distances_many refuses outside points and snaps distances within
+        # EPS_GEOM to 0 (lambda >= 0), and local_params clips d
         s, d, w = s.T, d.T, w.T
         t = np.concatenate([s, 1.0 - d, d, 1.0 - s])
-        c = t.reshape(4, n, k)[[1, 3, 0, 2]]  # Coons weights 1 - d, 1 - s, s, d
+        c = t.reshape(4, n, k)[_COONS]  # Coons weights 1 - d, 1 - s, s, d
         c *= w
-        basis = bernstein(t, self._degree)
+        basis = bernstein_basis(t, self._binomials)
         basis *= c.reshape(4 * n, k)
         return (controls @ basis.reshape(-1, k)).T
 

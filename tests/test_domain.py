@@ -56,6 +56,20 @@ def test_square_distances_hand_case():
     assert np.allclose(d[0] + d[2], 2 * a, atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
+def test_snap_band_zeroes_the_off_edge_coordinates(n):
+    # a distance within EPS_GEOM = 1e-12 of edge i snaps to 0, so 5e-13 inside it only
+    # lambda_{i-1} and lambda_i are nonzero; 1e-11 inside, every coordinate is positive
+    poly = DomainPolygon(n)
+    i = np.arange(n)
+    on_edge = (i[:, None] == i) | ((i[:, None] - 1) % n == i)  # row i: lambda_{i-1}, lambda_i
+    for t in (0.1, 0.5, 0.8):
+        points = poly.edge_point(i, t)
+        near = poly.wachspress_many(points - 5e-13 * poly.edge_normals)
+        assert np.all(near[~on_edge] == 0.0) and np.all(near[on_edge] > 0.0)
+        assert np.all(poly.wachspress_many(points - 1e-11 * poly.edge_normals) > 0.0)
+
+
 def test_outside_point_rejected():
     poly = DomainPolygon(4)
     with pytest.raises(DomainError):

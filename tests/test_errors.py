@@ -360,13 +360,14 @@ ENTRY_POINTS = {
     "write_ply_scalar scalar": lambda x: write_ply_scalar(_mesh_with("scalar", x)),
 }
 
-# every size at most 2, so no drawn value makes the package allocate much
+# every size at most 3, so no drawn value makes the package allocate much, and a
+# table of three columns (points, faces) gets past the shape checks to the value checks
 _NUMBERS = st.sampled_from([-1, -0.5, 0, 0.5, 1, 2, np.nan, np.inf, -np.inf])
 _LEAVES = st.one_of(st.none(), st.booleans(), st.text(max_size=2), _NUMBERS, st.just(1j))
-_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=2)
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)
 MALFORMED = st.one_of(
     _LEAVES,
-    st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=2), max_leaves=4),  # ragged too
+    st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=4),  # ragged too
     hnp.arrays(float, _SHAPES, elements=_NUMBERS),
     hnp.arrays(int, _SHAPES, elements=st.integers(-2, 2)),
     hnp.arrays(st.sampled_from([bool, complex, "U1"]), _SHAPES),

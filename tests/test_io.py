@@ -257,6 +257,17 @@ def test_integer_beyond_float_range(field, path):
         read_loop(json.dumps(doc))
 
 
+@pytest.mark.parametrize("value", [2**63, 10**20, -10**20])
+def test_integer_past_int64_reads_as_its_float(value):
+    # up to the float maximum a JSON integer is a number, read as its nearest float, past the
+    # int64 range too
+    doc = json.loads(SQUARE_DOC)
+    doc["sides"][0]["control_points"][-1][2] = value  # corner 0, on sides 0 and 1
+    doc["sides"][1]["control_points"][0][2] = value
+    loop = read_loop(json.dumps(doc))
+    assert loop.sides[0].control_points[-1, 2] == loop.sides[1].control_points[0, 2] == float(value)
+
+
 @pytest.mark.parametrize("text", [
     "[" * 100_000,  # nested past the parser's recursion limit
     '{"version": 1%s}' % ("0" * 5000),  # integer literal over Python's digit limit

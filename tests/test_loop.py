@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -51,6 +52,24 @@ def test_welding_averages_perturbed_corners():
         assert np.array_equal(end, start)
 
 
+@pytest.mark.parametrize("fraction", [0.9, 1.1])
+def test_default_weld_tolerance_is_1e_9_of_the_diagonal(fraction):
+    # a pentagon of chords with side 1's start, corner 0 at x = 0, moved along x inside the
+    # bounding box: a gap of 0.9e-9 times the diagonal welds, one of 1.1e-9 is open
+    corners = np.column_stack([DomainPolygon(5).vertices, np.zeros(5)])
+    sides = [np.array([a, b]) for a, b in zip(np.roll(corners, 1, axis=0), corners)]
+    gap = fraction * 1e-9 * math.dist(corners.max(axis=0), corners.min(axis=0))
+    sides[1][0, 0] += gap
+    curves = [BezierCurve(p) for p in sides]
+    if fraction < 1:
+        loop = make_loop(curves)
+        assert loop.corner_gaps[0] == pytest.approx(gap, rel=1e-6)
+        assert np.array_equal(loop.sides[0].control_points[-1], loop.sides[1].control_points[0])
+    else:
+        with pytest.raises(ClosureError, match="sides 1 and 2"):
+            make_loop(curves)
+
+
 def test_welding_idempotent():
     loop = make_loop(list(random_loop(5, 3, np.random.default_rng(4)).sides))
     again = make_loop(list(loop.sides))
@@ -60,9 +79,9 @@ def test_welding_idempotent():
 
 def test_opposite_curve_n3_is_constant_point():
     loop = bundled_loop("triangle")
+    assert opposite_curve(loop).shape == (1, 3, 3)
     for i in range(3):
-        opp = opposite_curve(loop, i)
-        assert opp.degree == 0
+        opp = BezierCurve(opposite_curve(loop)[:, i])
         assert np.array_equal(opp.eval(0.0), loop.sides[(i + 1) % 3].control_points[-1])
         # for a triangle the two far corners coincide
         assert np.allclose(opp.eval(1.0), loop.sides[i - 1].control_points[0], atol=0)
@@ -71,30 +90,29 @@ def test_opposite_curve_n3_is_constant_point():
 def test_opposite_curve_n4_reproduces_far_side():
     loop = random_loop(4, 3, np.random.default_rng(5))
     for i in range(4):
-        opp = opposite_curve(loop, i)
         far = loop.sides[(i + 2) % 4]
-        assert np.allclose(opp.control_points, far.control_points, atol=1e-14)
+        assert np.allclose(opposite_curve(loop)[:, i], far.control_points, atol=1e-14)
 
 
 def test_opposite_curve_pentagon_hand_computed():
     corners = np.column_stack([DomainPolygon(5).vertices, np.zeros(5)])
     loop = make_loop([BezierCurve([a, b]) for a, b in zip(np.roll(corners, 1, axis=0), corners)])
-    i = 0
-    opp = opposite_curve(loop, i)
+    opp = opposite_curve(loop)[:, 0]
     # endpoints: the two far corners
     p0 = corners[1]
     p3 = corners[3]
     # far edges are straight: derivative = chord vector
     p1 = p0 + (corners[2] - corners[1]) / 3.0
     p2 = p3 - (corners[3] - corners[2]) / 3.0
-    assert np.allclose(opp.control_points, [p0, p1, p2, p3], atol=1e-14)
+    assert np.allclose(opp, [p0, p1, p2, p3], atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
 def test_opposite_curve_endpoints(n):
     loop = random_loop(n, 3, np.random.default_rng(n))
+    assert opposite_curve(loop).shape == (1 if n == 3 else 4, n, 3)
     for i in range(n):
-        opp = opposite_curve(loop, i)
+        opp = BezierCurve(opposite_curve(loop)[:, i])
         assert np.array_equal(opp.eval(0.0), loop.sides[(i + 1) % n].control_points[-1])
         assert np.array_equal(opp.eval(1.0), loop.sides[i - 1].control_points[0])
 
@@ -120,7 +138,7 @@ def test_opposite_curve_takes_the_far_end_tangents(far, start, end):
     loop = _loop_with_far_sides(far)
     p0, p3 = loop.sides[1].control_points[-1], loop.sides[4].control_points[0]
     expected = [p0, p0 + np.array(start) / 3.0, p3 - np.array(end) / 3.0, p3]
-    assert np.array_equal(opposite_curve(loop, 0).control_points, expected)
+    assert np.array_equal(opposite_curve(loop)[:, 0], expected)
 
 
 def test_opposite_curve_past_the_float_range_names_the_overflow():
@@ -129,4 +147,4 @@ def test_opposite_curve_past_the_float_range_names_the_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="opposite curve overflows the float range"):
-            opposite_curve(loop, 0)
+            opposite_curve(loop)

@@ -182,6 +182,24 @@ def test_continuity_across_skip_threshold():
         assert jump <= lips * np.linalg.norm(p - qq) * 2 + 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_snap_band_of_the_domain_edges(n):
+    # EPS_GEOM = 1e-12: 5e-13 outside edge i a point is on it and the patch on side curve i,
+    # 1e-11 outside it is refused
+    loop = random_loop(n, 3, np.random.default_rng(70 + n))
+    patch = make_patch(loop)
+    poly = patch.domain
+    for i in range(n):
+        for t in (0.1, 0.5, 0.8):
+            point = poly.edge_point(i, t)
+            with pytest.raises(DomainError, match="outside the domain polygon"):
+                patch.eval(point + 1e-11 * poly.edge_normals[i])
+            near = point + 5e-13 * poly.edge_normals[i]
+            s = local_params(poly.wachspress_many([near])).s[0, i]
+            err = np.abs(patch.eval(near) - loop.sides[i].eval(s)).max()
+            assert err <= EPS64 * bbox_diagonal(loop)
+
+
 def test_outside_point_rejected():
     patch = make_patch(bundled_loop("square"))
     with pytest.raises(DomainError):
