@@ -23,16 +23,11 @@ class BezierCurve:
         if not 0 < len(pts) <= MAX_DEGREE + 1 or not np.all(np.isfinite(pts)):
             raise DomainError("a curve needs 1 to %d control points, all finite" % (MAX_DEGREE + 1))
         pts.setflags(write=False)
-        self._points = pts
-
-    @property
-    def control_points(self):
-        """The (degree + 1, 3) control points: a read-only array, and not reassignable."""
-        return self._points
+        self.control_points = pts
 
     @property
     def degree(self):
-        return self._points.shape[0] - 1
+        return self.control_points.shape[0] - 1
 
     def eval(self, t):
         """Point at parameter t in [0, 1]."""
@@ -44,14 +39,6 @@ class BezierCurve:
 
     def __repr__(self):
         return "BezierCurve(degree=%d)" % self.degree
-
-
-def trusted_curve(points):
-    """BezierCurve of a float array that passes its checks, not run again: kept, read-only."""
-    curve = object.__new__(BezierCurve)
-    points.setflags(write=False)
-    curve._points = points
-    return curve
 
 
 def bernstein(t, degree):
@@ -75,15 +62,10 @@ def bernstein_basis(t, binomials):
     """bernstein unchecked, for a float array t in [0, 1] and binomials(degree)."""
     powers = np.empty((2, len(binomials)) + t.shape)  # t^j and (1 - t)^j
     powers[:, 0] = 1.0
-    if t.size <= 64:  # one call; accumulate steps along j parameter by parameter, slow for many
-        powers[0, 1:] = t
-        np.subtract(1.0, t, out=powers[1, 1:])
-        np.multiply.accumulate(powers, axis=1, out=powers)
-    else:
-        powers[0, 1:2] = t
-        np.subtract(1.0, t, out=powers[1, 1:2])
-        for j in range(1, len(binomials) - 1):
-            np.multiply(powers[:, j], powers[:, 1], out=powers[:, j + 1])
+    powers[0, 1:2] = t  # j = 1, none for degree 0
+    np.subtract(1.0, t, out=powers[1, 1:2])
+    for j in range(1, len(binomials) - 1):
+        np.multiply(powers[:, j], powers[:, 1], out=powers[:, j + 1])
     basis = powers[0]
     basis *= binomials.reshape((-1,) + (1,) * t.ndim)
     basis *= powers[1, ::-1]

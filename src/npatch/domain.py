@@ -51,10 +51,10 @@ class DomainPolygon:
         evaluation exact.
         """
         points = np.asarray(points, dtype=float)
-        if not np.isfinite(points).all():
+        if not np.all(np.isfinite(points)):
             raise DomainError("domain point is not finite")
         d = self.apothem - points @ self.edge_normals.T
-        if (d < -EPS_GEOM).any():
+        if np.any(d < -EPS_GEOM):
             raise DomainError("point outside the domain polygon")
         d[np.abs(d) <= EPS_GEOM] = 0.0
         return d
@@ -69,7 +69,10 @@ class DomainPolygon:
         are points: the products come from one (k, n, n - 2) gather.
         """
         num = self.edge_distances_many(points)[:, self._off_edges].prod(axis=2)
-        return num / num.sum(axis=1, keepdims=True)
+        total = num.sum(axis=1, keepdims=True)
+        if not total.all():  # 0 / 0 next: products stay below e^2 but underflow for n > ~1075
+            raise DomainError("Wachspress products of %d distances underflow to 0" % (self.n - 2))
+        return num / total
 
 
 LocalParams = namedtuple("LocalParams", "s d valid")

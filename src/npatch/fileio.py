@@ -39,7 +39,7 @@ import sys
 
 import numpy as np
 
-from .curves import MAX_DEGREE, trusted_curve
+from .curves import MAX_DEGREE, BezierCurve
 from .errors import ParseError, SchemaError, array, indices
 from .loop import make_loop
 
@@ -241,7 +241,7 @@ def read_loop(text):
                     and all(_is_number(c) for c in p)):
                 raise SchemaError("sides[%d].control_points[%d]: need [x, y, z] of finite numbers"
                                   % (k, j))
-        curves.append(trusted_curve(np.array(cps, dtype=float)))  # checked as BezierCurve does
+        curves.append(BezierCurve(np.array(cps, dtype=float)))  # one float array: ints past int64 too
     tol = doc.get("weld_tolerance")
     if tol is not None and not (_is_number(tol) and tol >= 0):
         raise SchemaError("weld_tolerance: need a finite number >= 0")

@@ -9,7 +9,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .curves import BezierCurve, trusted_curve
+from .curves import BezierCurve
 from .errors import ClosureError, DomainError, overflow, real
 
 
@@ -23,8 +23,11 @@ class BoundaryLoop:
 
     def __init__(self, sides, corner_gaps):
         self.sides = tuple(sides)
-        self.n = len(self.sides)
         self.corner_gaps = corner_gaps  # pre-weld residuals, diagnostic only
+
+    @property
+    def n(self):
+        return len(self.sides)
 
 
 def make_loop(curves, weld_tolerance=None):
@@ -53,7 +56,7 @@ def make_loop(curves, weld_tolerance=None):
     corners = 0.5 * ends + 0.5 * starts  # no overflow
     pts[(last + 1) % len(pts)] = corners  # side i + 1 starts at corner i
     pts[last] = corners  # after the starts: a side of degree 0 ends at its corner
-    return BoundaryLoop([trusted_curve(pts[a:b + 1]) for a, b in zip(first, last)], gaps)
+    return BoundaryLoop([BezierCurve(pts[a:b + 1]) for a, b in zip(first, last)], gaps)
 
 
 def _stack(curves):

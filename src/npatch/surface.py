@@ -11,7 +11,6 @@ from .loop import opposite_curve
 # the block's transients, the (points, n, n - 2) Wachspress gather
 # included, whatever n is
 BLOCK_VALUES = 2**14
-_COONS = np.array([1, 3, 0, 2])  # the parameter blocks s, 1 - d, d, 1 - s as Coons weights
 
 
 class Patch:
@@ -24,14 +23,13 @@ class Patch:
     """
 
     def __init__(self, loop):
-        self.loop, self.n = loop, loop.n
+        self.loop = loop
         self.domain = DomainPolygon(loop.n)
         # the n sides and the n opposite curves, elevated to the highest degree
         # D among them; the control tensor (D + 1, 4n, 3) holds in column
         # block r = 0..3 ribbon i's base, prev, next and opposite curve, and is
         # kept flattened and transposed, (3, (D + 1) 4n), for the kernel's matmul
-        n, curves = loop.n, loop.sides
-        opposite = opposite_curve(loop)
+        n, curves, opposite = loop.n, loop.sides, opposite_curve(loop)
         degree = max(len(opposite) - 1, *(c.degree for c in curves))
         controls = np.empty((degree + 1, 2 * n, 3))
         for d in {c.degree for c in curves}:
@@ -54,6 +52,10 @@ class Patch:
         self._controls_t = np.concatenate(
             [folded[:, :n], sides[:, i - 1], sides[:, (i + 1) % n], folded[:, n:]], axis=1
         ).reshape(-1, 3).T.copy()
+
+    @property
+    def n(self):
+        return self.loop.n
 
     def eval(self, p):
         """Surface point at a single 2D domain point."""
@@ -99,13 +101,11 @@ class Patch:
         k, n = len(points), self.n
         s, d, _ = local_params(self.domain.wachspress_many(points))
         w = 0.5 * (1.0 - d)
-        # curve-major (4n, k) parameters and weights of ribbon i's base, prev,
-        # next and opposite curve; the parameters lie in [0, 1] unchecked, since
-        # edge_distances_many refuses outside points and snaps distances within
-        # EPS_GEOM to 0 (lambda >= 0), and local_params clips d
+        # curve-major (4n, k) parameters, in [0, 1] as wachspress_many and local_params
+        # leave them, and weights of ribbon i's base, prev, next and opposite curve
         s, d, w = s.T, d.T, w.T
         t = np.concatenate([s, 1.0 - d, d, 1.0 - s])
-        c = t.reshape(4, n, k)[_COONS]  # Coons weights 1 - d, 1 - s, s, d
+        c = t.reshape(4, n, k)[[1, 3, 0, 2]]  # Coons weights 1 - d, 1 - s, s, d
         c *= w
         basis = bernstein_basis(t, self._binomials)
         basis *= c.reshape(4 * n, k)

@@ -200,6 +200,18 @@ def test_snap_band_of_the_domain_edges(n):
             assert err <= EPS64 * bbox_diagonal(loop)
 
 
+def test_wachspress_underflow_is_refused():
+    # on an edge of a 1200-gon each nonzero product of n - 2 = 1198 distances underflows to
+    # 0, so the coordinates would be 0 / 0: DomainError, not NaN; the centre still evaluates
+    loop = random_loop(1200, 1, np.random.default_rng(77))
+    patch = make_patch(loop)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(patch.eval([0.0, 0.0])))
+        with pytest.raises(DomainError, match="underflow to 0"):
+            patch.eval(patch.domain.edge_point(3, 0.5))
+
+
 def test_outside_point_rejected():
     patch = make_patch(bundled_loop("square"))
     with pytest.raises(DomainError):
