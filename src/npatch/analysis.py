@@ -5,8 +5,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import (SIZE_BUDGET, DomainError, NumericError, SchemaError, array, indices,
-                     integer, overflow, real)
+from .errors import (SIZE_BUDGET, DomainError, NumericError, SchemaError, array, integer,
+                     overflow, real)
 from .mesher import TriMesh, mesh_patch
 from .surface import Patch
 
@@ -74,16 +74,12 @@ def pull_inward(poly, p, margin):
 
 
 def curvature_map(patch, m):
-    """Patch mesh with per-vertex mean curvature as the scalar channel.
-
-    Vertices too close to the domain boundary are sampled at the nearest
-    admissible point toward the center.
-    """
+    """(mesh, H): the patch mesh and the mean curvature at each of its k vertices, shape (k,);
+    a vertex nearer the domain boundary than 2.5 h is sampled 2.5 h in, toward the center."""
     mesh = mesh_patch(patch, m)
     # margin strictly above the 2h precondition, rounding-safe
     points = pull_inward(patch.domain, mesh.domain, 2.5 * CURVATURE_STEP)
-    mesh.scalar = mean_curvature(patch, points)
-    return mesh
+    return mesh, mean_curvature(patch, points)
 
 
 ContourSet = namedtuple("ContourSet", "axis levels polylines")
@@ -218,15 +214,16 @@ def harmonic_fill(mesh):
     about origin, the multiple of unit nearest the bbox centre: a loop scaled by 2**k fills to
     the scaled result bit for bit, and a translated one in its own frame, not on rounding at
     the size of the offset.  A mesh without interior vertices is returned unchanged.
-    SchemaError: no boundary, or a boundary that is not a 1-D array of vertex indices.
+    SchemaError: not a TriMesh (whose construction checked the boundary), or no boundary.
     DomainError: the boundary is not finite or spans more than the float range.
     """
+    if not isinstance(mesh, TriMesh):
+        raise SchemaError("harmonic_fill needs a TriMesh, got %s" % type(mesh).__name__)
+    if mesh.boundary is None or not mesh.boundary.size:
+        raise SchemaError("harmonic_fill needs a mesh with a boundary")
     nv = len(mesh.vertices)
     boundary = np.zeros(nv, dtype=bool)
-    if mesh.boundary is not None:
-        boundary[indices(mesh.boundary, nv, "boundary", (None,))] = True
-    if not boundary.any():
-        raise SchemaError("harmonic_fill needs a mesh with a boundary")
+    boundary[mesh.boundary] = True
     interior = np.nonzero(~boundary)[0]
     fixed = mesh.vertices[boundary]
     # the tolerances' length: a boundary of one point has no extent, but a size

@@ -57,8 +57,7 @@ def _cmd_eval(args):
 
 
 def _cmd_mesh(args):
-    patch = make_patch(_load(args.loop))
-    mesh = mesh_patch(patch, args.m)
+    mesh = mesh_patch(make_patch(_load(args.loop)), args.m)
     Path(args.output).write_text(fileio.write_obj(mesh), newline="\n")
     return 0
 
@@ -73,15 +72,13 @@ def _cmd_harmonic(args):
 
 
 def _cmd_curvature(args):
-    patch = make_patch(_load(args.loop))
-    mesh = analysis.curvature_map(patch, args.m)
-    Path(args.output).write_text(fileio.write_ply_scalar(mesh), newline="\n")
+    mesh, h = analysis.curvature_map(make_patch(_load(args.loop)), args.m)
+    Path(args.output).write_text(fileio.write_ply_scalar(mesh, h), newline="\n")
     return 0
 
 
 def _cmd_contours(args):
-    patch = make_patch(_load(args.loop))
-    mesh = mesh_patch(patch, args.m)
+    mesh = mesh_patch(make_patch(_load(args.loop)), args.m)
     contour_set = analysis.contours(mesh, np.array(AXES[args.axis]), args.count)
     Path(args.output).write_text(fileio.write_obj(mesh, contour_set), newline="\n")
     return 0

@@ -4,7 +4,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DomainError, array, integer
+from .errors import DomainError, array
 
 # C(1030, 515) is past the float range: 1029 is the highest degree with finite binomials
 MAX_DEGREE = 1029
@@ -34,24 +34,15 @@ class BezierCurve:
         return self.eval_many(array(t, "curve parameter", ()))[0]
 
     def eval_many(self, t):
-        """Bernstein-basis evaluation: t of shape (k,) -> points of shape (k, 3)."""
-        return bernstein(t, self.degree).reshape(self.degree + 1, -1).T @ self.control_points
+        """Bernstein-basis evaluation: t in [0, 1] of shape (k,) -> points of shape (k, 3)."""
+        t = array(t, "curve parameter").astype(float, copy=False)
+        if not np.all((t >= 0.0) & (t <= 1.0)):
+            raise DomainError("curve parameter outside [0, 1]")
+        basis = bernstein_basis(t, binomials(self.degree))
+        return basis.reshape(self.degree + 1, -1).T @ self.control_points
 
     def __repr__(self):
         return "BezierCurve(degree=%d)" % self.degree
-
-
-def bernstein(t, degree):
-    """Bernstein basis of a degree at parameters t in [0, 1] of any shape.
-
-    Row j, of t's shape, is C(degree, j) t^j (1 - t)^(degree - j); the
-    result has shape (degree + 1,) + t.shape.  bernstein_basis, checked.
-    """
-    degree = integer(degree, "Bernstein degree", 0, MAX_DEGREE)
-    t = array(t, "curve parameter").astype(float, copy=False)
-    if not np.all((t >= 0.0) & (t <= 1.0)):
-        raise DomainError("curve parameter outside [0, 1]")
-    return bernstein_basis(t, binomials(degree))
 
 
 def binomials(degree):
@@ -59,7 +50,8 @@ def binomials(degree):
 
 
 def bernstein_basis(t, binomials):
-    """bernstein unchecked, for a float array t in [0, 1] and binomials(degree)."""
+    """Bernstein basis, unchecked, of float parameters t in [0, 1] of any shape: row j of the
+    (degree + 1,) + t.shape result is binomials(degree)[j] t^j (1 - t)^(degree - j)."""
     powers = np.empty((2, len(binomials)) + t.shape)  # t^j and (1 - t)^j
     powers[:, 0] = 1.0
     powers[0, 1:2] = t  # j = 1, none for degree 0
@@ -72,7 +64,7 @@ def bernstein_basis(t, binomials):
     return basis
 
 
-def elevate(points, degree):
+def _elevate(points, degree):
     """Control points of the same Bezier curve(s) at a higher degree.
 
     points has shape (d + 1, ...) with d <= degree; the result has shape

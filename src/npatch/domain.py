@@ -37,7 +37,7 @@ class DomainPolygon:
         # row i: the edges vertex i does not lie on (it lies on edges i, i+1), ascending
         self._off_edges = np.sort((np.arange(n)[:, None] + np.arange(2, n)) % n, axis=1)
 
-    def edge_point(self, i, t):
+    def _edge_point(self, i, t):
         """Domain point on edge i at edge parameter t; arrays i and t
         broadcast to points of shape (..., 2)."""
         t = np.asarray(t, dtype=float)[..., None]

@@ -1,4 +1,4 @@
-"""File formats: JSON loop documents in and out, OBJ and PLY mesh writers.
+"""File formats: JSON loop documents in, OBJ and PLY mesh writers.
 
 These three formats are the package's public file contracts; meshes are
 only written, never read back.
@@ -40,12 +40,13 @@ import sys
 import numpy as np
 
 from .curves import MAX_DEGREE, BezierCurve
-from .errors import ParseError, SchemaError, array, indices
+from .errors import ParseError, SchemaError, array
 from .loop import make_loop
+from .mesher import TriMesh
 
 
 # the 4 decimal digits of each k < 10**4, most significant first: (4, 10**4)
-_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+_DIGITS = (np.arange(10**4) // 10 ** np.arange(3, -1, -1)[:, None] % 10).astype(np.uint8)
 # "%04d" % k as 4 ASCII bytes in one uint32 word (byte order plays no part:
 # the words are only gathered, then viewed as bytes again)
 _WORDS = np.ascontiguousarray((_DIGITS + np.uint8(ord("0"))).T).view(np.uint32)[:, 0]
@@ -248,46 +249,33 @@ def read_loop(text):
     return make_loop(curves, weld_tolerance=tol)
 
 
-def write_loop(loop):
-    """Serialize a BoundaryLoop back to document text."""
-    doc = {
-        "version": 1,
-        "sides": [
-            {"degree": c.degree, "control_points": c.control_points.tolist()}
-            for c in loop.sides
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def write_obj(mesh, contour_set=None):
-    """Indexed-mesh OBJ text; optional contour polylines as `l` elements. Vertices and
-    polylines must be (n, 3) arrays, triangles pass errors.indices (SchemaError)."""
+    """OBJ text of a TriMesh with (n, 3) vertices; optional contour polylines, (n, 3)
+    arrays, as `l` elements.  SchemaError: not a TriMesh, or records of another width."""
+    if not isinstance(mesh, TriMesh):
+        raise SchemaError("write_obj needs a TriMesh, got %s" % type(mesh).__name__)
     vertices = _table(mesh.vertices, "vertices")
-    triangles = indices(mesh.triangles, len(vertices), "triangle", (None, 3))
-    blocks = [_lines("v ", vertices), _lines("f ", triangles + 1)]
+    blocks = [_lines("v ", vertices), _lines("f ", mesh.triangles + 1)]
     if contour_set is not None and len(contour_set.polylines):
         blocks.append(_polyline_text(contour_set.polylines, len(vertices)))
     return (b"".join(blocks) or b"\n").decode("ascii")
 
 
-def write_ply_scalar(mesh):
-    """ASCII PLY with a per-vertex `quality` scalar; (n, 3) vertices and triangles (indices)."""
+def write_ply_scalar(mesh, scalar):
+    """ASCII PLY of a TriMesh, (n, 3) vertices, and one `quality` scalar per vertex (SchemaError)."""
+    if not isinstance(mesh, TriMesh):
+        raise SchemaError("write_ply_scalar needs a TriMesh, got %s" % type(mesh).__name__)
     vertices = _table(mesh.vertices, "vertices")
-    triangles = indices(mesh.triangles, len(vertices), "triangle", (None, 3))
-    scalar = array(mesh.scalar, "scalar channel", (len(vertices),), error=SchemaError)
+    scalar = array(scalar, "scalar channel", (len(vertices),), error=SchemaError)
     header = [
         "ply",
         "format ascii 1.0",
         "element vertex %d" % len(vertices),
-        "property double x",
-        "property double y",
-        "property double z",
-        "property double quality",
-        "element face %d" % len(triangles),
+        *("property double %s" % name for name in ("x", "y", "z", "quality")),
+        "element face %d" % len(mesh.triangles),
         "property list uchar int vertex_indices",
         "end_header",
     ]
     return "\n".join(header) + "\n" + (
-        _lines("", np.column_stack([vertices, scalar])) + _lines("3 ", triangles)
+        _lines("", np.column_stack([vertices, scalar])) + _lines("3 ", mesh.triangles)
     ).decode("ascii")

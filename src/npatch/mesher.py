@@ -6,25 +6,32 @@ from .errors import SIZE_BUDGET, SchemaError, array, indices, integer
 
 
 class TriMesh:
-    """Indexed triangle mesh of (k, d) vertices, or of none as a (0,) array.
+    """Read-only indexed triangle mesh of (k, d) vertices, or of none as a (0,) array.
 
     boundary is a 1-D array of the indices of the vertices lying on the
     domain boundary (None when unknown); domain holds the (k, 2) domain
-    points the vertices were mapped from (None when unknown); scalar, a
-    per-vertex channel, is None until assigned (curvature_map sets it).
-    SchemaError (errors.indices): the vertices are not of those shapes, the
-    triangles are not a (k, 3) table or the boundary a 1-D array of vertex
-    indices, integers (not booleans or NaN) in range.
+    points the vertices were mapped from (None when unknown).  SchemaError
+    (errors.indices): the vertices are not of those shapes, the triangles
+    are not a (k, 3) table or the boundary a 1-D array of vertex indices,
+    integers (not booleans or NaN) in range.  The mesh holds read-only
+    views of its arrays, not copies, and refuses assignment to its
+    attributes (AttributeError): every consumer trusts this one check.
     """
 
     def __init__(self, vertices, triangles, boundary=None, domain=None):
-        self.vertices = array(vertices, "vertices", (0,), (None, None),
-                              error=SchemaError).astype(float, copy=False)
-        self.triangles = indices(triangles, len(self.vertices), "triangle", (None, 3))
-        self.boundary = None if boundary is None else indices(
-            boundary, len(self.vertices), "boundary", (None,))
-        self.scalar = None
-        self.domain = domain
+        vertices = array(vertices, "vertices", (0,), (None, None),
+                         error=SchemaError).astype(float, copy=False)
+        fields = dict(vertices=vertices, domain=domain,
+                      triangles=indices(triangles, len(vertices), "triangle", (None, 3)),
+                      boundary=None if boundary is None else indices(
+                          boundary, len(vertices), "boundary", (None,)))
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                (value := value.view()).setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a TriMesh is read-only: build a new one instead")
 
     def edges(self):
         """Unique undirected edges as a sorted (E, 2) array."""
@@ -35,7 +42,7 @@ class TriMesh:
         return np.column_stack(np.divmod(keys[np.r_[-1, keys[:-1]] != keys], nv))
 
 
-def sectors(n, m):
+def _sectors(n, m):
     """Side 0's ring slots, level 1..m and slot < level, each of shape (k, 1), and their
     vertices on every side: index[:, q] = 1 + n level (level - 1)/2 + slot + q level."""
     level, slot = np.tril_indices(m)
@@ -59,9 +66,9 @@ def tessellate_domain(poly, m):
     """
     m = integer(m, "resolution m", 1, int((SIZE_BUDGET / poly.n) ** 0.5))  # n m^2 triangles
     n, s = poly.n, np.arange(poly.n)
-    level, slot, index = sectors(n, m)
+    level, slot, index = _sectors(n, m)
     vertices = np.zeros((1 + index.size, 2))
-    vertices[index] = (level / m)[..., None] * poly.edge_point(s, slot / level)
+    vertices[index] = (level / m)[..., None] * poly._edge_point(s, slot / level)
 
     # triangle k < 2 lev - 1 of side 0's strip at level lev, and its outer (a) and inner
     # (b) steps before
@@ -91,7 +98,7 @@ def mesh_patch(patch, m):
     """
     m = integer(m, "resolution m", 1, int((SIZE_BUDGET / patch.n) ** 0.5))
     dm = tessellate_domain(patch.domain, m)
-    index = sectors(patch.n, m)[2]
+    index = _sectors(patch.n, m)[2]
     pts = np.empty((len(dm.vertices), 3))
     pts[:1] = patch.eval_many(dm.vertices[:1])
     pts[index] = patch.eval_rotations(dm.vertices[index[:, 0]])

@@ -2,10 +2,10 @@
 
 import numpy as np
 
-from .curves import bernstein_basis, binomials, elevate
+from .curves import _elevate, bernstein_basis, binomials
 from .domain import DomainPolygon, local_params
-from .errors import array, integer, overflow, real
-from .loop import opposite_curve
+from .errors import DomainError, array, integer, overflow, real
+from .loop import BoundaryLoop, opposite_curve
 
 # curve parameters per evaluation block (points x 4n curve columns): bounds
 # the block's transients, the (points, n, n - 2) Wachspress gather
@@ -23,6 +23,8 @@ class Patch:
     """
 
     def __init__(self, loop):
+        if not isinstance(loop, BoundaryLoop):
+            raise DomainError("a patch needs a BoundaryLoop, got %s" % type(loop).__name__)
         self.loop = loop
         self.domain = DomainPolygon(loop.n)
         # the n sides and the n opposite curves, elevated to the highest degree
@@ -34,9 +36,9 @@ class Patch:
         controls = np.empty((degree + 1, 2 * n, 3))
         for d in {c.degree for c in curves}:
             group = [j for j, c in enumerate(curves) if c.degree == d]
-            controls[:, group] = elevate(
+            controls[:, group] = _elevate(
                 np.stack([curves[j].control_points for j in group], axis=1), degree)
-        controls[:, n:] = elevate(opposite, degree)
+        controls[:, n:] = _elevate(opposite, degree)
         self._binomials = binomials(degree)
         i = np.arange(n)
         sides = controls[:, :n]
@@ -117,7 +119,7 @@ class Patch:
         By the interpolation property this equals curve i evaluated at t;
         it is still computed through the full patch.
         """
-        point = self.domain.edge_point(integer(i, "side index"), real(t, "edge parameter", 0, 1))
+        point = self.domain._edge_point(integer(i, "side index"), real(t, "edge parameter", 0, 1))
         return self.eval(point)
 
 

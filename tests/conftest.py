@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
-from npatch.fileio import read_loop, write_loop
+from npatch.fileio import read_loop
 from npatch.fixtures import FIXTURE_DIR
 
 # every hypothesis test draws the same examples on every run and is not timed;
@@ -27,6 +27,19 @@ SEEDS = st.integers(0, 2**32 - 1)
 # lambda_{i-1} + lambda_i, and with them their weights, fall from about 1e-6 to
 # 1e-18 (a partial, not a lambda, whose source hypothesis would parse on every run)
 CORNER_DISTANCES = st.floats(-9, -3).map(partial(pow, 10.0))
+
+
+def write_loop(loop):
+    """A BoundaryLoop as loop document text: version 1 and each side's degree and control
+    points, indented by two; the bundled fixture files are this text of their loops."""
+    doc = {
+        "version": 1,
+        "sides": [
+            {"degree": c.degree, "control_points": c.control_points.tolist()}
+            for c in loop.sides
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def bundled_loop(name):

@@ -74,14 +74,14 @@ def test_curvature_step_consistency():
 
 def test_patch_boundary_margin_enforced():
     patch = make_patch(bundled_loop("pentagon"))
-    near_edge = patch.domain.edge_point(0, 0.5) * 0.99999
+    near_edge = patch.domain._edge_point(0, 0.5) * 0.99999
     with pytest.raises(DomainError):
         mean_curvature(patch, near_edge)
 
 
 def test_patch_boundary_margin_enforced_batch():
     patch = make_patch(bundled_loop("pentagon"))
-    points = np.array([[0.0, 0.0], [0.2, -0.1], patch.domain.edge_point(0, 0.5) * 0.99999])
+    points = np.array([[0.0, 0.0], [0.2, -0.1], patch.domain._edge_point(0, 0.5) * 0.99999])
     assert mean_curvature(patch, points[:2]).shape == (2,)
     with pytest.raises(DomainError):
         mean_curvature(patch, points)
@@ -107,13 +107,13 @@ def test_mean_curvature_of_no_points_is_empty():
 
 def test_pull_inward():
     poly = DomainPolygon(5)
-    q = pull_inward(poly, poly.edge_point(2, [0.0, 0.3, 0.9]), 0.01)
+    q = pull_inward(poly, poly._edge_point(2, [0.0, 0.3, 0.9]), 0.01)
     assert poly.edge_distances_many(q).min() >= 0.01 - 1e-12
 
 
 def test_pull_inward_batch_matches_rows():
     poly = DomainPolygon(5)
-    points = np.array([poly.edge_point(i, t) for i in range(5) for t in (0.0, 0.3, 0.9)]
+    points = np.array([poly._edge_point(i, t) for i in range(5) for t in (0.0, 0.3, 0.9)]
                       + [[0.0, 0.0], [0.1, -0.2]])
     rows = [pull_inward(poly, q, 0.01) for q in points]
     assert np.array_equal(pull_inward(poly, points, 0.01), rows)
@@ -123,16 +123,16 @@ def test_curvature_map_planar_loop():
     flat = make_loop([
         BezierCurve(c.control_points * [1, 1, 0]) for c in bundled_loop("pentagon").sides
     ])
-    mesh = curvature_map(make_patch(flat), 4)
-    assert mesh.scalar is not None
-    assert np.abs(mesh.scalar).max() <= 1e-6
+    mesh, h = curvature_map(make_patch(flat), 4)
+    assert h.shape == (len(mesh.vertices),)
+    assert np.abs(h).max() <= 1e-6
 
 
 def test_curvature_map_pentagon_smooth():
-    mesh = curvature_map(make_patch(bundled_loop("pentagon")), 6)
-    assert np.all(np.isfinite(mesh.scalar))
+    h = curvature_map(make_patch(bundled_loop("pentagon")), 6)[1]
+    assert np.all(np.isfinite(h))
     # frozen regression bounds from the first verified run
-    assert -2.0 < mesh.scalar.min() < mesh.scalar.max() < 2.0
+    assert -2.0 < h.min() < h.max() < 2.0
 
 
 def test_contours_single_triangle():
@@ -351,7 +351,7 @@ def test_degenerate_sides_mesh_fill_and_curve_finitely(name):
         mesh = mesh_patch(patch, 8)
         assert np.all(np.isfinite(mesh.vertices))
         assert np.all(np.isfinite(harmonic_fill(mesh).vertices))
-        assert np.all(np.isfinite(curvature_map(patch, 6).scalar))
+        assert np.all(np.isfinite(curvature_map(patch, 6)[1]))
 
 
 @settings(max_examples=30)
@@ -367,7 +367,7 @@ def test_power_of_two_scale_equivariance(n, degree, seed, k):
         warnings.simplefilter("error")
         mesh, mesh_k = (mesh_patch(make_patch(lp), 5) for lp in (loop, scaled))
         assert np.array_equal(mesh_k.vertices, np.ldexp(mesh.vertices, k))
-        curvature, curvature_k = (curvature_map(make_patch(lp), 5).scalar for lp in (loop, scaled))
+        curvature, curvature_k = (curvature_map(make_patch(lp), 5)[1] for lp in (loop, scaled))
         assert np.array_equal(curvature_k, np.ldexp(curvature, -k))
         harmonic, harmonic_k = (harmonic_fill(m).vertices for m in (mesh, mesh_k))
     assert np.array_equal(harmonic_k, np.ldexp(harmonic, k))

@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (bulging_triangle_doc, bundled_loop, loop_doc, near_range_square_doc,
-                      scaled_doc, scaled_square_doc)
+                      scaled_doc, scaled_square_doc, write_loop)
 
 import npatch
 from npatch import make_patch, mesh_patch
 from npatch.analysis import contours, curvature_map, harmonic_fill
 from npatch.cli import main
-from npatch.fileio import read_loop, write_loop, write_obj, write_ply_scalar
+from npatch.fileio import read_loop, write_obj, write_ply_scalar
 
 
 @pytest.fixture
@@ -244,9 +244,9 @@ def test_harmonic_prints_energies(pentagon_file, tmp_path, capsys):
 def test_curvature(pentagon_file, tmp_path):
     out = tmp_path / "curv.ply"
     assert main(["curvature", pentagon_file, "-m", "4", "-o", str(out)]) == 0
-    mesh = curvature_map(make_patch(read_loop(Path(pentagon_file).read_bytes())), 4)
-    assert np.all(np.isfinite(mesh.scalar))
-    assert out.read_bytes() == write_ply_scalar(mesh).encode()
+    mesh, h = curvature_map(make_patch(read_loop(Path(pentagon_file).read_bytes())), 4)
+    assert np.all(np.isfinite(h))
+    assert out.read_bytes() == write_ply_scalar(mesh, h).encode()
 
 
 def test_contours(pentagon_file, tmp_path):
@@ -300,7 +300,7 @@ def test_output_file_holds_the_writer_bytes(pentagon_file, tmp_path, command):
     text = {
         "mesh": lambda: write_obj(mesh),
         "harmonic": lambda: write_obj(harmonic_fill(mesh)),
-        "curvature": lambda: write_ply_scalar(curvature_map(patch, 5)),
+        "curvature": lambda: write_ply_scalar(*curvature_map(patch, 5)),
         "contours": lambda: write_obj(mesh, contours(mesh, np.array([0.0, 0.0, 1.0]), 10)),
     }[command]()
     assert out.read_bytes() == text.encode()

@@ -3,7 +3,7 @@ import pytest
 from conftest import bernstein_eval
 
 from npatch import BezierCurve
-from npatch.curves import bernstein, elevate
+from npatch.curves import _elevate
 from npatch.errors import DomainError
 
 CUBIC = [(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)]
@@ -79,7 +79,7 @@ def test_rejects_bad_input():
 def test_elevate_keeps_the_curve(degree):
     rng = np.random.default_rng(90 + degree)
     pts = rng.normal(size=(degree + 1, 3))
-    up = elevate(pts, 7)
+    up = _elevate(pts, 7)
     assert up.shape == (8, 3)
     assert up[0].tobytes() == pts[0].tobytes()
     assert up[-1].tobytes() == pts[-1].tobytes()
@@ -92,19 +92,16 @@ def test_elevate_keeps_the_curve(degree):
         assert err <= 1e-15 * max(np.linalg.norm(np.ptp(pts, axis=0)), np.abs(pts).max())
     # a stack of curves (degree + 1, m, 3) elevates curve by curve
     stack = rng.normal(size=(degree + 1, 4, 3))
-    assert np.array_equal(elevate(stack, 7),
-                          np.stack([elevate(stack[:, j], 7) for j in range(4)], axis=1))
+    assert np.array_equal(_elevate(stack, 7),
+                          np.stack([_elevate(stack[:, j], 7) for j in range(4)], axis=1))
 
 
 @pytest.mark.parametrize("degree", range(8))
 @pytest.mark.parametrize("make", [float, np.float64, np.array])
 def test_bernstein_of_a_scalar_parameter(make, degree):
+    # a scalar parameter runs the basis on a 0-d array: the point of its one-row batch
+    curve = BezierCurve(np.random.default_rng(degree).normal(size=(degree + 1, 3)))
     for t in (0.0, 0.3, 1.0):
-        got = bernstein(make(t), degree)
-        assert got.shape == (degree + 1,)
-        assert np.array_equal(got, bernstein([t], degree)[:, 0])
-
-
-def test_bernstein_narrow_numpy_degree():
-    # the degree is kept as a Python int: np.int8(127) + 1 overflowed to -128
-    assert np.array_equal(bernstein([0.5], np.int8(127)), bernstein([0.5], 127))
+        got = curve.eval(make(t))
+        assert got.shape == (3,)
+        assert np.array_equal(got, curve.eval_many([t])[0])

@@ -41,7 +41,7 @@ def test_center_distances_equal_apothem(n):
 
 def test_edge_midpoint_distance_zero():
     poly = DomainPolygon(5)
-    mids = poly.edge_point(np.arange(5), 0.5)
+    mids = poly._edge_point(np.arange(5), 0.5)
     assert np.all(np.diag(poly.edge_distances_many(mids)) == 0.0)
 
 
@@ -64,7 +64,7 @@ def test_snap_band_zeroes_the_off_edge_coordinates(n):
     i = np.arange(n)
     on_edge = (i[:, None] == i) | ((i[:, None] - 1) % n == i)  # row i: lambda_{i-1}, lambda_i
     for t in (0.1, 0.5, 0.8):
-        points = poly.edge_point(i, t)
+        points = poly._edge_point(i, t)
         near = poly.wachspress_many(points - 5e-13 * poly.edge_normals)
         assert np.all(near[~on_edge] == 0.0) and np.all(near[on_edge] > 0.0)
         assert np.all(poly.wachspress_many(points - 1e-11 * poly.edge_normals) > 0.0)
@@ -121,7 +121,7 @@ def test_edge_lambda_linear_in_arclength(n):
     poly = DomainPolygon(n)
     t = np.linspace(0, 1, 33)
     for i in range(n):
-        pts = np.array([poly.edge_point(i, tk) for tk in t])
+        pts = np.array([poly._edge_point(i, tk) for tk in t])
         lam = poly.wachspress_many(pts)
         # only the edge's two vertex coordinates survive, varying linearly
         assert np.abs(lam[:, (i - 1) % n] - (1 - t)).max() <= 1e-10
@@ -139,14 +139,14 @@ def test_local_params_center():
 
 def test_local_params_edge_midpoint():
     poly = DomainPolygon(5)
-    lp = local_params(poly.wachspress_many(poly.edge_point(2, [0.5])))
+    lp = local_params(poly.wachspress_many(poly._edge_point(2, [0.5])))
     assert abs(lp.d[0, 2]) <= 1e-12
     assert abs(lp.s[0, 2] - 0.5) <= 1e-12
 
 
 def test_local_params_far_edge():
     poly = DomainPolygon(6)
-    lp = local_params(poly.wachspress_many(poly.edge_point(3, [0.25])))
+    lp = local_params(poly.wachspress_many(poly._edge_point(3, [0.25])))
     for i in range(6):
         if i in (2, 3, 4):
             continue
@@ -164,7 +164,7 @@ def test_d_properties(n, t, seed, distance):
     i = np.arange(n)
     t = np.r_[0.0, t, distance, 1.0 - distance, 1.0]
     # d[i, k, j]: side j's d at edge i's point t[k]
-    s, d, _ = local_params(poly.wachspress_many(poly.edge_point(i[:, None], t).reshape(-1, 2)))
+    s, d, _ = local_params(poly.wachspress_many(poly._edge_point(i[:, None], t).reshape(-1, 2)))
     d = d.reshape(n, t.size, n)
     assert np.abs(d[i, :, i]).max() <= EPS64
     assert np.abs(d[i, :, i - 1] + d[i, :, (i + 1) % n] - 1).max() <= EPS64

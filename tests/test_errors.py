@@ -5,6 +5,7 @@ working.
 """
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch
+from npatch import BezierCurve, DomainPolygon, Patch, TriMesh, make_loop, make_patch, mesh_patch
 from npatch.analysis import (ContourSet, contours, curvature_map, dirichlet_energy,
                              harmonic_fill, mean_curvature)
-from npatch.curves import MAX_DEGREE, bernstein
+from npatch.curves import MAX_DEGREE
 from npatch.errors import DomainError, NPatchError, SchemaError
 from npatch.fileio import read_loop, write_obj, write_ply_scalar
 from npatch.fixtures import random_loop
@@ -91,8 +92,6 @@ CHECKS = {
     "curve of ragged points": lambda: BezierCurve([[1, 2, [3]]]),
     "loop of numbers": lambda: make_loop([1, 2, 3]),
     "weld tolerance string": lambda: make_loop(SQUARE_LOOP.sides, "x"),
-    "Bernstein degree negative": lambda: bernstein(0.5, -1),
-    "Bernstein degree not an integer": lambda: bernstein(0.5, 2.5),
     # ragged nesting raised numpy's plain ValueError before any check ran
     "eval_many of ragged points": lambda: SQUARE.eval_many([[0.1], [0.2, 0.3]]),
     "mean curvature of ragged points": lambda: mean_curvature(SQUARE, [[0.1], [0.2, 0.3]]),
@@ -100,15 +99,16 @@ CHECKS = {
     # a complex array lost its imaginary part, with a ComplexWarning
     "curve of complex points": lambda: BezierCurve(np.array([[0.0, 0, 1j]])),
     "loop of None": lambda: make_loop(None),
+    # a patch of anything but a BoundaryLoop raised AttributeError (no attribute 'n')
+    "patch of None": lambda: Patch(None),
+    "patch of a string": lambda: make_patch("abc"),
     # sizes past errors.SIZE_BUDGET that numpy itself refuses to allocate (a MemoryError)
     "resolution 2**40": lambda: tessellate_domain(DomainPolygon(4), 2**40),
     "mesh resolution 2**40": lambda: mesh_patch(SQUARE, 2**40),
     "polygon sides 10**6": lambda: DomainPolygon(10**6),
     "contour count 2**45": _contours_of(TRIANGLE, count=2**45),
-    "Bernstein degree 2**40": lambda: bernstein(0.5, 2**40),
-    # C(1030, 515) is past the float range: float() of it raised OverflowError
-    "Bernstein degree 1030": lambda: bernstein(0.5, 1030),
-    # a degree no evaluation can use: refused where the curve is made, not at its first use
+    # a degree no evaluation can use (C(1030, 515) is past the float range): refused where
+    # the curve is made, not at its first use
     "curve of 1031 control points": lambda: BezierCurve(np.zeros((1031, 3))),
     "random loop degree 2**40": lambda: random_loop(5, 2**40, np.random.default_rng(0)),
     # a step whose square underflows divided 0 by 0 in the second differences
@@ -250,22 +250,14 @@ def test_contour_graph_of_degree_above_two_is_schema_error(triangles):
         contours(TriMesh(vertices, triangles), [0, 0, 1], 3)
 
 
-def _harmonic_pinning(index):
-    """harmonic_fill of a square mesh whose boundary's first index is replaced."""
-    def fill():
-        mesh = mesh_patch(make_patch(bundled_loop("square")), 3)
-        mesh.boundary = np.r_[index, mesh.boundary[1:]]
-        return harmonic_fill(mesh)
-    return fill
+SQUARE_MESH = mesh_patch(SQUARE, 3)
+RIM = SQUARE_MESH.boundary
 
 
-def _harmonic_of_a_boundary_mask():
-    """harmonic_fill of a square mesh whose boundary is given as a boolean mask."""
-    mesh = mesh_patch(make_patch(bundled_loop("square")), 3)
-    mask = np.zeros(len(mesh.vertices), dtype=bool)
-    mask[mesh.boundary] = True
-    mesh.boundary = mask
-    return harmonic_fill(mesh)
+def _harmonic_with(boundary):
+    """harmonic_fill of the square's m = 3 mesh with another boundary (TriMesh checks it)."""
+    return lambda: harmonic_fill(TriMesh(SQUARE_MESH.vertices, SQUARE_MESH.triangles,
+                                         boundary=boundary))
 
 
 MALFORMED_MESHES = {
@@ -286,9 +278,9 @@ MALFORMED_MESHES = {
     "flat triangle table": lambda: TriMesh(np.eye(4, 3), [0, 1, 2]),
     "string triangle index": lambda: TriMesh(np.eye(4, 3), [["0", "1", "2"]]),
     # numpy indexing would read -1 as the last vertex and pin that one
-    "harmonic boundary index past the end": _harmonic_pinning(999),
-    "harmonic fractional boundary index": _harmonic_pinning(0.5),
-    "harmonic negative boundary index": _harmonic_pinning(-1),
+    "harmonic boundary index past the end": _harmonic_with(np.r_[999, RIM[1:]]),
+    "harmonic fractional boundary index": _harmonic_with(np.r_[0.5, RIM[1:]]),
+    "harmonic negative boundary index": _harmonic_with(np.r_[-1, RIM[1:]]),
     "contours of a triangle index past the end": _contours_of(TRIANGLE, triangles=[[0, 1, 3]]),
     "contours without vertices": _contours_of(np.zeros((0, 3)), triangles=np.zeros((0, 3), int)),
     "contours of planar vertices": _contours_of(np.eye(3, 2)),
@@ -300,14 +292,18 @@ MALFORMED_MESHES = {
     "boolean triangle indices": lambda: TriMesh(np.eye(3), [[True, False, True]]),
     "boolean boundary indices":
         lambda: TriMesh(np.eye(3), [[0, 1, 2]], boundary=[True, False, True]),
-    "harmonic boundary mask": _harmonic_of_a_boundary_mask,
+    "harmonic boundary mask": _harmonic_with(np.isin(np.arange(len(SQUARE_MESH.vertices)), RIM)),
     # three corners is the only face width: edges, contours and the writers read no other
     "quad face table": lambda: TriMesh(np.eye(4, 3), [[0, 1, 2, 3]]),
     "two-corner face table": lambda: TriMesh(np.eye(3), [[0, 1]]),
-    # the writers check faces as TriMesh does: faces may be reassigned after construction
-    "write_obj face out of range": lambda: write_obj(_mesh_with("triangles", [[0, 1, 5]])),
-    "write_ply_scalar fractional face":
-        lambda: write_ply_scalar(_mesh_with("triangles", [[0, 1, 1.5]])),
+    # the writers and harmonic_fill trust a TriMesh's construction check and take nothing
+    # else, so a mesh-like object with bad faces is refused too
+    "write_obj face out of range":
+        lambda: write_obj(SimpleNamespace(vertices=np.eye(3), triangles=np.array([[0, 1, 5]]))),
+    "write_ply_scalar fractional face": lambda: write_ply_scalar(
+        SimpleNamespace(vertices=np.eye(3), triangles=np.array([[0, 1, 1.5]])), np.zeros(3)),
+    "harmonic fill of a mesh-like object": lambda: harmonic_fill(SimpleNamespace(
+        vertices=np.eye(4, 3), triangles=np.array([[0, 1, 5]]), boundary=np.arange(3))),
 }
 
 
@@ -318,14 +314,7 @@ def test_malformed_meshes_are_schema_errors(name):
 
 
 MESH = mesh_patch(SQUARE, 2)
-
-
-def _mesh_with(attribute, value):
-    """A one-triangle mesh with a zero scalar channel and one attribute replaced."""
-    mesh = TriMesh(np.eye(3), [[0, 1, 2]])
-    mesh.scalar = np.zeros(3)
-    setattr(mesh, attribute, value)
-    return mesh
+TRI = TriMesh(np.eye(3), [[0, 1, 2]])
 
 
 # the value arguments of the public entry points, one drawn value each
@@ -335,6 +324,7 @@ ENTRY_POINTS = {
     "BezierCurve.eval_many": BezierCurve(LINE).eval_many,
     "make_loop": make_loop,
     "make_loop weld_tolerance": lambda x: make_loop(SQUARE_LOOP.sides, weld_tolerance=x),
+    "Patch": Patch,
     "Patch.eval": SQUARE.eval,
     "Patch.eval_many": SQUARE.eval_many,
     "Patch.eval_rotations": SQUARE.eval_rotations,
@@ -351,13 +341,14 @@ ENTRY_POINTS = {
     "curvature_map m": lambda x: curvature_map(SQUARE, x),
     "contours axis": lambda x: contours(MESH, x, 3),
     "contours count": lambda x: contours(MESH, [0, 0, 1], x),
-    # assigned after construction, so the callee's own check sees it
-    "harmonic_fill boundary index": lambda x: harmonic_fill(_mesh_with("boundary", x)),
-    "write_obj triangles": lambda x: write_obj(_mesh_with("triangles", x)),
+    # a mesh is read-only: a drawn field goes through TriMesh's check on its way to the callee
+    "harmonic_fill boundary index":
+        lambda x: harmonic_fill(TriMesh(np.eye(3), [[0, 1, 2]], boundary=x)),
+    "write_obj triangles": lambda x: write_obj(TriMesh(np.eye(3), x)),
     "read_loop": read_loop,
-    "write_obj vertices": lambda x: write_obj(_mesh_with("vertices", x)),
+    "write_obj vertices": lambda x: write_obj(TriMesh(x, np.zeros((0, 3), int))),
     "write_obj polyline": lambda x: write_obj(MESH, ContourSet([0, 0, 1], [0.5], [x])),
-    "write_ply_scalar scalar": lambda x: write_ply_scalar(_mesh_with("scalar", x)),
+    "write_ply_scalar scalar": lambda x: write_ply_scalar(TRI, x),
 }
 
 # every size at most 3, so no drawn value makes the package allocate much, and a

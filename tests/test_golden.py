@@ -56,17 +56,16 @@ def writer_cases():
                  [0.999999999, 0.9999999995, 9.9999999949e-5], [1e-5, 1e-4, 1e15]]
     tris = rng.integers(0, len(verts), (60, 3))
     mesh = TriMesh(verts, tris)
-    mesh.scalar = rng.standard_normal(40) * 1e3
+    scalar = rng.standard_normal(40) * 1e3
     polylines = [verts[:5], rng.uniform(-1, 1, (2, 3)), verts[10:30:3]]
     contour_set = ContourSet([0, 0, 1], [0.5], polylines)
     empty = TriMesh(verts[:3], np.zeros((0, 3), dtype=int))
-    empty.scalar = np.array([0.0, -1.0, 2.0])
     return [
         ("obj", write_obj(mesh)),
         ("obj_contours", write_obj(mesh, contour_set)),
         ("obj_empty", write_obj(empty, ContourSet([1, 0, 0], [], []))),
-        ("ply", write_ply_scalar(mesh)),
-        ("ply_empty", write_ply_scalar(empty)),
+        ("ply", write_ply_scalar(mesh, scalar)),
+        ("ply_empty", write_ply_scalar(empty, np.array([0.0, -1.0, 2.0]))),
     ]
 
 
@@ -100,7 +99,7 @@ def test_writer_bytes(key):
 @pytest.mark.parametrize("m", (3, 6))
 @pytest.mark.parametrize("name", FIXTURES)
 def test_curvature_scalars(name, m):
-    got = curvature_map(make_patch(bundled_loop(name)), m).scalar
+    got = curvature_map(make_patch(bundled_loop(name)), m)[1]
     assert np.abs(got - GOLDEN["curvature"]["%s,%d" % (name, m)]).max() <= CURVATURE_TOL
 
 

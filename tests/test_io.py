@@ -3,7 +3,7 @@ from contextlib import suppress
 
 import numpy as np
 import pytest
-from conftest import bundled_loop, random_interior_points, scaled_square_doc
+from conftest import bundled_loop, random_interior_points, scaled_square_doc, write_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_writers import reference_obj, reference_ply
@@ -11,7 +11,7 @@ from test_writers import reference_obj, reference_ply
 from npatch import DomainPolygon, TriMesh, make_patch, mesh_patch
 from npatch.analysis import contours, curvature_map
 from npatch.errors import ClosureError, DomainError, NPatchError, ParseError, SchemaError
-from npatch.fileio import read_loop, write_loop, write_obj, write_ply_scalar
+from npatch.fileio import read_loop, write_obj, write_ply_scalar
 from npatch.fixtures import FIXTURE_DIR, bundled, random_loop
 from npatch.mesher import tessellate_domain
 
@@ -196,32 +196,29 @@ def test_obj_contours_appended():
 def test_ply_requires_scalar():
     mesh = TriMesh(np.eye(3), np.array([[0, 1, 2]]))
     with pytest.raises(SchemaError):
-        write_ply_scalar(mesh)
-    mesh.scalar = np.zeros(2)
+        write_ply_scalar(mesh, None)
     with pytest.raises(SchemaError):
-        write_ply_scalar(mesh)
+        write_ply_scalar(mesh, np.zeros(2))
 
 
 def test_ply_roundtrip_zeros():
     mesh = TriMesh(np.eye(3), np.array([[0, 1, 2]]))
-    mesh.scalar = np.zeros(3)
-    text = write_ply_scalar(mesh)
-    assert text == reference_ply(mesh)
+    text = write_ply_scalar(mesh, np.zeros(3))
+    assert text == reference_ply(mesh, np.zeros(3))
     assert text.endswith("end_header\n1 0 0 0\n0 1 0 0\n0 0 1 0\n3 0 1 2\n")
 
 
 def test_ply_roundtrip_random_mesh():
     rng = np.random.default_rng(92)
     mesh = TriMesh(rng.normal(size=(10, 3)), np.array([[0, 1, 2], [3, 4, 5]]))
-    mesh.scalar = rng.normal(size=10)
-    text = write_ply_scalar(mesh)
-    assert text == reference_ply(mesh)
+    scalar = rng.normal(size=10)
+    text = write_ply_scalar(mesh, scalar)
+    assert text == reference_ply(mesh, scalar)
     records = np.array([line.split() for line in text.splitlines()[10:20]], float)  # x y z quality
-    assert np.abs(records - np.column_stack([mesh.vertices, mesh.scalar])).max() <= 1e-7
+    assert np.abs(records - np.column_stack([mesh.vertices, scalar])).max() <= 1e-7
     # the printed values print as themselves
     again = TriMesh(records[:, :3], mesh.triangles)
-    again.scalar = records[:, 3]
-    assert write_ply_scalar(again) == text
+    assert write_ply_scalar(again, records[:, 3]) == text
 
 
 def test_curvature_ply_planar_loop():
@@ -230,9 +227,9 @@ def test_curvature_ply_planar_loop():
     flat = make_loop([
         BezierCurve(c.control_points * [1, 1, 0]) for c in bundled_loop("pentagon").sides
     ])
-    mesh = curvature_map(make_patch(flat), 3)
-    assert np.abs(mesh.scalar).max() <= 1e-6
-    assert write_ply_scalar(mesh) == reference_ply(mesh)
+    mesh, h = curvature_map(make_patch(flat), 3)
+    assert np.abs(h).max() <= 1e-6
+    assert write_ply_scalar(mesh, h) == reference_ply(mesh, h)
 
 
 def test_deterministic_output():

@@ -4,7 +4,8 @@ from conftest import DEGREES, SEEDS, bbox_diagonal, bundled_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npatch import BezierCurve, DomainPolygon, make_loop, make_patch, mesh_patch
+from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch
+from npatch.analysis import harmonic_fill
 from npatch.fixtures import random_loop
 from npatch.mesher import tessellate_domain
 
@@ -24,7 +25,7 @@ def reference_tessellation(poly, m):
     level = np.repeat(levels, n * levels)
     side, k = np.divmod(np.arange(level.size) - n * level * (level - 1) // 2, level)
     t = k / level
-    ring = (level / m)[:, None] * poly.edge_point(side, t)
+    ring = (level / m)[:, None] * poly._edge_point(side, t)
     on_boundary = level == m
     boundary = (1 + np.nonzero(on_boundary)[0], side[on_boundary], t[on_boundary])
 
@@ -130,7 +131,7 @@ def test_boundary_table_covers_outer_ring():
     for s, ts in by_side.items():
         assert sorted(ts) == [k / m for k in range(m)]
     for v, s, tt in zip(index, side, t):
-        assert np.abs(mesh.vertices[v] - DomainPolygon(n).edge_point(s, tt)).max() <= 1e-15
+        assert np.abs(mesh.vertices[v] - DomainPolygon(n)._edge_point(s, tt)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (5, 8), (8, 4), (8, 30), (16, 13)])
@@ -165,15 +166,41 @@ def test_bad_resolution():
 
 
 def test_edge_table_follows_the_triangles():
-    mesh = tessellate_domain(DomainPolygon(5), 3)
-    table = mesh.edges()
+    dm = tessellate_domain(DomainPolygon(5), 3)
+    table = dm.edges()
     # a triangle that repeats a vertex has a side from that vertex to itself
-    mesh.triangles = np.vstack([mesh.triangles[::2], [[4, 7, 4]]])
+    mesh = TriMesh(dm.vertices, np.vstack([dm.triangles[::2], [[4, 7, 4]]]))
     edges = mesh.edges()
     want = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     assert len(edges) < len(table)
     assert np.array_equal(edges, np.unique(want, axis=0))
     assert [4, 4] in edges.tolist()
+
+
+def test_a_mesh_is_read_only():
+    vertices, triangles = np.eye(4, 3), np.array([[0, 1, 2], [0, 2, 3]])
+    boundary, domain = np.array([0, 1, 2]), np.zeros((4, 2))
+    mesh = TriMesh(vertices, triangles, boundary=boundary, domain=domain)
+    for name in ("vertices", "triangles", "boundary", "domain"):
+        with pytest.raises(AttributeError):
+            setattr(mesh, name, getattr(mesh, name))
+        with pytest.raises(ValueError):
+            getattr(mesh, name)[0] = 0
+    with pytest.raises(AttributeError):
+        mesh.scalar = np.zeros(4)
+    # the checked arrays are views, not copies, and the caller's own stay writeable
+    for given, held in ((vertices, mesh.vertices), (triangles, mesh.triangles),
+                        (boundary, mesh.boundary), (domain, mesh.domain)):
+        assert held.base is given and given.flags.writeable
+    # faces [[0, 1, 5]] on four vertices reach no consumer, by assignment or in place
+    with pytest.raises(AttributeError):
+        mesh.triangles = np.array([[0, 1, 5]])
+    with pytest.raises(ValueError):
+        mesh.triangles[0, 2] = 5
+    assert np.array_equal(mesh.triangles, triangles)
+    # and so is every mesh the package makes
+    for made in (mesh_patch(make_patch(bundled_loop("square")), 2), harmonic_fill(mesh)):
+        assert not any(a.flags.writeable for a in (made.vertices, made.triangles, made.boundary))
 
 
 def test_mesh_patch_keeps_its_domain_points():

@@ -45,7 +45,7 @@ def test_boundary_interpolation(n, degree, seed, distance):
     loop = random_loop(n, degree, rng)
     patch = make_patch(loop)
     t = np.r_[distance, rng.uniform(0, 1, 20), 1.0 - distance]
-    on_edges = patch.domain.edge_point(np.arange(n)[:, None], t).reshape(-1, 2)
+    on_edges = patch.domain._edge_point(np.arange(n)[:, None], t).reshape(-1, 2)
     want = np.vstack([c.eval_many(t) for c in loop.sides])
     assert np.abs(patch.eval_many(on_edges) - want).max() <= EPS64 * bbox_diagonal(loop)
 
@@ -174,7 +174,7 @@ def test_continuity_across_skip_threshold():
 
     # pairs of points 1e-8 and 3e-8 inside edge 0
     for t in rng.uniform(0.1, 0.9, 20):
-        base = poly.edge_point(0, t)
+        base = poly._edge_point(0, t)
         inward = -poly.edge_normals[0]
         p = base + inward * 1e-8
         qq = base + inward * 3e-8
@@ -191,7 +191,7 @@ def test_snap_band_of_the_domain_edges(n):
     poly = patch.domain
     for i in range(n):
         for t in (0.1, 0.5, 0.8):
-            point = poly.edge_point(i, t)
+            point = poly._edge_point(i, t)
             with pytest.raises(DomainError, match="outside the domain polygon"):
                 patch.eval(point + 1e-11 * poly.edge_normals[i])
             near = point + 5e-13 * poly.edge_normals[i]
@@ -209,7 +209,7 @@ def test_wachspress_underflow_is_refused():
         warnings.simplefilter("error")
         assert np.all(np.isfinite(patch.eval([0.0, 0.0])))
         with pytest.raises(DomainError, match="underflow to 0"):
-            patch.eval(patch.domain.edge_point(3, 0.5))
+            patch.eval(patch.domain._edge_point(3, 0.5))
 
 
 def test_outside_point_rejected():
