@@ -227,7 +227,7 @@ def harmonic_fill(mesh):
     interior = np.nonzero(~boundary)[0]
     fixed = mesh.vertices[boundary]
     # the tolerances' length: a boundary of one point has no extent, but a size
-    scale = math.dist(fixed.max(axis=0), fixed.min(axis=0)) or float(np.abs(fixed).max())
+    scale = math.dist(fixed.max(axis=0), fixed.min(axis=0)) or float(np.abs(fixed).max(initial=0.0))
     if not math.isfinite(scale):  # NaN too
         raise DomainError("mesh boundary is not finite or spans more than the float range")
     # a power of two unit <= scale keeps every bit, and no square below passes the float range;

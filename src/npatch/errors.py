@@ -85,18 +85,6 @@ def array(value, name, *shapes, error=DomainError):
     return value
 
 
-def indices(values, count, what, shape):
-    """values as an int array; SchemaError unless of shape and integers in 0 .. count - 1
-    (a boolean mask is not read as the indices 0 and 1)."""
-    values = array(values, what + " indices", shape, error=SchemaError)
-    kind = values.dtype.kind
-    if kind == "b" or kind == "f" and not np.array_equal(values, np.trunc(values)):
-        raise SchemaError("%s indices must be integers" % what)
-    if np.any((values < 0) | (values >= count)):
-        raise SchemaError("%s index out of range for %d vertices" % (what, count))
-    return values.astype(int, copy=False)
-
-
 class overflow:
     """Context that runs its block under np.errstate(over="raise") and turns the
     FloatingPointError of an overflow into DomainError("<what> overflows the float range")."""

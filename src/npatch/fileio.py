@@ -87,14 +87,12 @@ def _char(mask, char):
 
 
 def _int_cells(values):
-    """(rows, n) uint8: sign, then the digits of |values| without leading zeros."""
-    if values.dtype.kind == "i":  # the abs of a narrower int's minimum wraps
-        values = values.astype(np.int64, copy=False)
-    u = np.abs(values).astype(np.uint64)  # exact for the most negative int64 too
+    """(rows, n) uint8: the digits of the values, int64 indices >= 0, without leading zeros."""
+    u = values.astype(np.uint64)  # for 10**19, the bound of a 20th digit, past the int64 range
     count = -(-len(str(u.max() if len(u) else 0)) // 4)
     keep = u >= 10 ** np.arange(4 * count - 1, -1, -1, dtype=np.uint64)[:, None]
     keep[-1] = True
-    return np.vstack([_char(values < 0, "-"), _ascii(_groups(u, count)) * keep.view(np.uint8)])
+    return _ascii(_groups(u, count)) * keep.view(np.uint8)
 
 
 def _float_cells(values):

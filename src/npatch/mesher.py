@@ -2,28 +2,39 @@
 
 import numpy as np
 
-from .errors import SIZE_BUDGET, SchemaError, array, indices, integer
+from .errors import SIZE_BUDGET, SchemaError, array, integer
+
+
+def _indices(values, count, what, shape):
+    """values as an int array; SchemaError unless of shape and integers in 0 .. count - 1
+    (a boolean mask is not read as the indices 0 and 1)."""
+    values = array(values, what + " indices", shape, error=SchemaError)
+    kind = values.dtype.kind
+    if kind == "b" or kind == "f" and not np.array_equal(values, np.trunc(values)):
+        raise SchemaError("%s indices must be integers" % what)
+    if np.any((values < 0) | (values >= count)):
+        raise SchemaError("%s index out of range for %d vertices" % (what, count))
+    return values.astype(int, copy=False)
 
 
 class TriMesh:
-    """Read-only indexed triangle mesh of (k, d) vertices, or of none as a (0,) array.
+    """Read-only indexed triangle mesh of (k, d) vertices.
 
     boundary is a 1-D array of the indices of the vertices lying on the
     domain boundary (None when unknown); domain holds the (k, 2) domain
     points the vertices were mapped from (None when unknown).  SchemaError
-    (errors.indices): the vertices are not of those shapes, the triangles
-    are not a (k, 3) table or the boundary a 1-D array of vertex indices,
-    integers (not booleans or NaN) in range.  The mesh holds read-only
-    views of its arrays, not copies, and refuses assignment to its
-    attributes (AttributeError): every consumer trusts this one check.
+    (_indices): the vertices are not a (k, d) array of numbers, the
+    triangles are not a (k, 3) table or the boundary a 1-D array of vertex
+    indices, integers (not booleans or NaN) in range.  The mesh holds
+    read-only views of its arrays, not copies, and refuses assignment to
+    its attributes (AttributeError): every consumer trusts this one check.
     """
 
     def __init__(self, vertices, triangles, boundary=None, domain=None):
-        vertices = array(vertices, "vertices", (0,), (None, None),
-                         error=SchemaError).astype(float, copy=False)
-        fields = dict(vertices=vertices, domain=domain,
-                      triangles=indices(triangles, len(vertices), "triangle", (None, 3)),
-                      boundary=None if boundary is None else indices(
+        vertices = array(vertices, "vertices", (None, None), error=SchemaError)
+        fields = dict(vertices=vertices.astype(float, copy=False), domain=domain,
+                      triangles=_indices(triangles, len(vertices), "triangle", (None, 3)),
+                      boundary=None if boundary is None else _indices(
                           boundary, len(vertices), "boundary", (None,)))
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
@@ -96,11 +107,11 @@ def mesh_patch(patch, m):
     vertices are evaluated directly on their boundary curve, at the edge
     parameters j/m, so the mesh boundary lies exactly on the input curves.
     """
-    m = integer(m, "resolution m", 1, int((SIZE_BUDGET / patch.n) ** 0.5))
     dm = tessellate_domain(patch.domain, m)
+    m = len(dm.boundary) // patch.n  # a Python int, checked there
     index = _sectors(patch.n, m)[2]
     pts = np.empty((len(dm.vertices), 3))
     pts[:1] = patch.eval_many(dm.vertices[:1])
     pts[index] = patch.eval_rotations(dm.vertices[index[:, 0]])
-    pts[index[-m:]] = np.stack([c.eval_many(np.arange(m) / m) for c in patch.loop.sides], axis=1)
+    pts[dm.boundary] = np.concatenate([c.eval_many(np.arange(m) / m) for c in patch.loop.sides])
     return TriMesh(pts, dm.triangles, boundary=dm.boundary, domain=dm.vertices)

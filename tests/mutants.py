@@ -55,8 +55,8 @@ MUTANTS = [
            "start = degree * (points[first + step] - points[first]) / 3.0 * (1 + 1e-9)\n",
            "tests/test_acceptance.py::test_criterion_5_n4_coons_oracle"),
     Mutant("no boundary snap", "mesher.py",
-           "    pts[index[-m:]] = np.stack([c.eval_many(np.arange(m) / m)"
-           " for c in patch.loop.sides], axis=1)\n", "",
+           "    pts[dm.boundary] = np.concatenate([c.eval_many(np.arange(m) / m)"
+           " for c in patch.loop.sides])\n", "",
            "tests/test_acceptance.py::test_criterion_10_mesh_integrity"),
     Mutant("welding without averaging", "loop.py",
            "corners = 0.5 * ends + 0.5 * starts", "corners = ends",
@@ -101,6 +101,12 @@ MUTANTS = [
            "        raise AttributeError(\"a TriMesh is read-only: build a new one instead\")\n",
            "",
            "tests/test_mesher.py::test_a_mesh_is_read_only"),
+    Mutant("empty boundary length without initial", "analysis.py",
+           "float(np.abs(fixed).max(initial=0.0))", "float(np.abs(fixed).max())",
+           "tests/test_analysis.py::test_harmonic_fill_of_vertices_without_coordinates_is_the_mesh"),
+    Mutant("index 0 prints as nothing", "fileio.py",
+           "    keep[-1] = True\n", "",
+           "tests/test_writers.py::test_int_fields_print_as_percent_d"),
 ]
 
 

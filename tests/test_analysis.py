@@ -135,6 +135,22 @@ def test_curvature_map_pentagon_smooth():
     assert -2.0 < h.min() < h.max() < 2.0
 
 
+# at a corner of a 3-sided loop H has a limit along each direction of approach, but none at
+# the corner itself (curvature_map reports the bisector's); at a 4-sided loop's they agree
+@pytest.mark.parametrize("name, spread", [("pocket3b", (1e-2, np.inf)), ("pocket4", (0.0, 1e-4))])
+def test_curvature_at_a_corner_depends_on_the_direction_at_n3(name, spread):
+    patch, r = make_patch(bundled_loop(name)), 1e-4
+    # r from domain vertex 0, 20, 50 and 80 % of the way across its angle
+    v = patch.domain.vertices
+    phi = np.arctan2(*(v[1] - v[0])[::-1]) + np.array([0.2, 0.5, 0.8]) * np.pi * (1 - 2 / len(v))
+    points = v[0] + r * np.column_stack([np.cos(phi), np.sin(phi)])
+    # FD at h = r/25, r/50 and r/100 extrapolated to h = 0 (Richardson, error O(h^2))
+    h1, h2, h3 = (mean_curvature(patch, points, h=r / k) for k in (25, 50, 100))
+    coarse, fine = (4 * h2 - h1) / 3, (4 * h3 - h2) / 3
+    assert np.abs(fine - coarse).max() / 15 <= 1e-5  # the extrapolation's error estimate
+    assert spread[0] < np.ptp((16 * fine - coarse) / 15) < spread[1]
+
+
 def test_contours_single_triangle():
     mesh = TriMesh(
         np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 0, 1.0]]),
@@ -284,6 +300,17 @@ def test_harmonic_fill_solves_every_coordinate(mesh, columns):
     picked = TriMesh(mesh.vertices[:, columns], mesh.triangles, boundary=mesh.boundary)
     filled = harmonic_fill(mesh).vertices[:, columns]
     assert np.abs(harmonic_fill(picked).vertices - filled).max() <= 1e-12
+
+
+# (k, 0) vertices have no coordinate to solve and no extent for the tolerances' length:
+# the mesh fills to itself
+@pytest.mark.parametrize("k", [4, 5])
+def test_harmonic_fill_of_vertices_without_coordinates_is_the_mesh(k):
+    mesh = TriMesh(np.zeros((k, 0)), [[0, 1, 3], [1, 2, 3], [2, 0, k - 1]], boundary=[0, 1, 2])
+    filled = harmonic_fill(mesh)
+    assert filled.vertices.shape == (k, 0)
+    assert np.array_equal(filled.triangles, mesh.triangles)
+    assert dirichlet_energy(filled) == 0.0
 
 
 def test_harmonic_fill_ignores_degenerate_triangles():

@@ -166,7 +166,7 @@ MESSAGES = {
                            "random_loop degree must be an integer >= 1 and <= 1029, got 1030"),
     # two free dimensions are independent, so each has its own letter
     "mesh vertices": (lambda: TriMesh(np.arange(4.0), [[0, 1, 2]]),
-                      "vertices must be numbers of shape (0,) or (k, d), got float64 (4,)"),
+                      "vertices must be numbers of shape (k, d), got float64 (4,)"),
 }
 
 
