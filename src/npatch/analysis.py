@@ -108,14 +108,14 @@ def contours(mesh, axis, count):
     or numpy integer in 1 .. errors.SIZE_BUDGET, the axis is not three
     numbers, or the levels are not finite (a vertex or the axis is
     not finite, or the projection range passes the float range).
-    SchemaError: the vertices are not a non-empty (k, 3) array, a crossed
+    SchemaError: not a TriMesh with non-empty (k, 3) vertices, a crossed
     triangle repeats a vertex, or a cut edge is in more than two triangles.
     """
     count = integer(count, "contour count", 1, SIZE_BUDGET)
     steps = np.arange(1, count + 1)
     axis = array(axis, "axis", (3,))
-    if mesh.vertices.shape[1:] != (3,) or not len(mesh.vertices):
-        raise SchemaError("contours need a non-empty (k, 3) vertex array")
+    if not isinstance(mesh, TriMesh) or mesh.vertices.shape[1:] != (3,) or not len(mesh.vertices):
+        raise SchemaError("contours need a TriMesh with a non-empty (k, 3) vertex array")
     with np.errstate(over="ignore", invalid="ignore"):
         proj = mesh.vertices @ axis
         lo, hi = proj.min(), proj.max()
@@ -193,8 +193,10 @@ def contours(mesh, axis, count):
 
 
 def dirichlet_energy(mesh):
-    """Uniform-weight discrete Dirichlet energy: sum over edges of |du|^2.
-    DomainError: a vertex is not finite, or the energy overflows the float range."""
+    """Uniform-weight discrete Dirichlet energy: sum over edges of |du|^2.  SchemaError: not
+    a TriMesh.  DomainError: a vertex is not finite, or the energy overflows the float range."""
+    if not isinstance(mesh, TriMesh):
+        raise SchemaError("dirichlet_energy needs a TriMesh, got %s" % type(mesh).__name__)
     if not np.all(np.isfinite(mesh.vertices)):
         raise DomainError("Dirichlet energy of a vertex that is not finite")
     e = mesh.edges()

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Side indices are 1-based on the command line (converted at this
-boundary).  Exit codes: 0 ok, 1 input or OS error, 2 numeric failure (see errors).
+boundary).  Exit codes: 0 ok, 1 input (usage too) or OS error, 2 numeric failure (see errors).
 """
 
 import argparse
@@ -124,9 +124,11 @@ _PARSER = _parser()
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # argparse's usage error (code 2) is an input error; --help is 0
+        return 1 if exc.code else 0
     except NumericError as exc:
         print("numeric error: %s" % exc, file=sys.stderr)
         return 2

@@ -14,16 +14,40 @@ from .errors import ClosureError, DomainError, overflow, real
 
 
 class BoundaryLoop:
-    """Ordered cyclic list of n >= 3 welded Bezier curves.
+    """Ordered cyclic list of n >= 3 Bezier curves, closure checked and corners welded.
 
-    Construct via make_loop, which enforces closure.  Corner points are
-    welded so side i's last control point and side i+1's first control
-    point are bit-identical.
+    Side i's last control point and side i+1's first are both their average, bit-identical;
+    corner_gaps holds the pre-weld residuals, a diagnostic only.  DomainError unless curves is
+    a sequence of BezierCurve instances and weld_tolerance (default 1e-9 of the control points'
+    bbox diagonal) finite and >= 0.
     """
 
-    def __init__(self, sides, corner_gaps):
-        self.sides = tuple(sides)
-        self.corner_gaps = corner_gaps  # pre-weld residuals, diagnostic only
+    def __init__(self, curves, weld_tolerance=None):
+        if not isinstance(curves, Sequence) or not all(isinstance(c, BezierCurve) for c in curves):
+            raise DomainError("loop sides must be a sequence of BezierCurve instances")
+        if len(curves) < 3:
+            raise ClosureError("need at least 3 sides, got %d" % len(curves))
+        pts, first, last = _stack(curves)  # pts a copy, welded below
+        if weld_tolerance is None:
+            # the bbox diagonal, scaled: inf only when the diagonal is
+            weld_tolerance = 1e-9 * math.dist(pts.max(axis=0), pts.min(axis=0))
+            if math.isinf(weld_tolerance):
+                raise DomainError("control points span more than the float range")
+        weld_tolerance = real(weld_tolerance, "weld_tolerance", 0)
+
+        ends, starts = pts[last], pts[(last + 1) % len(pts)]  # side i's end, side i + 1's start
+        gaps = np.array(list(map(math.dist, ends.tolist(), starts.tolist())))
+        bad = np.nonzero(gaps > weld_tolerance)[0]
+        if bad.size:
+            i = int(bad[0])
+            raise ClosureError("sides %d and %d do not meet: gap %.3e > tolerance %.3e"
+                               % (i + 1, (i + 1) % len(curves) + 1, gaps[i], weld_tolerance))
+
+        corners = 0.5 * ends + 0.5 * starts  # no overflow
+        pts[(last + 1) % len(pts)] = corners  # side i + 1 starts at corner i
+        pts[last] = corners  # after the starts: a side of degree 0 ends at its corner
+        self.sides = tuple(BezierCurve(pts[a:b + 1]) for a, b in zip(first, last))
+        self.corner_gaps = gaps
 
     @property
     def n(self):
@@ -31,32 +55,7 @@ class BoundaryLoop:
 
 
 def make_loop(curves, weld_tolerance=None):
-    """Validate closure and weld corners by averaging the meeting endpoints; DomainError
-    unless curves is a sequence of BezierCurve instances and weld_tolerance finite and >= 0."""
-    if not isinstance(curves, Sequence) or not all(isinstance(c, BezierCurve) for c in curves):
-        raise DomainError("loop sides must be a sequence of BezierCurve instances")
-    if len(curves) < 3:
-        raise ClosureError("need at least 3 sides, got %d" % len(curves))
-    pts, first, last = _stack(curves)  # pts a copy, welded below
-    if weld_tolerance is None:
-        # the bbox diagonal, scaled: inf only when the diagonal is
-        weld_tolerance = 1e-9 * math.dist(pts.max(axis=0), pts.min(axis=0))
-        if math.isinf(weld_tolerance):
-            raise DomainError("control points span more than the float range")
-    weld_tolerance = real(weld_tolerance, "weld_tolerance", 0)
-
-    ends, starts = pts[last], pts[(last + 1) % len(pts)]  # side i's end, side i + 1's start
-    gaps = np.array(list(map(math.dist, ends.tolist(), starts.tolist())))
-    bad = np.nonzero(gaps > weld_tolerance)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ClosureError("sides %d and %d do not meet: gap %.3e > tolerance %.3e"
-                           % (i + 1, (i + 1) % len(curves) + 1, gaps[i], weld_tolerance))
-
-    corners = 0.5 * ends + 0.5 * starts  # no overflow
-    pts[(last + 1) % len(pts)] = corners  # side i + 1 starts at corner i
-    pts[last] = corners  # after the starts: a side of degree 0 ends at its corner
-    return BoundaryLoop([BezierCurve(pts[a:b + 1]) for a, b in zip(first, last)], gaps)
+    return BoundaryLoop(curves, weld_tolerance)
 
 
 def _stack(curves):

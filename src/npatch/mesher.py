@@ -26,8 +26,8 @@ class TriMesh:
     (_indices): the vertices are not a (k, d) array of numbers, the
     triangles are not a (k, 3) table or the boundary a 1-D array of vertex
     indices, integers (not booleans or NaN) in range.  The mesh holds
-    read-only views of its arrays, not copies, and refuses assignment to
-    its attributes (AttributeError): every consumer trusts this one check.
+    read-only copies of its arrays and refuses assignment to its
+    attributes (AttributeError): every consumer trusts this one check.
     """
 
     def __init__(self, vertices, triangles, boundary=None, domain=None):
@@ -38,7 +38,7 @@ class TriMesh:
                           boundary, len(vertices), "boundary", (None,)))
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
-                (value := value.view()).setflags(write=False)
+                (value := value.copy()).setflags(write=False)
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

@@ -94,8 +94,14 @@ MUTANTS = [
            "weld_tolerance = 1e-9 * math.dist(", "weld_tolerance = 1e-10 * math.dist(",
            "tests/test_loop.py::test_default_weld_tolerance_is_1e_9_of_the_diagonal"),
     Mutant("mesh arrays left writeable", "mesher.py",
-           "(value := value.view()).setflags(write=False)", "value = value.view()",
+           "(value := value.copy()).setflags(write=False)", "value = value.copy()",
            "tests/test_mesher.py::test_a_mesh_is_read_only"),
+    Mutant("mesh arrays shared with the caller", "mesher.py",
+           "(value := value.copy())", "(value := value.view())",
+           "tests/test_mesher.py::test_a_write_into_the_callers_arrays_reaches_no_mesh"),
+    Mutant("loop closure unchecked", "loop.py",
+           "        if bad.size:\n", "        if False:\n",
+           "tests/test_loop.py::test_open_corner_rejected"),
     Mutant("mesh attributes assignable", "mesher.py",
            "    def __setattr__(self, name, value):\n"
            "        raise AttributeError(\"a TriMesh is read-only: build a new one instead\")\n",

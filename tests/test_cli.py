@@ -218,6 +218,24 @@ def test_resolution_and_count_at_least_one(square_file, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["mesh", "-m", "abc", "-o", "o.obj"], ["mesh", "-m", "4"], ["eval", "--side", "x"],
+    ["frobnicate"],
+])
+def test_usage_errors_exit_1(pentagon_file, tmp_path, monkeypatch, capsys, argv):
+    # argparse exits 2, the code of a numeric failure; a usage error is an input error
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], pentagon_file] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: npatch")
+    assert not (tmp_path / "o.obj").exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: npatch")
+
+
 def _library_mesh(path, m):
     """The mesh the CLI's `mesh` command writes for the loop document at path."""
     return mesh_patch(make_patch(read_loop(Path(path).read_bytes())), m)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from npatch import BezierCurve, DomainPolygon, Patch, TriMesh, make_loop, make_patch, mesh_patch
+from npatch import (BezierCurve, BoundaryLoop, DomainPolygon, Patch, TriMesh, make_loop,
+                    make_patch, mesh_patch)
 from npatch.analysis import (ContourSet, contours, curvature_map, dirichlet_energy,
                              harmonic_fill, mean_curvature)
 from npatch.curves import MAX_DEGREE
@@ -99,6 +100,9 @@ CHECKS = {
     # a complex array lost its imaginary part, with a ComplexWarning
     "curve of complex points": lambda: BezierCurve(np.array([[0.0, 0, 1j]])),
     "loop of None": lambda: make_loop(None),
+    # the constructor is the one way to make a loop: None and strings reached Patch unchecked
+    "loop constructor of None": lambda: BoundaryLoop(None),
+    "loop constructor of strings": lambda: BoundaryLoop(["a", "b", "c"]),
     # a patch of anything but a BoundaryLoop raised AttributeError (no attribute 'n')
     "patch of None": lambda: Patch(None),
     "patch of a string": lambda: make_patch("abc"),
@@ -296,14 +300,19 @@ MALFORMED_MESHES = {
     # three corners is the only face width: edges, contours and the writers read no other
     "quad face table": lambda: TriMesh(np.eye(4, 3), [[0, 1, 2, 3]]),
     "two-corner face table": lambda: TriMesh(np.eye(3), [[0, 1]]),
-    # the writers and harmonic_fill trust a TriMesh's construction check and take nothing
-    # else, so a mesh-like object with bad faces is refused too
+    # the writers, harmonic_fill, contours and dirichlet_energy trust a TriMesh's construction
+    # check and take nothing else, so a mesh-like object with bad faces is refused too
     "write_obj face out of range":
         lambda: write_obj(SimpleNamespace(vertices=np.eye(3), triangles=np.array([[0, 1, 5]]))),
     "write_ply_scalar fractional face": lambda: write_ply_scalar(
         SimpleNamespace(vertices=np.eye(3), triangles=np.array([[0, 1, 1.5]])), np.zeros(3)),
     "harmonic fill of a mesh-like object": lambda: harmonic_fill(SimpleNamespace(
         vertices=np.eye(4, 3), triangles=np.array([[0, 1, 5]]), boundary=np.arange(3))),
+    # numpy's IndexError, and an AttributeError (no edges method)
+    "contours of a mesh-like object": lambda: contours(SimpleNamespace(
+        vertices=np.eye(4, 3), triangles=np.array([[0, 1, 5]])), [0, 0, 1], 3),
+    "Dirichlet energy of a mesh-like object": lambda: dirichlet_energy(SimpleNamespace(
+        vertices=np.eye(4, 3), triangles=np.array([[0, 1, 5]]))),
 }
 
 
@@ -322,6 +331,7 @@ ENTRY_POINTS = {
     "BezierCurve": BezierCurve,
     "BezierCurve.eval": BezierCurve(LINE).eval,
     "BezierCurve.eval_many": BezierCurve(LINE).eval_many,
+    "BoundaryLoop": BoundaryLoop,
     "make_loop": make_loop,
     "make_loop weld_tolerance": lambda x: make_loop(SQUARE_LOOP.sides, weld_tolerance=x),
     "Patch": Patch,

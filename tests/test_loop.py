@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import bundled_loop
 
-from npatch import BezierCurve, DomainPolygon, make_loop
+from npatch import BezierCurve, BoundaryLoop, DomainPolygon, make_loop
 from npatch.loop import opposite_curve
 from npatch.errors import ClosureError, DomainError
 from npatch.fixtures import random_loop
@@ -25,6 +25,18 @@ def test_open_corner_rejected():
     ]
     with pytest.raises(ClosureError, match="sides 1 and 2"):
         make_loop(curves, weld_tolerance=1e-9)
+
+
+def test_the_loop_constructor_checks_closure():
+    # a loop is made only through its checking constructor: a 0.5 gap at corner 1 is refused
+    # there, not left for the patch to evaluate and mesh
+    curves = [
+        BezierCurve([(0, 0, 0), (1, 0, 0)]),
+        BezierCurve([(1, 0.5, 0), (0.5, 1, 0)]),
+        BezierCurve([(0.5, 1, 0), (0, 0, 0)]),
+    ]
+    with pytest.raises(ClosureError, match="sides 1 and 2 do not meet"):
+        BoundaryLoop(curves)
 
 
 def test_too_few_sides():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch
-from npatch.analysis import harmonic_fill
+from npatch.analysis import dirichlet_energy, harmonic_fill
 from npatch.fixtures import random_loop
 from npatch.mesher import tessellate_domain
 
@@ -188,10 +188,10 @@ def test_a_mesh_is_read_only():
             getattr(mesh, name)[0] = 0
     with pytest.raises(AttributeError):
         mesh.scalar = np.zeros(4)
-    # the checked arrays are views, not copies, and the caller's own stay writeable
+    # the checked arrays are the mesh's own copies, and the caller's own stay writeable
     for given, held in ((vertices, mesh.vertices), (triangles, mesh.triangles),
                         (boundary, mesh.boundary), (domain, mesh.domain)):
-        assert held.base is given and given.flags.writeable
+        assert not np.shares_memory(held, given) and given.flags.writeable
     # faces [[0, 1, 5]] on four vertices reach no consumer, by assignment or in place
     with pytest.raises(AttributeError):
         mesh.triangles = np.array([[0, 1, 5]])
@@ -201,6 +201,18 @@ def test_a_mesh_is_read_only():
     # and so is every mesh the package makes
     for made in (mesh_patch(make_patch(bundled_loop("square")), 2), harmonic_fill(mesh)):
         assert not any(a.flags.writeable for a in (made.vertices, made.triangles, made.boundary))
+
+
+def test_a_write_into_the_callers_arrays_reaches_no_mesh():
+    # faces [[0, 1, 5]] on four vertices made the edge keys alias: an energy of 4.0, no error
+    vertices, triangles = np.eye(4, 3), np.array([[0, 1, 2]])
+    mesh = TriMesh(vertices, triangles)
+    energy = dirichlet_energy(mesh)
+    triangles[0, 2] = 5
+    vertices[0] = 7.0
+    assert dirichlet_energy(mesh) == energy
+    assert np.array_equal(mesh.triangles, [[0, 1, 2]])
+    assert np.array_equal(mesh.vertices, np.eye(4, 3))
 
 
 def test_mesh_patch_keeps_its_domain_points():
