@@ -34,7 +34,6 @@ def _cmd_check(args):
     print("closure residuals: " + " ".join("%.3g" % g for g in loop.corner_gaps))
     print("bbox min: " + _point_str(lo))
     print("bbox max: " + _point_str(hi))
-    return 0
 
 
 def _cmd_eval(args):
@@ -53,13 +52,11 @@ def _cmd_eval(args):
     else:
         raise SchemaError("eval needs either --uv or both --side and --t")
     print(_point_str(point))
-    return 0
 
 
 def _cmd_mesh(args):
     mesh = mesh_patch(make_patch(_load(args.loop)), args.m)
     Path(args.output).write_text(fileio.write_obj(mesh), newline="\n")
-    return 0
 
 
 def _cmd_harmonic(args):
@@ -68,20 +65,17 @@ def _cmd_harmonic(args):
     Path(args.output).write_text(fileio.write_obj(harmonic), newline="\n")
     print("dirichlet energy harmonic: %.9g" % analysis.dirichlet_energy(harmonic))
     print("dirichlet energy patch: %.9g" % analysis.dirichlet_energy(patch_mesh))
-    return 0
 
 
 def _cmd_curvature(args):
     mesh, h = analysis.curvature_map(make_patch(_load(args.loop)), args.m)
     Path(args.output).write_text(fileio.write_ply_scalar(mesh, h), newline="\n")
-    return 0
 
 
 def _cmd_contours(args):
     mesh = mesh_patch(make_patch(_load(args.loop)), args.m)
     contour_set = analysis.contours(mesh, np.array(AXES[args.axis]), args.count)
     Path(args.output).write_text(fileio.write_obj(mesh, contour_set), newline="\n")
-    return 0
 
 
 def _parser():
@@ -126,7 +120,8 @@ _PARSER = _parser()
 def main(argv=None):
     try:
         args = _PARSER.parse_args(argv)
-        return args.fn(args)
+        args.fn(args)
+        return 0
     except SystemExit as exc:  # argparse's usage error (code 2) is an input error; --help is 0
         return 1 if exc.code else 0
     except NumericError as exc:

@@ -49,7 +49,7 @@ def _bounds(least, most):  # " >= least and <= most" for a message, infinite bou
 def integer(value, name, least=-math.inf, most=math.inf):
     """value as a Python int; DomainError unless a Python or numpy integer, not a boolean,
     in [least, most]."""
-    # int first: the ABC check alone is slow, and the kernel passes a Python int per block
+    # int first: the ABC check alone is slow, and eval_boundary checks a side index per query
     if (not isinstance(value, (int, numbers.Integral)) or isinstance(value, bool)
             or not least <= value <= most):
         raise DomainError("%s must be an integer%s, got %r" % (name, _bounds(least, most), value))

@@ -20,24 +20,27 @@ def _indices(values, count, what, shape):
 class TriMesh:
     """Read-only indexed triangle mesh of (k, d) vertices.
 
-    boundary is a 1-D array of the indices of the vertices lying on the
-    domain boundary (None when unknown); domain holds the (k, 2) domain
-    points the vertices were mapped from (None when unknown).  SchemaError
-    (_indices): the vertices are not a (k, d) array of numbers, the
-    triangles are not a (k, 3) table or the boundary a 1-D array of vertex
-    indices, integers (not booleans or NaN) in range.  The mesh holds
-    read-only copies of its arrays and refuses assignment to its
-    attributes (AttributeError): every consumer trusts this one check.
+    boundary holds the indices of the vertices on the domain boundary, a
+    1-D array, and domain the (k, 2) domain points the vertices were mapped
+    from (each None when unknown).  SchemaError (_indices): the vertices or
+    domain are not a (k, d) or (k, 2) array of numbers, the triangles not a
+    (k, 3) table or the boundary a 1-D array of vertex indices, integers
+    (not booleans or NaN) in range.  The mesh holds read-only copies of its
+    arrays and refuses assignment to its attributes (AttributeError): every
+    consumer trusts this one check.
     """
 
     def __init__(self, vertices, triangles, boundary=None, domain=None):
         vertices = array(vertices, "vertices", (None, None), error=SchemaError)
-        fields = dict(vertices=vertices.astype(float, copy=False), domain=domain,
-                      triangles=_indices(triangles, len(vertices), "triangle", (None, 3)),
+        k = len(vertices)
+        fields = dict(vertices=vertices.astype(float, copy=False),
+                      triangles=_indices(triangles, k, "triangle", (None, 3)),
                       boundary=None if boundary is None else _indices(
-                          boundary, len(vertices), "boundary", (None,)))
+                          boundary, k, "boundary", (None,)),
+                      domain=None if domain is None else array(
+                          domain, "domain", (k, 2), error=SchemaError).astype(float, copy=False))
         for name, value in fields.items():
-            if isinstance(value, np.ndarray):
+            if value is not None:
                 (value := value.copy()).setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -62,7 +65,7 @@ def _sectors(n, m):
 
 
 def tessellate_domain(poly, m):
-    """Ring tessellation of the regular n-gon: m subdivisions per side.
+    """Ring tessellation of the regular n-gon, m steps a side: (vertices, triangles, boundary).
 
     Ring l (l = m..1) is the polygon scaled by l/m about the center
     with l vertices per edge; ring 0 is the center point.  Ring m's
@@ -95,7 +98,7 @@ def tessellate_domain(poly, m):
     corners[-1] -= n * ring * (at == ring)
     triangles = np.empty((n * m * m, 3), dtype=int)
     triangles[n * (lev - 1) ** 2 + s[:, None] * (2 * lev - 1) + k] = corners
-    return TriMesh(vertices, triangles, boundary=index[-m:].T.ravel())
+    return vertices, triangles, index[-m:].T.ravel()
 
 
 def mesh_patch(patch, m):
@@ -107,11 +110,11 @@ def mesh_patch(patch, m):
     vertices are evaluated directly on their boundary curve, at the edge
     parameters j/m, so the mesh boundary lies exactly on the input curves.
     """
-    dm = tessellate_domain(patch.domain, m)
-    m = len(dm.boundary) // patch.n  # a Python int, checked there
+    domain, triangles, boundary = tessellate_domain(patch.domain, m)
+    m = len(boundary) // patch.n  # a Python int, checked there
     index = _sectors(patch.n, m)[2]
-    pts = np.empty((len(dm.vertices), 3))
-    pts[:1] = patch.eval_many(dm.vertices[:1])
-    pts[index] = patch.eval_rotations(dm.vertices[index[:, 0]])
-    pts[dm.boundary] = np.concatenate([c.eval_many(np.arange(m) / m) for c in patch.loop.sides])
-    return TriMesh(pts, dm.triangles, boundary=dm.boundary, domain=dm.vertices)
+    pts = np.empty((len(domain), 3))
+    pts[:1] = patch.eval_many(domain[:1])
+    pts[index] = patch.eval_rotations(domain[index[:, 0]])
+    pts[boundary] = np.concatenate([c.eval_many(np.arange(m) / m) for c in patch.loop.sides])
+    return TriMesh(pts, triangles, boundary=boundary, domain=domain)

@@ -55,7 +55,7 @@ MUTANTS = [
            "start = degree * (points[first + step] - points[first]) / 3.0 * (1 + 1e-9)\n",
            "tests/test_acceptance.py::test_criterion_5_n4_coons_oracle"),
     Mutant("no boundary snap", "mesher.py",
-           "    pts[dm.boundary] = np.concatenate([c.eval_many(np.arange(m) / m)"
+           "    pts[boundary] = np.concatenate([c.eval_many(np.arange(m) / m)"
            " for c in patch.loop.sides])\n", "",
            "tests/test_acceptance.py::test_criterion_10_mesh_integrity"),
     Mutant("welding without averaging", "loop.py",
@@ -102,6 +102,10 @@ MUTANTS = [
     Mutant("loop closure unchecked", "loop.py",
            "        if bad.size:\n", "        if False:\n",
            "tests/test_loop.py::test_open_corner_rejected"),
+    Mutant("mesh domain unchecked", "mesher.py",
+           "array(\n                          domain, \"domain\", (k, 2), error=SchemaError)"
+           ".astype(float, copy=False))", "np.asarray(domain, dtype=float))",
+           "tests/test_errors.py::test_malformed_meshes_are_schema_errors"),
     Mutant("mesh attributes assignable", "mesher.py",
            "    def __setattr__(self, name, value):\n"
            "        raise AttributeError(\"a TriMesh is read-only: build a new one instead\")\n",

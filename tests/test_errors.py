@@ -171,6 +171,8 @@ MESSAGES = {
     # two free dimensions are independent, so each has its own letter
     "mesh vertices": (lambda: TriMesh(np.arange(4.0), [[0, 1, 2]]),
                       "vertices must be numbers of shape (k, d), got float64 (4,)"),
+    "mesh domain": (lambda: TriMesh(np.eye(3), [[0, 1, 2]], domain=np.zeros((7, 5))),
+                    "domain must be numbers of shape (3, 2), got float64 (7, 5)"),
 }
 
 
@@ -300,6 +302,12 @@ MALFORMED_MESHES = {
     # three corners is the only face width: edges, contours and the writers read no other
     "quad face table": lambda: TriMesh(np.eye(4, 3), [[0, 1, 2, 3]]),
     "two-corner face table": lambda: TriMesh(np.eye(3), [[0, 1]]),
+    # curvature_map samples H at a domain point per vertex: any domain value was kept
+    "string domain": lambda: TriMesh(np.eye(3), [[0, 1, 2]], domain="abc"),
+    "domain of the wrong shape": lambda: TriMesh(np.eye(3), [[0, 1, 2]], domain=np.zeros((7, 5))),
+    "domain of three coordinates": lambda: TriMesh(np.eye(3), [[0, 1, 2]], domain=np.eye(3)),
+    "domain of two points for three vertices":
+        lambda: TriMesh(np.eye(3), [[0, 1, 2]], domain=[[0, 0], [1, 0]]),
     # the writers, harmonic_fill, contours and dirichlet_energy trust a TriMesh's construction
     # check and take nothing else, so a mesh-like object with bad faces is refused too
     "write_obj face out of range":
@@ -344,6 +352,7 @@ ENTRY_POINTS = {
     "TriMesh vertices": lambda x: TriMesh(x, [[0, 1, 2]]),
     "TriMesh triangles": lambda x: TriMesh(np.eye(3), x),
     "TriMesh boundary": lambda x: TriMesh(np.eye(3), [[0, 1, 2]], boundary=x),
+    "TriMesh domain": lambda x: TriMesh(np.eye(3), [[0, 1, 2]], domain=x),
     "DomainPolygon": DomainPolygon,
     "mean_curvature p": lambda x: mean_curvature(SQUARE, x),
     "mean_curvature h": lambda x: mean_curvature(SQUARE, [0.1, 0.1], h=x),

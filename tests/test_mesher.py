@@ -58,7 +58,7 @@ def test_tessellation_matches_the_reference(n):
     # hold long strips, whose closed-form order must still be the merge by normalized ends
     poly = DomainPolygon(n)
     for m in [*range(1, 14), 31, 64]:
-        mesh = tessellate_domain(poly, m)
+        mesh = TriMesh(*tessellate_domain(poly, m))
         vertices, triangles, boundary = reference_tessellation(poly, m)
         assert mesh.vertices.tobytes() == vertices.tobytes()
         assert mesh.triangles.dtype == triangles.dtype
@@ -76,13 +76,13 @@ def edge_counts(mesh):
 
 
 def test_smallest_tessellation():
-    mesh = tessellate_domain(DomainPolygon(3), 1)
+    mesh = TriMesh(*tessellate_domain(DomainPolygon(3), 1))
     assert len(mesh.vertices) == 4
     assert len(mesh.triangles) == 3
 
 
 def test_square_m2_counts():
-    mesh = tessellate_domain(DomainPolygon(4), 2)
+    mesh = TriMesh(*tessellate_domain(DomainPolygon(4), 2))
     assert len(mesh.vertices) == 13  # 8 boundary + 4 inner ring + center
     assert len(mesh.triangles) == 16
 
@@ -90,7 +90,7 @@ def test_square_m2_counts():
 @pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("m", [1, 2, 5, 8, 30])
 def test_counts_and_euler(n, m):
-    mesh = tessellate_domain(DomainPolygon(n), m)
+    mesh = TriMesh(*tessellate_domain(DomainPolygon(n), m))
     v = len(mesh.vertices)
     f = len(mesh.triangles)
     assert f == n * m * m
@@ -106,7 +106,7 @@ def test_counts_and_euler(n, m):
 
 @pytest.mark.parametrize("m", [1, 3, 6])
 def test_no_degenerate_triangles(m):
-    mesh = tessellate_domain(DomainPolygon(5), m)
+    mesh = TriMesh(*tessellate_domain(DomainPolygon(5), m))
     t = mesh.triangles
     assert np.all(t >= 0) and np.all(t < len(mesh.vertices))
     assert np.all(t[:, 0] != t[:, 1])
@@ -120,7 +120,7 @@ def test_no_degenerate_triangles(m):
 
 def test_boundary_table_covers_outer_ring():
     n, m = 5, 4
-    mesh = tessellate_domain(DomainPolygon(n), m)
+    mesh = TriMesh(*tessellate_domain(DomainPolygon(n), m))
     index, side, t = boundary_table(mesh, n, m)
     assert len(index) == len(side) == len(t) == n * m
     assert sorted(index) == list(range(len(mesh.vertices) - n * m, len(mesh.vertices)))
@@ -166,7 +166,7 @@ def test_bad_resolution():
 
 
 def test_edge_table_follows_the_triangles():
-    dm = tessellate_domain(DomainPolygon(5), 3)
+    dm = TriMesh(*tessellate_domain(DomainPolygon(5), 3))
     table = dm.edges()
     # a triangle that repeats a vertex has a side from that vertex to itself
     mesh = TriMesh(dm.vertices, np.vstack([dm.triangles[::2], [[4, 7, 4]]]))
@@ -204,21 +204,40 @@ def test_a_mesh_is_read_only():
 
 
 def test_a_write_into_the_callers_arrays_reaches_no_mesh():
-    # faces [[0, 1, 5]] on four vertices made the edge keys alias: an energy of 4.0, no error
-    vertices, triangles = np.eye(4, 3), np.array([[0, 1, 2]])
-    mesh = TriMesh(vertices, triangles)
+    # faces [[0, 1, 5]] on four vertices made the edge keys alias: an energy of 4.0, no error;
+    # a domain list was kept as the caller's own object
+    vertices, triangles, domain = np.eye(4, 3), np.array([[0, 1, 2]]), [[0, 0]] * 4
+    mesh = TriMesh(vertices, triangles, domain=domain)
     energy = dirichlet_energy(mesh)
     triangles[0, 2] = 5
     vertices[0] = 7.0
+    domain[0] = [5, 5]
     assert dirichlet_energy(mesh) == energy
     assert np.array_equal(mesh.triangles, [[0, 1, 2]])
     assert np.array_equal(mesh.vertices, np.eye(4, 3))
+    assert mesh.domain.dtype == float and np.array_equal(mesh.domain, np.zeros((4, 2)))
+
+
+def test_mesh_patch_builds_one_mesh(monkeypatch):
+    # the tessellation hands its arrays on unchecked: the patch mesh checks them once
+    built, init = [], TriMesh.__init__
+
+    def counted(self, vertices, *args, **kwargs):
+        built.append(len(vertices))
+        init(self, vertices, *args, **kwargs)
+
+    monkeypatch.setattr(TriMesh, "__init__", counted)
+    patch = make_patch(bundled_loop("pentagon"))
+    tessellate_domain(patch.domain, 4)
+    assert built == []
+    mesh = mesh_patch(patch, 4)
+    assert built == [len(mesh.vertices)]
 
 
 def test_mesh_patch_keeps_its_domain_points():
     patch = make_patch(bundled_loop("pentagon"))
     mesh = mesh_patch(patch, 4)
-    domain_mesh = tessellate_domain(patch.domain, 4)
+    domain_mesh = TriMesh(*tessellate_domain(patch.domain, 4))
     assert np.array_equal(mesh.domain, domain_mesh.vertices)
     assert np.array_equal(mesh.triangles, domain_mesh.triangles)
 
@@ -247,8 +266,8 @@ def test_narrow_numpy_integers_mesh_like_ints(dtype):
     # n and m are kept as Python ints: a narrow numpy int overflowed in the index arithmetic
     patch = make_patch(bundled_loop("pentagon"))
     for got, want in [(mesh_patch(patch, dtype(100)), mesh_patch(patch, 100)),
-                      (tessellate_domain(DomainPolygon(dtype(100)), 10),
-                       tessellate_domain(DomainPolygon(100), 10))]:
+                      (TriMesh(*tessellate_domain(DomainPolygon(dtype(100)), 10)),
+                       TriMesh(*tessellate_domain(DomainPolygon(100), 10)))]:
         assert got.vertices.tobytes() == want.vertices.tobytes()
         assert got.triangles.tobytes() == want.triangles.tobytes()
         assert got.boundary.dtype == want.boundary.dtype
