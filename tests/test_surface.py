@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from npatch import BezierCurve, DomainPolygon, make_loop, make_patch
-from npatch.domain import local_params
+from npatch.domain import EPS_GEOM, local_params
 from npatch.errors import DomainError
 from npatch.fixtures import random_loop
 from npatch.ribbon import Ribbon
@@ -182,22 +182,50 @@ def test_continuity_across_skip_threshold():
         assert jump <= lips * np.linalg.norm(p - qq) * 2 + 1e-12
 
 
+def _point_checks(patch):
+    """The three entries that check domain points, each called on a (k, 2) array; eval
+    takes its first point."""
+    return {"eval": lambda pts: patch.eval(pts[0]),
+            "eval_many": patch.eval_many,
+            "edge_distances_many": patch.domain.edge_distances_many}
+
+
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_snap_band_of_the_domain_edges(n):
-    # EPS_GEOM = 1e-12: 5e-13 outside edge i a point is on it and the patch on side curve i,
-    # 1e-11 outside it is refused
+    # 2 EPS_GEOM outside edge i a point is refused; EPS_GEOM / 2 outside it is on the edge:
+    # its distance snaps to 0 and the patch there is side curve i at the point's s_i
     loop = random_loop(n, 3, np.random.default_rng(70 + n))
     patch = make_patch(loop)
     poly = patch.domain
-    for i in range(n):
-        for t in (0.1, 0.5, 0.8):
-            point = poly._edge_point(i, t)
-            with pytest.raises(DomainError, match="outside the domain polygon"):
-                patch.eval(point + 1e-11 * poly.edge_normals[i])
-            near = point + 5e-13 * poly.edge_normals[i]
-            s = local_params(poly.wachspress_many([near])).s[0, i]
-            err = np.abs(patch.eval(near) - loop.sides[i].eval(s)).max()
-            assert err <= EPS64 * bbox_diagonal(loop)
+    for entry, call in _point_checks(patch).items():
+        for i in range(n):
+            for t in (0.1, 0.5, 0.8):
+                point = poly._edge_point(i, t)
+                with pytest.raises(DomainError, match=r"^point outside the domain polygon$"):
+                    call(np.array([point + 2 * EPS_GEOM * poly.edge_normals[i]]))
+                near = np.array([point + 0.5 * EPS_GEOM * poly.edge_normals[i]])
+                got = call(near)
+                if entry == "edge_distances_many":
+                    assert got[0, i] == 0.0
+                    continue
+                s = local_params(poly.wachspress_many(near)).s[0, i]
+                err = np.abs(np.reshape(got, (-1, 3))[0] - loop.sides[i].eval(s)).max()
+                assert err <= EPS64 * bbox_diagonal(loop)
+
+
+@pytest.mark.parametrize("entry", ["eval", "eval_many", "edge_distances_many"])
+@pytest.mark.parametrize("point", [(np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf),
+                                   (np.inf, -np.inf)])
+def test_points_that_are_not_finite_are_refused(entry, point):
+    # finiteness is checked before the inside test, so a batch holding a NaN point and an
+    # outside point names the NaN, in either order
+    call = _point_checks(make_patch(random_loop(5, 3, np.random.default_rng(71))))[entry]
+    batches = [[point]]
+    if entry != "eval":
+        batches += [[point, (2.0, 0.0)], [(2.0, 0.0), (0.0, 0.0), point]]
+    for batch in batches:
+        with pytest.raises(DomainError, match=r"^domain point is not finite$"):
+            call(np.array(batch, dtype=float))
 
 
 def test_wachspress_underflow_is_refused():
