@@ -51,12 +51,12 @@ class DomainPolygon:
         evaluation exact.
         """
         points = np.asarray(points, dtype=float)
-        if not np.all(np.isfinite(points)):
+        if not np.isfinite(points).all():
             raise DomainError("domain point is not finite")
         d = self.apothem - points @ self.edge_normals.T
-        if np.any(d < -EPS_GEOM):
+        if (d < -EPS_GEOM).any():
             raise DomainError("point outside the domain polygon")
-        d[np.abs(d) <= EPS_GEOM] = 0.0
+        d[d <= EPS_GEOM] = 0.0  # every d >= -EPS_GEOM here
         return d
 
     def wachspress_many(self, points):
@@ -68,6 +68,7 @@ class DomainPolygon:
         there exactly two numerators stay nonzero, which is benign.  Rows
         are points: the products come from one (k, n, n - 2) gather.
         """
+        # the gather leaves num point-fastest, and its row sums round by layout: take moves bits
         num = self.edge_distances_many(points)[:, self._off_edges].prod(axis=2)
         total = num.sum(axis=1, keepdims=True)
         if not total.all():  # 0 / 0 next: products stay below e^2 but underflow for n > ~1075
@@ -85,11 +86,11 @@ is undefined and holds 0, and d_i = 1, so the weight (1 - d_i)/2 is 0.
 
 
 def local_params(lam):
-    """Compute (s_i, d_i) from Wachspress coordinates (last axis = side):
+    """Compute (s_i, d_i) from Wachspress coordinates, all >= 0 (last axis = side):
     s_i = lambda_i / (lambda_{i-1} + lambda_i), d_i = 1 - lambda_{i-1} - lambda_i."""
     lam = np.asarray(lam, dtype=float)
-    den = lam[..., np.arange(-1, lam.shape[-1] - 1)] + lam  # lambda_{i-1} + lambda_i
-    d = np.clip(1.0 - den, 0.0, 1.0)
+    den = lam[..., np.arange(-1, lam.shape[-1] - 1)] + lam  # lambda_{i-1} + lambda_i >= 0
+    d = np.maximum(1.0 - den, 0.0)
     valid = den > 0
-    s = np.divide(lam, den, out=np.zeros_like(lam), where=valid)
+    s = lam / np.where(valid, den, 1.0)  # lambda_i = 0 where den = 0
     return LocalParams(s, d, valid)

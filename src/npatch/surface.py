@@ -102,13 +102,12 @@ class Patch:
         # values (k, r) of r / 3 stacked control tensors (r, (D + 1) 4n)
         k, n = len(points), self.n
         s, d, _ = local_params(self.domain.wachspress_many(points))
-        w = 0.5 * (1.0 - d)
         # curve-major (4n, k) parameters, in [0, 1] as wachspress_many and local_params
         # leave them, and weights of ribbon i's base, prev, next and opposite curve
-        s, d, w = s.T, d.T, w.T
+        s, d = s.T, d.T
         t = np.concatenate([s, 1.0 - d, d, 1.0 - s])
-        c = t.reshape(4, n, k)[[1, 3, 0, 2]]  # Coons weights 1 - d, 1 - s, s, d
-        c *= w
+        c = t.reshape(4, n, k).take((1, 3, 0, 2), axis=0)  # Coons weights 1 - d, 1 - s, s, d
+        c *= 0.5 * c[0]  # times the ribbon weights (1 - d) / 2
         basis = bernstein_basis(t, self._binomials)
         basis *= c.reshape(4 * n, k)
         return (controls @ basis.reshape(-1, k)).T

@@ -32,16 +32,24 @@ Mutant = namedtuple("Mutant", "name file old new killer")
 
 MUTANTS = [
     Mutant("weights x (1 + 1e-12)", "surface.py",
-           "w = 0.5 * (1.0 - d)\n", "w = 0.5 * (1.0 - d) * (1 + 1e-12)\n",
+           "c *= 0.5 * c[0]", "c *= 0.5 * c[0] * (1 + 1e-12)",
            "tests/test_acceptance.py::test_criterion_1_boundary_interpolation"),
     Mutant("Wachspress sum x (1 + 1e-13)", "domain.py",
            "total = num.sum(axis=1, keepdims=True)\n",
            "total = num.sum(axis=1, keepdims=True) * (1 + 1e-13)\n",
            "tests/test_acceptance.py::test_criterion_1_boundary_interpolation"),
     Mutant("d x (1 - 1e-13)", "domain.py",
-           "d = np.clip(1.0 - den, 0.0, 1.0)\n",
-           "d = np.clip(1.0 - den, 0.0, 1.0) * (1 - 1e-13)\n",
+           "d = np.maximum(1.0 - den, 0.0)\n",
+           "d = np.maximum(1.0 - den, 0.0) * (1 - 1e-13)\n",
            "tests/test_acceptance.py::test_criterion_1_boundary_interpolation"),
+    Mutant("domain points not checked for finiteness", "domain.py",
+           "        if not np.isfinite(points).all():\n"
+           "            raise DomainError(\"domain point is not finite\")\n", "",
+           "tests/test_surface.py::test_points_that_are_not_finite_are_refused"),
+    Mutant("domain points not checked for the inside", "domain.py",
+           "        if (d < -EPS_GEOM).any():\n"
+           "            raise DomainError(\"point outside the domain polygon\")\n", "",
+           "tests/test_surface.py::test_snap_band_of_the_domain_edges"),
     Mutant("corner-chord parameter x (1 + 1e-13)", "surface.py",
            "u = np.linspace(0.0, 1.0, degree + 1)[:, None, None]\n",
            "u = np.linspace(0.0, 1.0, degree + 1)[:, None, None] * (1 + 1e-13)\n",

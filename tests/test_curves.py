@@ -1,9 +1,11 @@
+from math import comb
+
 import numpy as np
 import pytest
 from conftest import bernstein_eval
 
 from npatch import BezierCurve
-from npatch.curves import _elevate
+from npatch.curves import _elevate, bernstein_basis, binomials
 from npatch.errors import DomainError
 
 CUBIC = [(0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, 0)]
@@ -105,3 +107,22 @@ def test_bernstein_of_a_scalar_parameter(make, degree):
         got = curve.eval(make(t))
         assert got.shape == (3,)
         assert np.array_equal(got, curve.eval_many([t])[0])
+
+
+@pytest.mark.parametrize("degree", range(8))
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+def test_bernstein_basis_of_any_parameter_shape(shape, degree):
+    # the kernel's basis straight, on 0-, 1- and 2-d parameters, the ends 0 and 1 included
+    t = np.random.default_rng(degree).uniform(0, 1, shape)
+    if t.ndim:
+        t.flat[:2] = 0.0, 1.0
+    weights = binomials(degree)
+    basis = bernstein_basis(t, weights)
+    assert basis.shape == (degree + 1,) + shape
+    # a fresh array the caller may scale in place and flatten without a copy
+    assert basis.flags.c_contiguous and basis.flags.writeable
+    assert not np.shares_memory(basis, t) and not np.shares_memory(basis, weights)
+    assert np.abs(basis.sum(axis=0) - 1).max() <= 4 * np.finfo(float).eps
+    for j in range(degree + 1):
+        want = [comb(degree, j) * x**j * (1 - x) ** (degree - j) for x in t.flat]
+        assert np.abs(basis[j].ravel() - want).max() <= 4 * np.finfo(float).eps * max(want)
