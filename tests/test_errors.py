@@ -143,6 +143,23 @@ CHECKS = {
     "mean curvature past the float range": lambda: mean_curvature(make_patch(make_loop(
         [BezierCurve(np.ldexp(c.control_points, -1030)) for c in bundled_loop("pentagon").sides])),
         [0.0, 0.0]),
+    # a boolean array is no more a number than a boolean is: eval_many gave the centre point
+    # and the curve its end point
+    "eval_many of booleans": lambda: SQUARE.eval_many(np.zeros((1, 2), bool)),
+    "eval_rotations of booleans": lambda: SQUARE.eval_rotations(np.zeros((1, 2), bool)),
+    "curve of boolean points": lambda: BezierCurve(np.ones((2, 3), bool)),
+    "curve parameters of booleans": lambda: BezierCurve(LINE).eval_many([True]),
+    "contour axis of booleans": _contours_of(TRIANGLE, axis=(False, False, True)),
+    "mean curvature of a boolean point": lambda: mean_curvature(SQUARE, np.zeros(2, bool)),
+    "mesh vertices of booleans": lambda: TriMesh(np.eye(3, dtype=bool), [[0, 1, 2]]),
+    "mesh domain of booleans":
+        lambda: TriMesh(np.eye(3), [[0, 1, 2]], domain=np.zeros((3, 2), bool)),
+    "PLY scalar of booleans":
+        lambda: write_ply_scalar(TriMesh(np.eye(3), [[0, 1, 2]]), np.zeros(3, bool)),
+    # an index table has an integer dtype, as a resolution m is an integer: 2.0 is refused
+    "integral-float triangle table": lambda: TriMesh(np.eye(3), [[0.0, 1.0, 2.0]]),
+    "integral-float boundary table":
+        lambda: TriMesh(np.eye(3), [[0, 1, 2]], boundary=[0.0, 1.0]),
 }
 
 
