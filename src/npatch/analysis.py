@@ -5,8 +5,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import (SIZE_BUDGET, DomainError, NumericError, SchemaError, array, integer,
-                     overflow, real)
+from .errors import SIZE_BUDGET, DomainError, NumericError, array, integer, overflow, real
 from .mesher import TriMesh, mesh_patch
 from .surface import Patch
 
@@ -106,16 +105,16 @@ def contours(mesh, axis, count):
     leaving it by the lower-index triangle's segment and ending on a
     bitwise copy of the first point.  DomainError: count is not a Python
     or numpy integer in 1 .. errors.SIZE_BUDGET, the axis is not three
-    numbers, or the levels are not finite (a vertex or the axis is
-    not finite, or the projection range passes the float range).
-    SchemaError: not a TriMesh with non-empty (k, 3) vertices, a crossed
-    triangle repeats a vertex, or a cut edge is in more than two triangles.
+    numbers, the mesh is not a TriMesh with non-empty (k, 3) vertices, the
+    levels are not finite (a vertex or the axis is not finite, or the
+    projection range passes the float range), a crossed triangle repeats a
+    vertex, or a cut edge is in more than two triangles.
     """
     count = integer(count, "contour count", 1, SIZE_BUDGET)
     steps = np.arange(1, count + 1)
     axis = array(axis, "axis", (3,))
     if not isinstance(mesh, TriMesh) or mesh.vertices.shape[1:] != (3,) or not len(mesh.vertices):
-        raise SchemaError("contours need a TriMesh with a non-empty (k, 3) vertex array")
+        raise DomainError("contours need a TriMesh with a non-empty (k, 3) vertex array")
     with np.errstate(over="ignore", invalid="ignore"):
         proj = mesh.vertices @ axis
         lo, hi = proj.min(), proj.max()
@@ -145,7 +144,7 @@ def contours(mesh, axis, count):
     size = np.maximum(step[a], step[b]) - first
     tail = (np.cumsum(size) - size - first)[edge] + lev[seg]
     if np.any(tail[::2] == tail[1::2]):
-        raise SchemaError("a crossed triangle repeats a vertex")
+        raise DomainError("a crossed triangle repeats a vertex")
     owner, node_lev = _runs(first, size)
     a, b = a[owner], b[owner]
     t = (levels[node_lev] - proj[a]) / (proj[b] - proj[a])
@@ -154,7 +153,7 @@ def contours(mesh, axis, count):
     nodes = len(points)
     deg = np.bincount(tail, minlength=nodes)[tail]
     if deg.max(initial=0) > 2:
-        raise SchemaError("an edge cut by a level is in more than two triangles")
+        raise DomainError("an edge cut by a level is in more than two triangles")
 
     # arc h runs along segment h // 2 from node tail[h] to node tail[h ^ 1]; its
     # successor leaves that node by the other segment, or turns back at a chain end,
@@ -193,10 +192,10 @@ def contours(mesh, axis, count):
 
 
 def dirichlet_energy(mesh):
-    """Uniform-weight discrete Dirichlet energy: sum over edges of |du|^2.  SchemaError: not
-    a TriMesh.  DomainError: a vertex is not finite, or the energy overflows the float range."""
+    """Uniform-weight discrete Dirichlet energy: sum over edges of |du|^2.  DomainError: not
+    a TriMesh, a vertex is not finite, or the energy overflows the float range."""
     if not isinstance(mesh, TriMesh):
-        raise SchemaError("dirichlet_energy needs a TriMesh, got %s" % type(mesh).__name__)
+        raise DomainError("dirichlet_energy needs a TriMesh, got %s" % type(mesh).__name__)
     if not np.all(np.isfinite(mesh.vertices)):
         raise DomainError("Dirichlet energy of a vertex that is not finite")
     e = mesh.edges()
@@ -216,13 +215,13 @@ def harmonic_fill(mesh):
     about origin, the multiple of unit nearest the bbox centre: a loop scaled by 2**k fills to
     the scaled result bit for bit, and a translated one in its own frame, not on rounding at
     the size of the offset.  A mesh without interior vertices is returned unchanged.
-    SchemaError: not a TriMesh (whose construction checked the boundary), or no boundary.
-    DomainError: the boundary is not finite or spans more than the float range.
+    DomainError: not a TriMesh (whose construction checked the boundary), no boundary, or
+    a boundary that is not finite or spans more than the float range.
     """
     if not isinstance(mesh, TriMesh):
-        raise SchemaError("harmonic_fill needs a TriMesh, got %s" % type(mesh).__name__)
+        raise DomainError("harmonic_fill needs a TriMesh, got %s" % type(mesh).__name__)
     if mesh.boundary is None or not mesh.boundary.size:
-        raise SchemaError("harmonic_fill needs a mesh with a boundary")
+        raise DomainError("harmonic_fill needs a mesh with a boundary")
     nv = len(mesh.vertices)
     boundary = np.zeros(nv, dtype=bool)
     boundary[mesh.boundary] = True

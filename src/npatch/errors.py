@@ -57,29 +57,28 @@ def integer(value, name, least=-math.inf, most=math.inf):
 
 
 def real(value, name, least=-math.inf, most=math.inf):
-    """value as a Python float; DomainError unless it is a finite real number, not a
-    boolean, in [least, most]."""
-    values = array(value, name, ())
-    number = float(values)  # a narrow numpy float would round in arithmetic
-    if values.dtype.kind == "b" or not (least <= number <= most and math.isfinite(number)):
+    """value as a Python float; DomainError unless it is a finite number in [least, most]:
+    an array() of shape (), so not a boolean."""
+    number = float(array(value, name, ()))  # a narrow numpy float would round in arithmetic
+    if not (least <= number <= most and math.isfinite(number)):
         raise DomainError("%s must be a finite number%s, got %r"
                           % (name, _bounds(least, most), value))
     return number
 
 
-def array(value, name, *shapes, error=DomainError):
-    """np.asarray(value), its dtype kept; error unless it is a rectangular array of
-    booleans, integers or reals of one of shapes, if any, where None matches any length."""
+def array(value, name, *shapes):
+    """np.asarray(value), its dtype kept; DomainError unless it is a rectangular array of
+    integers or reals of one of shapes, if any, where None matches any length."""
     try:
         value = np.asarray(value)
     except (TypeError, ValueError):  # ragged nesting; numpy's message varies by version
-        raise error("%s must be a rectangular array of numbers" % name) from None
+        raise DomainError("%s must be a rectangular array of numbers" % name) from None
     got = value.shape
-    # by kind, before any cast: complex, str and object arrays fail here without a warning
-    if value.dtype.kind not in "biuf" or shapes and got not in [
+    # by kind, before any cast: bool, complex, str and object arrays fail without a warning
+    if value.dtype.kind not in "iuf" or shapes and got not in [
             tuple([v if k is None else k for k, v in zip(shape, got)])
             for shape in shapes if len(shape) == len(got)]:
-        raise error("%s must be numbers of shape %s, got %s %s" % (name, " or ".join(
+        raise DomainError("%s must be numbers of shape %s, got %s %s" % (name, " or ".join(
             map(str, shapes)).replace("None, None", "k, d").replace("None", "k") or "any",
             value.dtype, got))
     return value

@@ -40,7 +40,7 @@ import sys
 import numpy as np
 
 from .curves import MAX_DEGREE, BezierCurve
-from .errors import ParseError, SchemaError, array
+from .errors import DomainError, ParseError, SchemaError, array
 from .loop import make_loop
 from .mesher import TriMesh
 
@@ -180,8 +180,8 @@ def _lines(prefix, table):
 
 
 def _table(value, name):
-    """value as an (n, 3) array of numbers, one record per row ([] has none); else SchemaError."""
-    return array(value, name, (0,), (None, 3), error=SchemaError).reshape(-1, 3)
+    """value as an (n, 3) array of numbers, one record per row ([] has none); else DomainError."""
+    return array(value, name, (0,), (None, 3)).reshape(-1, 3)
 
 
 def _polyline_text(polylines, base):
@@ -249,9 +249,9 @@ def read_loop(text):
 
 def write_obj(mesh, contour_set=None):
     """OBJ text of a TriMesh with (n, 3) vertices; optional contour polylines, (n, 3)
-    arrays, as `l` elements.  SchemaError: not a TriMesh, or records of another width."""
+    arrays, as `l` elements.  DomainError: not a TriMesh, or records of another width."""
     if not isinstance(mesh, TriMesh):
-        raise SchemaError("write_obj needs a TriMesh, got %s" % type(mesh).__name__)
+        raise DomainError("write_obj needs a TriMesh, got %s" % type(mesh).__name__)
     vertices = _table(mesh.vertices, "vertices")
     blocks = [_lines("v ", vertices), _lines("f ", mesh.triangles + 1)]
     if contour_set is not None and len(contour_set.polylines):
@@ -260,11 +260,11 @@ def write_obj(mesh, contour_set=None):
 
 
 def write_ply_scalar(mesh, scalar):
-    """ASCII PLY of a TriMesh, (n, 3) vertices, and one `quality` scalar per vertex (SchemaError)."""
+    """ASCII PLY of a TriMesh, (n, 3) vertices, and one `quality` scalar per vertex (DomainError)."""
     if not isinstance(mesh, TriMesh):
-        raise SchemaError("write_ply_scalar needs a TriMesh, got %s" % type(mesh).__name__)
+        raise DomainError("write_ply_scalar needs a TriMesh, got %s" % type(mesh).__name__)
     vertices = _table(mesh.vertices, "vertices")
-    scalar = array(scalar, "scalar channel", (len(vertices),), error=SchemaError)
+    scalar = array(scalar, "scalar channel", (len(vertices),))
     header = [
         "ply",
         "format ascii 1.0",

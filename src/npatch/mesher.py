@@ -2,18 +2,17 @@
 
 import numpy as np
 
-from .errors import SIZE_BUDGET, SchemaError, array, integer
+from .errors import SIZE_BUDGET, DomainError, array, integer
 
 
 def _indices(values, count, what, shape):
-    """values as an int array; SchemaError unless of shape and integers in 0 .. count - 1
-    (a boolean mask is not read as the indices 0 and 1)."""
-    values = array(values, what + " indices", shape, error=SchemaError)
-    kind = values.dtype.kind
-    if kind == "b" or kind == "f" and not np.array_equal(values, np.trunc(values)):
-        raise SchemaError("%s indices must be integers" % what)
+    """values as an int array; DomainError unless of shape, of an integer dtype and in
+    0 .. count - 1."""
+    values = array(values, what + " indices", shape)
+    if values.dtype.kind == "f":
+        raise DomainError("%s indices must be integers" % what)
     if np.any((values < 0) | (values >= count)):
-        raise SchemaError("%s index out of range for %d vertices" % (what, count))
+        raise DomainError("%s index out of range for %d vertices" % (what, count))
     return values.astype(int, copy=False)
 
 
@@ -22,23 +21,23 @@ class TriMesh:
 
     boundary holds the indices of the vertices on the domain boundary, a
     1-D array, and domain the (k, 2) domain points the vertices were mapped
-    from (each None when unknown).  SchemaError (_indices): the vertices or
-    domain are not a (k, d) or (k, 2) array of numbers, the triangles not a
-    (k, 3) table or the boundary a 1-D array of vertex indices, integers
-    (not booleans or NaN) in range.  The mesh holds read-only copies of its
+    from (each None when unknown).  DomainError: the vertices or domain are
+    not a (k, d) or (k, 2) array of numbers (not booleans), the triangles
+    not a (k, 3) table or the boundary a 1-D array of vertex indices, of an
+    integer dtype and in range.  The mesh holds read-only copies of its
     arrays and refuses assignment to its attributes (AttributeError): every
     consumer trusts this one check.
     """
 
     def __init__(self, vertices, triangles, boundary=None, domain=None):
-        vertices = array(vertices, "vertices", (None, None), error=SchemaError)
+        vertices = array(vertices, "vertices", (None, None))
         k = len(vertices)
         fields = dict(vertices=vertices.astype(float, copy=False),
                       triangles=_indices(triangles, k, "triangle", (None, 3)),
                       boundary=None if boundary is None else _indices(
                           boundary, k, "boundary", (None,)),
                       domain=None if domain is None else array(
-                          domain, "domain", (k, 2), error=SchemaError).astype(float, copy=False))
+                          domain, "domain", (k, 2)).astype(float, copy=False))
         for name, value in fields.items():
             if value is not None:
                 (value := value.copy()).setflags(write=False)

@@ -111,9 +111,9 @@ MUTANTS = [
            "        if bad.size:\n", "        if False:\n",
            "tests/test_loop.py::test_open_corner_rejected"),
     Mutant("mesh domain unchecked", "mesher.py",
-           "array(\n                          domain, \"domain\", (k, 2), error=SchemaError)"
+           "array(\n                          domain, \"domain\", (k, 2))"
            ".astype(float, copy=False))", "np.asarray(domain, dtype=float))",
-           "tests/test_errors.py::test_malformed_meshes_are_schema_errors"),
+           "tests/test_errors.py::test_malformed_meshes_are_domain_errors"),
     Mutant("mesh attributes assignable", "mesher.py",
            "    def __setattr__(self, name, value):\n"
            "        raise AttributeError(\"a TriMesh is read-only: build a new one instead\")\n",

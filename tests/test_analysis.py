@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch
 from npatch.analysis import (contours, curvature_map, dirichlet_energy, harmonic_fill,
                              mean_curvature, pull_inward)
-from npatch.errors import DomainError, NumericError, SchemaError
+from npatch.errors import DomainError, NumericError
 from npatch.fileio import read_loop
 from npatch.fixtures import random_loop
 from npatch.mesher import tessellate_domain
@@ -343,7 +343,7 @@ def test_harmonic_needs_boundary_table(source):
         mesh = TriMesh(patch_mesh.vertices, patch_mesh.triangles)
     else:
         mesh = _triangle_mesh(np.eye(3), 0)
-    with pytest.raises(SchemaError, match="boundary"):
+    with pytest.raises(DomainError, match="boundary"):
         harmonic_fill(mesh)
 
 

@@ -19,7 +19,7 @@ from npatch import (BezierCurve, BoundaryLoop, DomainPolygon, Patch, TriMesh, ma
 from npatch.analysis import (ContourSet, contours, curvature_map, dirichlet_energy,
                              harmonic_fill, mean_curvature)
 from npatch.curves import MAX_DEGREE
-from npatch.errors import DomainError, NPatchError, SchemaError
+from npatch.errors import DomainError, NPatchError
 from npatch.fileio import read_loop, write_obj, write_ply_scalar
 from npatch.fixtures import random_loop
 from npatch.mesher import tessellate_domain
@@ -196,8 +196,7 @@ MESSAGES = {
 @pytest.mark.parametrize("name", sorted(MESSAGES))
 def test_check_messages_name_only_finite_bounds(name):
     call, message = MESSAGES[name]
-    # a mesh field raises SchemaError, every other argument DomainError
-    with pytest.raises(SchemaError if name.startswith("mesh") else DomainError) as info:
+    with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
 
@@ -265,11 +264,11 @@ def test_patch_of_the_pentagon_past_the_float_range_names_the_overflow():
     [[0, 0, 2]],                        # a triangle with a repeated vertex
     [[2, 1, 2], [0, 1, 3]],
 ])
-def test_contour_graph_of_degree_above_two_is_schema_error(triangles):
+def test_contour_graph_of_degree_above_two_is_domain_error(triangles):
     # the segments could not be chained: a cut edge would join three segments,
     # or a segment would join a node to itself
     vertices = [[0.0, 0, 0], [1, 0, 1], [0, 1, 0.5], [0, -1, 0.5], [1, 1, 0.5]]
-    with pytest.raises(SchemaError):
+    with pytest.raises(DomainError):
         contours(TriMesh(vertices, triangles), [0, 0, 1], 3)
 
 
@@ -342,8 +341,8 @@ MALFORMED_MESHES = {
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_MESHES))
-def test_malformed_meshes_are_schema_errors(name):
-    with pytest.raises(SchemaError):
+def test_malformed_meshes_are_domain_errors(name):
+    with pytest.raises(DomainError):
         MALFORMED_MESHES[name]()
 
 

@@ -195,9 +195,9 @@ def test_obj_contours_appended():
 
 def test_ply_requires_scalar():
     mesh = TriMesh(np.eye(3), np.array([[0, 1, 2]]))
-    with pytest.raises(SchemaError):
+    with pytest.raises(DomainError):
         write_ply_scalar(mesh, None)
-    with pytest.raises(SchemaError):
+    with pytest.raises(DomainError):
         write_ply_scalar(mesh, np.zeros(2))
 
 

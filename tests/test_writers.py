@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from npatch import make_patch, mesh_patch
 from npatch.analysis import ContourSet, contours, curvature_map
-from npatch.errors import SchemaError
+from npatch.errors import DomainError
 from npatch.fileio import _lines, read_loop, write_obj, write_ply_scalar
 from npatch.fixtures import FIXTURE_DIR
 from npatch.mesher import TriMesh
@@ -89,10 +89,10 @@ def test_empty_arrays_match_reference():
 def test_writers_reject_records_of_other_widths(case):
     mesh = TriMesh(np.zeros((4, 2 if case == "planar vertices" else 3)), [[0, 1, 2]])
     contour_set = ContourSet([0, 0, 1], [0.5], [np.zeros((3, 2 if case == "planar polyline" else 3))])
-    with pytest.raises(SchemaError):
+    with pytest.raises(DomainError):
         write_obj(mesh, contour_set)
     if case != "planar polyline":
-        with pytest.raises(SchemaError):
+        with pytest.raises(DomainError):
             write_ply_scalar(mesh, np.zeros(4))
 
 
