@@ -63,7 +63,7 @@ def mean_curvature(surface, p, h=CURVATURE_STEP):
     return float(h_mean[0]) if p.ndim == 1 else h_mean
 
 
-def pull_inward(poly, p, margin):
+def _pull_inward(poly, p, margin):
     """Shrink p (a point or rows of a (k, 2) array) toward the polygon
     center until all its edge distances are >= margin."""
     p = np.asarray(p, dtype=float)
@@ -77,7 +77,7 @@ def curvature_map(patch, m):
     a vertex nearer the domain boundary than 2.5 h is sampled 2.5 h in, toward the center."""
     mesh = mesh_patch(patch, m)
     # margin strictly above the 2h precondition, rounding-safe
-    points = pull_inward(patch.domain, mesh.domain, 2.5 * CURVATURE_STEP)
+    points = _pull_inward(patch.domain, mesh.domain, 2.5 * CURVATURE_STEP)
     return mesh, mean_curvature(patch, points)
 
 

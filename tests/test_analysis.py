@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch
-from npatch.analysis import (contours, curvature_map, dirichlet_energy, harmonic_fill,
-                             mean_curvature, pull_inward)
+from npatch.analysis import (_pull_inward, contours, curvature_map, dirichlet_energy,
+                             harmonic_fill, mean_curvature)
 from npatch.errors import DomainError, NumericError
 from npatch.fileio import read_loop
 from npatch.fixtures import random_loop
@@ -107,7 +107,7 @@ def test_mean_curvature_of_no_points_is_empty():
 
 def test_pull_inward():
     poly = DomainPolygon(5)
-    q = pull_inward(poly, poly._edge_point(2, [0.0, 0.3, 0.9]), 0.01)
+    q = _pull_inward(poly, poly._edge_point(2, [0.0, 0.3, 0.9]), 0.01)
     assert poly.edge_distances_many(q).min() >= 0.01 - 1e-12
 
 
@@ -115,8 +115,8 @@ def test_pull_inward_batch_matches_rows():
     poly = DomainPolygon(5)
     points = np.array([poly._edge_point(i, t) for i in range(5) for t in (0.0, 0.3, 0.9)]
                       + [[0.0, 0.0], [0.1, -0.2]])
-    rows = [pull_inward(poly, q, 0.01) for q in points]
-    assert np.array_equal(pull_inward(poly, points, 0.01), rows)
+    rows = [_pull_inward(poly, q, 0.01) for q in points]
+    assert np.array_equal(_pull_inward(poly, points, 0.01), rows)
 
 
 def test_curvature_map_planar_loop():
