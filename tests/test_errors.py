@@ -115,6 +115,9 @@ CHECKS = {
     # the curve is made, not at its first use
     "curve of 1031 control points": lambda: BezierCurve(np.zeros((1031, 3))),
     "random loop degree 2**40": lambda: random_loop(5, 2**40, np.random.default_rng(0)),
+    # None raised AttributeError at the first draw, and a legacy RandomState drew other loops
+    "random loop without a generator": lambda: random_loop(5, 3, None),
+    "random loop of a RandomState": lambda: random_loop(5, 3, np.random.RandomState(0)),
     # a step whose square underflows divided 0 by 0 in the second differences
     "curvature step 1e-170": lambda: mean_curvature(SQUARE, [0.1, 0.1], h=1e-170),
     "curvature step 5e-324": lambda: mean_curvature(SQUARE, [0.1, 0.1], h=5e-324),
@@ -384,6 +387,7 @@ ENTRY_POINTS = {
     "write_obj vertices": lambda x: write_obj(TriMesh(x, np.zeros((0, 3), int))),
     "write_obj polyline": lambda x: write_obj(MESH, ContourSet([0, 0, 1], [0.5], [x])),
     "write_ply_scalar scalar": lambda x: write_ply_scalar(TRI, x),
+    "random_loop rng": lambda x: random_loop(5, 3, x),
 }
 
 # every size at most 3, so no drawn value makes the package allocate much, and a
