@@ -352,6 +352,16 @@ def test_harmonic_without_interior_vertices_is_unchanged():
     assert np.array_equal(harmonic_fill(mesh).vertices, mesh.vertices)
 
 
+def test_harmonic_solve_that_does_not_converge_is_numeric_error(monkeypatch):
+    # one CG step leaves the square's m = 6 interior far from its solution
+    import scipy.sparse.linalg as spla
+    cg = spla.cg
+    monkeypatch.setattr(spla, "cg", lambda *args, **kwargs: cg(*args, **{**kwargs, "maxiter": 1}))
+    mesh = mesh_patch(make_patch(bundled_loop("square")), 6)
+    with pytest.raises(NumericError, match=r"harmonic solve did not converge \(residual "):
+        harmonic_fill(mesh)
+
+
 def test_harmonic_isolated_interior_vertex_is_numeric_error():
     # no neighbors to average: the umbrella residual is NaN, not a pass
     mesh = _triangle_mesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 1], [5, 5, 5]]), 3)

@@ -22,6 +22,10 @@ def test_endpoints_are_control_points():
     assert np.array_equal(c.eval(1.0), CUBIC[-1])
 
 
+def test_repr_names_the_degree():
+    assert repr(BezierCurve(CUBIC)) == "BezierCurve(degree=3)"
+
+
 def test_cubic_midpoint_hand_value():
     # de Casteljau by hand on the arch cubic
     c = BezierCurve(CUBIC)
