@@ -122,6 +122,20 @@ MUTANTS = [
     Mutant("empty boundary length without initial", "analysis.py",
            "float(np.abs(fixed).max(initial=0.0))", "float(np.abs(fixed).max())",
            "tests/test_analysis.py::test_harmonic_fill_of_vertices_without_coordinates_is_the_mesh"),
+    Mutant("array accepts booleans", "errors.py",
+           'value.dtype.kind not in "iuf"', 'value.dtype.kind not in "biuf"',
+           "tests/test_errors.py::test_library_checks_raise_domain_error"),
+    Mutant("index tables accept floats", "mesher.py",
+           "    if values.dtype.kind == \"f\":\n"
+           "        raise DomainError(\"%s indices must be integers\" % what)\n", "",
+           "tests/test_errors.py::test_library_checks_raise_domain_error"),
+    # the umbrella check then raises a NumericError of its own, so the killer matches the message
+    Mutant("non-convergence not raised", "analysis.py",
+           "        if info != 0:\n"
+           "            res = np.linalg.norm(a_mat @ x - rhs[:, c]) * unit\n"
+           "            raise NumericError(\"harmonic solve did not converge (residual %.3e)\" % res)\n",
+           "",
+           "tests/test_analysis.py::test_harmonic_solve_that_does_not_converge_is_numeric_error"),
     Mutant("index 0 prints as nothing", "fileio.py",
            "    keep[-1] = True\n", "",
            "tests/test_writers.py::test_int_fields_print_as_percent_d"),
