@@ -1,5 +1,5 @@
-"""Exception hierarchy and the argument and overflow checks shared by the whole package: every
-library check raises an NPatchError.  The CLI exits with 2 on a NumericError, 1 on any other."""
+"""Exception hierarchy and the checks shared by the whole package: every library check raises an
+NPatchError, these DomainError.  The CLI exits with 2 on a NumericError, 1 on any other."""
 
 import math
 import numbers
@@ -27,7 +27,7 @@ class ParseError(NPatchError):
 
 
 class SchemaError(NPatchError):
-    """Document parsed but a field is missing or invalid."""
+    """Document parsed but a field is missing or invalid (read_loop, the CLI's eval flags)."""
 
 
 class ClosureError(NPatchError):

@@ -20,13 +20,11 @@ BUNDLED = ("triangle", "square", "pentagon", "pocket3a", "pocket3b", "pocket4", 
 
 
 def random_loop(n, degree, rng):
-    """Seeded random closed loop: perturbed n-gon corners (|z| <= 0.4), jittered interiors,
-    drawn from rng, a numpy.random.Generator (else DomainError)."""
+    """Seeded random closed loop: perturbed n-gon corners (|z| <= 0.4), jittered interiors."""
     # a degree-0 side cannot join two distinct corners
     degree = integer(degree, "random_loop degree", 1, MAX_DEGREE)
     if not isinstance(rng, np.random.Generator):
-        raise DomainError("random_loop rng must be a numpy.random.Generator, got %s"
-                          % type(rng).__name__)
+        raise DomainError("random_loop rng must be a numpy Generator, got %s" % type(rng).__name__)
     corners = np.column_stack([DomainPolygon(n).vertices, np.zeros(n)])  # in the z = 0 plane
     corners[:, :2] += rng.normal(scale=0.05, size=(n, 2))
     corners[:, 2] = rng.uniform(-0.4, 0.4, size=n)
