@@ -10,8 +10,9 @@ they are compared with an absolute tolerance of PATCH_TOL times the
 loop's bounding-box diagonal.
 
 The analysis outputs on every bundled fixture are recorded too:
-`curvature_map` scalars (m = 3, 6) within CURVATURE_TOL, digests of the
-`harmonic_fill` vertices (m = 6, 20), and in `golden_contours.json` the
+`curvature_map` scalars (m = 3, 6) within CURVATURE_TOL, sampled
+`harmonic_fill` vertices (m = 6, 20) within HARMONIC_TOL times the
+bounding-box diagonal, and in `golden_contours.json` the
 `contours` polylines (z axis, 5 levels, m = 10, 20), grouped by level.
 A level must yield the same polylines up to order and direction (a
 closed one may start anywhere), points within CONTOUR_TOL times the
@@ -41,6 +42,9 @@ PATCH_TOL = 1e-13
 # finite-difference curvature: rounding of the 2nd differences is eps/h^2 ~ 2e-8
 CURVATURE_TOL = 1e-6
 CONTOUR_TOL = 1e-13
+# the solve stops at a relative residual of 1e-14: another BLAS kernel moves the fill by
+# at most 5.5e-16 of the diagonal, stopping at 1e-12 instead by up to 7e-13 at m = 20
+HARMONIC_TOL = 1e-14
 
 
 def _sha(data):
@@ -106,8 +110,11 @@ def test_curvature_scalars(name, m):
 @pytest.mark.parametrize("m", (6, 20))
 @pytest.mark.parametrize("name", FIXTURES)
 def test_harmonic_vertices(name, m):
-    got = harmonic_fill(mesh_patch(make_patch(bundled_loop(name)), m)).vertices
-    assert _sha(np.ascontiguousarray(got, dtype="<f8").tobytes()) == GOLDEN["harmonic"]["%s,%d" % (name, m)]
+    loop = bundled_loop(name)
+    want = GOLDEN["harmonic"]["%s,%d" % (name, m)]
+    got = harmonic_fill(mesh_patch(make_patch(loop), m)).vertices[want["index"]]
+    err = np.abs(got - np.array(want["vertices"])).max()
+    assert err <= HARMONIC_TOL * bbox_diagonal(loop)
 
 
 def _same_polyline(a, b, tol):
