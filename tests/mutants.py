@@ -131,11 +131,20 @@ MUTANTS = [
            "tests/test_errors.py::test_library_checks_raise_domain_error"),
     # the umbrella check then raises a NumericError of its own, so the killer matches the message
     Mutant("non-convergence not raised", "analysis.py",
-           "        if info != 0:\n"
-           "            res = np.linalg.norm(a_mat @ x - rhs[:, c]) * unit\n"
-           "            raise NumericError(\"harmonic solve did not converge (residual %.3e)\" % res)\n",
+           "    if info != 0:\n"
+           "        res = np.linalg.norm(a_mat @ x.reshape(rhs.shape) - rhs)"
+           " * unit\n"
+           "        raise NumericError(\"harmonic solve did not converge (residual %.3e)\" % res)\n",
            "",
            "tests/test_analysis.py::test_harmonic_solve_that_does_not_converge_is_numeric_error"),
+    # the preconditioner's V-cycle: without its coarse correction CG takes 135 steps on the
+    # bound test's mesh, and without the second Jacobi sweep (no longer symmetric) it stalls
+    Mutant("coarse correction dropped", "analysis.py",
+           "            x = x0 + p @ x\n", "            x = x0\n",
+           "tests/test_analysis.py::test_harmonic_solve_work_is_bounded"),
+    Mutant("post-smoothing dropped", "analysis.py",
+           "            x += weight * (r - a @ x)\n", "",
+           "tests/test_analysis.py::test_harmonic_solve_work_is_bounded"),
     Mutant("index 0 prints as nothing", "fileio.py",
            "    keep[-1] = True\n", "",
            "tests/test_writers.py::test_int_fields_print_as_percent_d"),

@@ -11,7 +11,7 @@ from npatch.analysis import (_pull_inward, contours, curvature_map, dirichlet_en
                              harmonic_fill, mean_curvature)
 from npatch.errors import DomainError, NumericError
 from npatch.fileio import read_loop
-from npatch.fixtures import random_loop
+from npatch.fixtures import FIXTURE_DIR, random_loop
 from npatch.mesher import tessellate_domain
 
 
@@ -289,7 +289,7 @@ def _lifted(mesh):
     return TriMesh(np.pad(mesh.vertices, ((0, 0), (0, 1))), mesh.triangles, boundary=mesh.boundary)
 
 
-# each coordinate is its own solve: the 2-D domain mesh fills as its lift to z = 0 does
+# every coordinate is solved: the 2-D domain mesh fills as its lift to z = 0 does
 # (it raised numpy's IndexError), and 4-D vertices as their 3-D columns (the fourth
 # was left unsolved, and the umbrella check failed)
 @pytest.mark.parametrize("mesh, columns", [
@@ -353,11 +353,12 @@ def test_harmonic_without_interior_vertices_is_unchanged():
 
 
 def test_harmonic_solve_that_does_not_converge_is_numeric_error(monkeypatch):
-    # one CG step leaves the square's m = 6 interior far from its solution
+    # one CG step leaves the square's m = 20 interior far from its solution (at m = 6 the
+    # whole system is the V-cycle's dense level, and one step solves it)
     import scipy.sparse.linalg as spla
     cg = spla.cg
     monkeypatch.setattr(spla, "cg", lambda *args, **kwargs: cg(*args, **{**kwargs, "maxiter": 1}))
-    mesh = mesh_patch(make_patch(bundled_loop("square")), 6)
+    mesh = mesh_patch(make_patch(bundled_loop("square")), 20)
     with pytest.raises(NumericError, match=r"harmonic solve did not converge \(residual "):
         harmonic_fill(mesh)
 
@@ -367,6 +368,98 @@ def test_harmonic_isolated_interior_vertex_is_numeric_error():
     mesh = _triangle_mesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 1], [5, 5, 5]]), 3)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError):
         harmonic_fill(mesh)
+
+
+# pocket6 at m = 40: 4681 interior vertices, three levels
+SOLVE_BOUND = 20
+
+
+def test_harmonic_solve_work_is_bounded(monkeypatch):
+    # the V-cycle takes 14 CG steps; unpreconditioned CG took 685 over its three solves,
+    # and without the coarse correction the V-cycle takes 135
+    import scipy.sparse.linalg as spla
+    cg = spla.cg
+    steps = []
+
+    def counted(*args, **kwargs):
+        return cg(*args, **{**kwargs, "maxiter": SOLVE_BOUND, "callback": steps.append})
+
+    monkeypatch.setattr(spla, "cg", counted)
+    harmonic_fill(mesh_patch(make_patch(bundled_loop("pocket6")), 40))
+    assert len(steps) <= SOLVE_BOUND
+
+
+def _direct_fill(mesh):
+    """The harmonic fill by np.linalg.solve of the dense interior graph Laplacian."""
+    k = len(mesh.vertices)
+    lap = np.zeros((k, k))
+    for a, b in mesh.edges():
+        if a != b:
+            lap[[a, b], [b, a]] -= 1.0
+    lap[np.diag_indices(k)] = -lap.sum(axis=1)
+    inner = np.ones(k, dtype=bool)
+    inner[mesh.boundary] = False
+    filled = mesh.vertices.copy()
+    filled[inner] = np.linalg.solve(lap[inner][:, inner],
+                                    -lap[inner][:, ~inner] @ mesh.vertices[~inner])
+    return filled
+
+
+# within 6 eps on these loops (past 300 interior vertices, through the V-cycle's levels)
+DIRECT_TOL = 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("m", [2, 5, 8])
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURE_DIR.glob("*.json")))
+def test_harmonic_fill_is_the_direct_solution(name, m):
+    loop = bundled_loop(name)
+    mesh = mesh_patch(make_patch(loop), m)
+    err = np.abs(harmonic_fill(mesh).vertices - _direct_fill(mesh)).max()
+    assert err <= DIRECT_TOL * bbox_diagonal(loop)
+
+
+@settings(max_examples=15)
+@given(n=st.integers(3, 16), m=st.integers(2, 8), degree=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_harmonic_fill_of_random_loops_is_the_direct_solution(n, m, degree, seed):
+    loop = random_loop(n, degree, np.random.default_rng(seed))
+    mesh = mesh_patch(make_patch(loop), m)
+    err = np.abs(harmonic_fill(mesh).vertices - _direct_fill(mesh)).max()
+    assert err <= DIRECT_TOL * bbox_diagonal(loop)
+
+
+def test_harmonic_isolated_vertex_of_a_large_interior_is_numeric_error():
+    # a zero row in a system above the V-cycle's dense size: no Jacobi sweep divides by it
+    mesh = mesh_patch(make_patch(bundled_loop("pentagon")), 20)
+    lone = TriMesh(np.vstack([mesh.vertices, [5.0, 5, 5]]), mesh.triangles, boundary=mesh.boundary)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        harmonic_fill(lone)
+
+
+def test_harmonic_fill_of_an_interior_apart_from_the_boundary():
+    # a triangle of interior vertices joined to no boundary vertex has no unique fill: its
+    # singular block fails the V-cycle's Cholesky factor, and CG leaves it at the start
+    # value, the boundary's mean, while the rest fills as without it
+    mesh = mesh_patch(make_patch(bundled_loop("pentagon")), 6)
+    k = len(mesh.vertices)
+    apart = [[0.1, 0.2, 0.3], [0.4, 0.1, 0.9], [0.3, 0.3, 0.3]]
+    island = TriMesh(np.vstack([mesh.vertices, apart]),
+                     np.vstack([mesh.triangles, [k, k + 1, k + 2]]), boundary=mesh.boundary)
+    filled = harmonic_fill(island).vertices
+    assert np.abs(filled[k:] - mesh.vertices[mesh.boundary].mean(axis=0)).max() <= 1e-15
+    assert np.abs(filled[:k] - harmonic_fill(mesh).vertices).max() <= 1e-14
+
+
+def test_harmonic_fill_of_an_interior_without_interior_edges():
+    # 400 interior vertices, each in one triangle with boundary vertices 0 and 1 only: the
+    # aggregation cannot coarsen, and CG runs without the V-cycle
+    k = 403
+    vertices = np.zeros((k, 3))
+    vertices[:3] = [[0.0, 0, 0], [2, 0, 0], [0, 2, 0]]
+    triangles = np.vstack([[0, 1, 2], np.column_stack([np.zeros(k - 3, int), np.ones(k - 3, int),
+                                                       np.arange(3, k)])])
+    filled = harmonic_fill(TriMesh(vertices, triangles, boundary=[0, 1, 2])).vertices
+    assert np.abs(filled[3:] - [1.0, 0, 0]).max() <= 1e-15
 
 
 DEGENERATE_LOOPS = {
