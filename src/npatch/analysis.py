@@ -264,16 +264,18 @@ def harmonic_fill(mesh):
     """Discrete 'soap film' on a mesh's connectivity, boundary fixed.
 
     The vertices listed in mesh.boundary keep their positions (for a mesh_patch result, the
-    boundary curve samples) and every other vertex is solved to be the average of its neighbors,
-    by one conjugate-gradient solve of all coordinates, preconditioned by a smoothed-aggregation
-    V-cycle where one can be built, until one residual norm over all coordinates is within 1e-14
-    of the right-hand side's or of the boundary's bounding-box diagonal (for a boundary of one
-    point, its largest coordinate magnitude).  The solve runs in unit, the power of two at or
-    below that length, about origin, the multiple of unit nearest the bbox centre: a loop scaled
-    by 2**k fills to the scaled result bit for bit, and a translated one in its own frame, not
-    on rounding at the size of the offset.  A mesh without interior vertices is returned as is.
-    DomainError: not a TriMesh (whose construction checked the boundary), no boundary, or
-    a boundary that is not finite or spans more than the float range.
+    boundary curve samples) and every other vertex is made the average of its neighbors.  A
+    coordinate constant on the boundary (0.0 == -0.0) is its own fill: the interior copies the
+    lowest-numbered boundary vertex's value bit for bit.  The free coordinates are one conjugate-
+    gradient solve, preconditioned by a smoothed-aggregation V-cycle where one can be built,
+    until one residual norm over them is within 1e-14 of the right-hand side's or of the
+    boundary's bounding-box diagonal.  It runs in unit, the power of two at or below that
+    length, about origin, the multiple of unit nearest the bbox centre: a loop scaled by 2**k
+    fills to the scaled result bit for bit, and a translated one in its own frame, not on
+    rounding at the size of the offset.  A mesh without interior vertices is returned as is.
+    DomainError: not a TriMesh (whose construction checked the boundary), no boundary, or a
+    boundary that is not finite or spans more than the float range.  NumericError: an interior
+    vertex without neighbors, or a solve that does not converge or fails the umbrella check.
     """
     if not isinstance(mesh, TriMesh):
         raise DomainError("harmonic_fill needs a TriMesh, got %s" % type(mesh).__name__)
@@ -284,15 +286,16 @@ def harmonic_fill(mesh):
     boundary[mesh.boundary] = True
     interior = np.nonzero(~boundary)[0]
     fixed = mesh.vertices[boundary]
-    # the tolerances' length: a boundary of one point has no extent, but a size
-    scale = math.dist(fixed.max(axis=0), fixed.min(axis=0)) or float(np.abs(fixed).max(initial=0.0))
-    if not math.isfinite(scale):  # NaN too
+    lo, hi = fixed.min(axis=0), fixed.max(axis=0)
+    if not math.isfinite(scale := math.dist(hi, lo)):  # the tolerances' length; NaN too
         raise DomainError("mesh boundary is not finite or spans more than the float range")
+    filled, free = mesh.vertices.copy(), lo != hi
+    filled[np.ix_(interior, ~free)] = fixed[0, ~free]  # a constant coordinate is its own fill
     # a power of two unit <= scale keeps every bit, and no square below passes the float range;
     # origin keeps an offset's rounding out of the solve (+0.0 where 0: x - +0.0 keeps a -0.0)
     unit = math.ldexp(1.0, math.frexp(scale)[1] - 1)
-    origin = np.round((fixed.max(axis=0) / 2 + fixed.min(axis=0) / 2) / unit) * unit + 0.0
-    pos = (mesh.vertices - origin) / unit
+    origin = np.round((hi[free] / 2 + lo[free] / 2) / unit) * unit + 0.0
+    pos = (filled[:, free] - origin) / unit
     tol_scale = scale / unit  # the tolerances' length, in those units
 
     import scipy.sparse as sp  # here, not at the top: 0.2 s of import no other command needs
@@ -301,6 +304,8 @@ def harmonic_fill(mesh):
     u, v = mesh.edges().T
     adjacency = sp.csr_matrix((np.ones(2 * u.size), (np.r_[u, v], np.r_[v, u])), shape=(nv, nv))
     deg = adjacency.sum(axis=1).A1  # row sums: a loop (v, v) counts 2, as in the neighbor sum
+    if not deg[interior].all():  # nothing to average
+        raise NumericError("interior vertex %d has no neighbors" % interior[deg[interior] == 0][0])
     a_mat = (sp.diags(deg) - adjacency).tocsr()[interior][:, interior]
     rhs = adjacency[interior][:, boundary] @ pos[boundary]
 
@@ -324,6 +329,5 @@ def harmonic_fill(mesh):
     if not worst <= UMBRELLA_TOL * tol_scale:  # NaN too
         raise NumericError("umbrella residual %.3e above tolerance" % (worst * unit))
 
-    pos[boundary] = mesh.vertices[boundary]  # as given, subnormal coordinates too
-    pos[interior] = pos[interior] * unit - (0.0 - origin)  # x + origin, keeping a -0.0
-    return TriMesh(pos, mesh.triangles, boundary=mesh.boundary)
+    filled[np.ix_(interior, free)] = pos[interior] * unit - (0.0 - origin)  # x + origin, keeps -0.0
+    return TriMesh(filled, mesh.triangles, boundary=mesh.boundary)

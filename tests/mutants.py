@@ -84,6 +84,12 @@ MUTANTS = [
            "tests/test_contours.py::test_contours_match_reference_on_random_loops"),
     Mutant("umbrella residual forced to 0", "analysis.py",
            "worst = float(np.abs(resid).max(initial=0.0))", "worst = 0.0",
+           "tests/test_analysis.py::test_harmonic_umbrella_check_refuses_a_wrong_solve"),
+    # the umbrella check then divides 0 by 0: a RuntimeWarning, an error under tier-1's filters
+    Mutant("isolated vertex not refused", "analysis.py",
+           "    if not deg[interior].all():  # nothing to average\n"
+           "        raise NumericError(\"interior vertex %d has no neighbors\""
+           " % interior[deg[interior] == 0][0])\n", "",
            "tests/test_analysis.py::test_harmonic_isolated_interior_vertex_is_numeric_error"),
     Mutant("H x (1 + 1e-6)", "analysis.py",
            "h_mean = np.ldexp((e * nq - 2 * ff * mm + g * l) / (2 * det), -unit)\n",
@@ -119,9 +125,9 @@ MUTANTS = [
            "        raise AttributeError(\"a TriMesh is read-only: build a new one instead\")\n",
            "",
            "tests/test_mesher.py::test_a_mesh_is_read_only"),
-    Mutant("empty boundary length without initial", "analysis.py",
-           "float(np.abs(fixed).max(initial=0.0))", "float(np.abs(fixed).max())",
-           "tests/test_analysis.py::test_harmonic_fill_of_vertices_without_coordinates_is_the_mesh"),
+    Mutant("constant coordinates solved", "analysis.py",
+           "free = mesh.vertices.copy(), lo != hi", "free = mesh.vertices.copy(), lo == lo",
+           "tests/test_analysis.py::test_harmonic_fill_of_a_point_loop_is_the_point"),
     Mutant("array accepts booleans", "errors.py",
            'value.dtype.kind not in "iuf"', 'value.dtype.kind not in "biuf"',
            "tests/test_errors.py::test_library_checks_raise_domain_error"),

@@ -302,8 +302,8 @@ def test_harmonic_fill_solves_every_coordinate(mesh, columns):
     assert np.abs(harmonic_fill(picked).vertices - filled).max() <= 1e-12
 
 
-# (k, 0) vertices have no coordinate to solve and no extent for the tolerances' length:
-# the mesh fills to itself
+# (k, 0) vertices have no coordinate to solve (the tolerances' length is 0): the mesh fills
+# to itself
 @pytest.mark.parametrize("k", [4, 5])
 def test_harmonic_fill_of_vertices_without_coordinates_is_the_mesh(k):
     mesh = TriMesh(np.zeros((k, 0)), [[0, 1, 3], [1, 2, 3], [2, 0, k - 1]], boundary=[0, 1, 2])
@@ -327,13 +327,55 @@ def _triangle_mesh(vertices, pinned):
     return TriMesh(vertices, [[0, 1, 2]], boundary=np.arange(pinned))
 
 
+def _bits(a):
+    """A float array's bit patterns, in which -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
 @pytest.mark.parametrize("point", [(1.0, 2, 3), (-0.5, 0.1, 7e-6), (1e-300, 0, 0)],
                          ids=["unit", "mixed", "tiny"])
 def test_harmonic_fill_of_a_point_loop_is_the_point(point):
-    # a boundary of one point has no extent; the tolerances take its size instead
+    # every coordinate is constant on the boundary, so none is solved and each is copied
     mesh = mesh_patch(make_patch(make_loop([BezierCurve([point])] * 4)), 6)
     filled = harmonic_fill(mesh).vertices
-    assert np.abs(filled - point).max() <= 1e-15 * np.abs(point).max()
+    assert np.array_equal(_bits(filled), _bits(np.broadcast_to(point, filled.shape)))
+
+
+def _flat(loop):
+    """loop projected to z = 0."""
+    return make_loop([BezierCurve(c.control_points * [1, 1, 0]) for c in loop.sides])
+
+
+def _signed_zeros(mesh):
+    """mesh with -0.0 for z at every other boundary vertex, the lowest-numbered one first."""
+    vertices = mesh.vertices.copy()
+    vertices[np.sort(mesh.boundary)[::2], 2] = -0.0
+    return TriMesh(vertices, mesh.triangles, boundary=mesh.boundary)
+
+
+# a coordinate constant on the boundary never reaches the solve: CG sees the other two, and
+# the interior copies the lowest-numbered boundary vertex's z, so 0.0 and -0.0 mixed fill
+# with that vertex's sign
+@pytest.mark.parametrize("mesh", [
+    mesh_patch(make_patch(bundled_loop("square")), 8),
+    mesh_patch(make_patch(bundled_loop("triangle")), 8),
+    mesh_patch(make_patch(_flat(random_loop(7, 3, np.random.default_rng(7)))), 8),
+    _signed_zeros(mesh_patch(make_patch(bundled_loop("square")), 8)),
+], ids=["square", "triangle", "flat random", "signed zeros"])
+def test_harmonic_fill_copies_a_coordinate_constant_on_the_boundary(mesh, monkeypatch):
+    import scipy.sparse.linalg as spla
+    cg, sizes = spla.cg, []
+
+    def recorded(a, b, **kwargs):
+        sizes.append(b.size)
+        return cg(a, b, **kwargs)
+
+    monkeypatch.setattr(spla, "cg", recorded)
+    interior = np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary)
+    z = harmonic_fill(mesh).vertices[:, 2]
+    assert sizes == [2 * len(interior)]
+    assert np.array_equal(_bits(z[interior]), _bits(np.full(len(interior), z[mesh.boundary.min()])))
+    assert np.array_equal(_bits(z[mesh.boundary]), _bits(mesh.vertices[mesh.boundary, 2]))
 
 
 @pytest.mark.parametrize("source", ["no table", "empty table"])
@@ -364,10 +406,18 @@ def test_harmonic_solve_that_does_not_converge_is_numeric_error(monkeypatch):
 
 
 def test_harmonic_isolated_interior_vertex_is_numeric_error():
-    # no neighbors to average: the umbrella residual is NaN, not a pass
+    # no neighbors to average: refused before the umbrella check could divide 0 by 0
     mesh = _triangle_mesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 1], [5, 5, 5]]), 3)
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="interior vertex 3 has no neighbors"):
         harmonic_fill(mesh)
+
+
+def test_harmonic_umbrella_check_refuses_a_wrong_solve(monkeypatch):
+    # a solve that reports success but returns its start, the boundary's mean
+    import scipy.sparse.linalg as spla
+    monkeypatch.setattr(spla, "cg", lambda a, b, **kwargs: (kwargs["x0"], 0))
+    with pytest.raises(NumericError, match="umbrella residual"):
+        harmonic_fill(mesh_patch(make_patch(bundled_loop("pentagon")), 6))
 
 
 # pocket6 at m = 40: 4681 interior vertices, three levels
@@ -429,10 +479,10 @@ def test_harmonic_fill_of_random_loops_is_the_direct_solution(n, m, degree, seed
 
 
 def test_harmonic_isolated_vertex_of_a_large_interior_is_numeric_error():
-    # a zero row in a system above the V-cycle's dense size: no Jacobi sweep divides by it
+    # in a system above the V-cycle's dense size too, refused before any solve
     mesh = mesh_patch(make_patch(bundled_loop("pentagon")), 20)
     lone = TriMesh(np.vstack([mesh.vertices, [5.0, 5, 5]]), mesh.triangles, boundary=mesh.boundary)
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="vertex %d has no neighbors" % len(mesh.vertices)):
         harmonic_fill(lone)
 
 
