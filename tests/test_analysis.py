@@ -289,7 +289,7 @@ def _lifted(mesh):
     return TriMesh(np.pad(mesh.vertices, ((0, 0), (0, 1))), mesh.triangles, boundary=mesh.boundary)
 
 
-# every coordinate is solved: the 2-D domain mesh fills as its lift to z = 0 does
+# every free coordinate is solved: the 2-D domain mesh fills as its lift to z = 0 does
 # (it raised numpy's IndexError), and 4-D vertices as their 3-D columns (the fourth
 # was left unsolved, and the umbrella check failed)
 @pytest.mark.parametrize("mesh, columns", [
