@@ -226,7 +226,6 @@ def _v_cycle(a):
     """Symmetric smoothed-aggregation V-cycle for the sparse SPD matrix a, on (k, d) residuals: per
     level a damped-Jacobi sweep, the Galerkin correction through the Jacobi-smoothed prolongator
     and a second sweep.  None for a zero row, a level that does not halve or a singular coarsest."""
-    import scipy.linalg
     import scipy.sparse as sp
     levels = []
     while a.shape[0] > COARSE_SIZE:
@@ -243,8 +242,8 @@ def _v_cycle(a):
         p = tentative - p
         levels.append((a, weight[:, None], p, p.T.tocsr()))
         a = levels[-1][3] @ (a @ p)
-    try:
-        factor = scipy.linalg.cho_factor(a.toarray())
+    try:  # the coarsest solve is L^-T (L^-1 r) for a = L L^T: symmetric positive definite
+        inverse = np.linalg.inv(np.linalg.cholesky(a.toarray()))
     except np.linalg.LinAlgError:
         return None
     def cycle(r):
@@ -252,12 +251,33 @@ def _v_cycle(a):
         for a, weight, p, restrict in levels:
             down.append((r, weight * r))
             r = restrict @ (r - a @ down[-1][1])
-        x = scipy.linalg.cho_solve(factor, r, check_finite=False)
+        x = inverse.T @ (inverse @ r)
         for (a, weight, p, _), (r, x0) in zip(levels[::-1], down[::-1]):
             x = x0 + p @ x
             x += weight * (r - a @ x)
         return x
     return cycle
+
+
+def _cg(a, b, x, rtol, atol, maxiter, precond):
+    """Conjugate gradients (Hestenes & Stiefel 1952) for a @ x = b on (k, d) blocks, step for
+    step scipy.sparse.linalg.cg's arithmetic (inner products by np.dot of the raveled blocks):
+    (x, 0) once the residual norm is below max(atol, rtol |b|), (x, maxiter) if it is not
+    within maxiter steps, (b, 0) for b = 0.  precond(r) applies the preconditioner, or None."""
+    norm = np.linalg.norm(b)
+    if norm == 0:
+        return b, 0
+    atol, r, rho = max(atol, rtol * norm), b - a @ x if x.any() else b, None
+    for _ in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = r if precond is None else precond(r)
+        rho_prev, rho = rho, np.dot(r.ravel(), z.ravel())
+        p = z if rho_prev is None else p * (rho / rho_prev) + z
+        q = a @ p
+        alpha = rho / np.dot(p.ravel(), q.ravel())
+        x, r = x + alpha * p, r - alpha * q
+    return x, maxiter
 
 
 def harmonic_fill(mesh):
@@ -275,7 +295,8 @@ def harmonic_fill(mesh):
     rounding at the size of the offset.  A mesh without interior vertices is returned as is.
     DomainError: not a TriMesh (whose construction checked the boundary), no boundary, or a
     boundary that is not finite or spans more than the float range.  NumericError: an interior
-    vertex without neighbors, or a solve that does not converge or fails the umbrella check.
+    vertex without neighbors (itself aside), or a solve that does not converge or fails the
+    umbrella check.
     """
     if not isinstance(mesh, TriMesh):
         raise DomainError("harmonic_fill needs a TriMesh, got %s" % type(mesh).__name__)
@@ -291,6 +312,12 @@ def harmonic_fill(mesh):
         raise DomainError("mesh boundary is not finite or spans more than the float range")
     filled, free = mesh.vertices.copy(), lo != hi
     filled[np.ix_(interior, ~free)] = fixed[0, ~free]  # a constant coordinate is its own fill
+    u, v = mesh.edges().T
+    links = np.bincount(np.r_[u, v], np.tile(u != v, 2), nv)  # neighbors, a loop (v, v) aside
+    if (alone := interior[links[interior] == 0]).size:  # nothing to average
+        raise NumericError("interior vertex %d has no neighbors" % alone[0])
+    if not (free.any() and interior.size):
+        return TriMesh(filled, mesh.triangles, boundary=mesh.boundary)
     # a power of two unit <= scale keeps every bit, and no square below passes the float range;
     # origin keeps an offset's rounding out of the solve (+0.0 where 0: x - +0.0 keeps a -0.0)
     unit = math.ldexp(1.0, math.frexp(scale)[1] - 1)
@@ -298,29 +325,20 @@ def harmonic_fill(mesh):
     pos = (filled[:, free] - origin) / unit
     tol_scale = scale / unit  # the tolerances' length, in those units
 
-    import scipy.sparse as sp  # here, not at the top: 0.2 s of import no other command needs
-    import scipy.sparse.linalg as spla
+    import scipy.sparse as sp  # here, not at the top: 0.15 s of import no other command needs
     # graph Laplacian rows for interior vertices: deg*x_v - sum(neighbors)
-    u, v = mesh.edges().T
     adjacency = sp.csr_matrix((np.ones(2 * u.size), (np.r_[u, v], np.r_[v, u])), shape=(nv, nv))
     deg = adjacency.sum(axis=1).A1  # row sums: a loop (v, v) counts 2, as in the neighbor sum
-    if not deg[interior].all():  # nothing to average
-        raise NumericError("interior vertex %d has no neighbors" % interior[deg[interior] == 0][0])
     a_mat = (sp.diags(deg) - adjacency).tocsr()[interior][:, interior]
     rhs = adjacency[interior][:, boundary] @ pos[boundary]
 
-    def operator(f):  # f of (k, d) arrays, on the interleaved vectors CG works with
-        return spla.LinearOperator((rhs.size,) * 2, lambda v: f(v.reshape(rhs.shape)).ravel(),
-                                   dtype=float)
-    cycle = _v_cycle(a_mat)
-    x, info = spla.cg(operator(a_mat.dot), rhs.ravel(),
-                      x0=np.tile(np.mean(pos[boundary], axis=0), len(interior)),
-                      rtol=1e-14, atol=1e-14 * tol_scale, maxiter=10 * max(len(interior), 1),
-                      M=None if cycle is None else operator(cycle))
+    x, info = _cg(a_mat, rhs, np.tile(np.mean(pos[boundary], axis=0), (len(interior), 1)),
+                  rtol=1e-14, atol=1e-14 * tol_scale, maxiter=10 * len(interior),
+                  precond=_v_cycle(a_mat))
     if info != 0:
-        res = np.linalg.norm(a_mat @ x.reshape(rhs.shape) - rhs) * unit
+        res = np.linalg.norm(a_mat @ x - rhs) * unit
         raise NumericError("harmonic solve did not converge (residual %.3e)" % res)
-    pos[interior] = x.reshape(rhs.shape)
+    pos[interior] = x
 
     # verify the umbrella condition directly
     nb_sum = adjacency @ pos

@@ -87,10 +87,13 @@ MUTANTS = [
            "tests/test_analysis.py::test_harmonic_umbrella_check_refuses_a_wrong_solve"),
     # the umbrella check then divides 0 by 0: a RuntimeWarning, an error under tier-1's filters
     Mutant("isolated vertex not refused", "analysis.py",
-           "    if not deg[interior].all():  # nothing to average\n"
-           "        raise NumericError(\"interior vertex %d has no neighbors\""
-           " % interior[deg[interior] == 0][0])\n", "",
+           "    if (alone := interior[links[interior] == 0]).size:  # nothing to average\n"
+           "        raise NumericError(\"interior vertex %d has no neighbors\" % alone[0])\n", "",
            "tests/test_analysis.py::test_harmonic_isolated_interior_vertex_is_numeric_error"),
+    # the loop's zero Laplacian row then leaves the V-cycle unbuilt and the vertex unsolved
+    Mutant("a loop (v, v) counted as a neighbor", "analysis.py",
+           "np.tile(u != v, 2)", "np.tile(u == u, 2)",
+           "tests/test_analysis.py::test_harmonic_interior_vertex_with_only_a_loop_is_numeric_error"),
     Mutant("H x (1 + 1e-6)", "analysis.py",
            "h_mean = np.ldexp((e * nq - 2 * ff * mm + g * l) / (2 * det), -unit)\n",
            "h_mean = np.ldexp((e * nq - 2 * ff * mm + g * l) / (2 * det), -unit) * (1 + 1e-6)\n",
@@ -138,8 +141,7 @@ MUTANTS = [
     # the umbrella check then raises a NumericError of its own, so the killer matches the message
     Mutant("non-convergence not raised", "analysis.py",
            "    if info != 0:\n"
-           "        res = np.linalg.norm(a_mat @ x.reshape(rhs.shape) - rhs)"
-           " * unit\n"
+           "        res = np.linalg.norm(a_mat @ x - rhs) * unit\n"
            "        raise NumericError(\"harmonic solve did not converge (residual %.3e)\" % res)\n",
            "",
            "tests/test_analysis.py::test_harmonic_solve_that_does_not_converge_is_numeric_error"),
@@ -150,6 +152,10 @@ MUTANTS = [
            "tests/test_analysis.py::test_harmonic_solve_work_is_bounded"),
     Mutant("post-smoothing dropped", "analysis.py",
            "            x += weight * (r - a @ x)\n", "",
+           "tests/test_analysis.py::test_harmonic_solve_work_is_bounded"),
+    # unpreconditioned CG takes 685 steps there
+    Mutant("preconditioner skipped (z = r)", "analysis.py",
+           "z = r if precond is None else precond(r)", "z = r",
            "tests/test_analysis.py::test_harmonic_solve_work_is_bounded"),
     Mutant("index 0 prints as nothing", "fileio.py",
            "    keep[-1] = True\n", "",

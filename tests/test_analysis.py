@@ -6,7 +6,7 @@ from conftest import bbox_diagonal, bundled_loop, loop_doc, random_interior_poin
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch
+from npatch import BezierCurve, DomainPolygon, TriMesh, analysis, make_loop, make_patch, mesh_patch
 from npatch.analysis import (_pull_inward, contours, curvature_map, dirichlet_energy,
                              harmonic_fill, mean_curvature)
 from npatch.errors import DomainError, NumericError
@@ -334,8 +334,10 @@ def _bits(a):
 
 @pytest.mark.parametrize("point", [(1.0, 2, 3), (-0.5, 0.1, 7e-6), (1e-300, 0, 0)],
                          ids=["unit", "mixed", "tiny"])
-def test_harmonic_fill_of_a_point_loop_is_the_point(point):
-    # every coordinate is constant on the boundary, so none is solved and each is copied
+def test_harmonic_fill_of_a_point_loop_is_the_point(point, monkeypatch):
+    # every coordinate is constant on the boundary, so none is solved and each is copied,
+    # without a V-cycle for a solve of no coordinate
+    monkeypatch.setattr(analysis, "_v_cycle", lambda a: pytest.fail("V-cycle built"))
     mesh = mesh_patch(make_patch(make_loop([BezierCurve([point])] * 4)), 6)
     filled = harmonic_fill(mesh).vertices
     assert np.array_equal(_bits(filled), _bits(np.broadcast_to(point, filled.shape)))
@@ -363,14 +365,13 @@ def _signed_zeros(mesh):
     _signed_zeros(mesh_patch(make_patch(bundled_loop("square")), 8)),
 ], ids=["square", "triangle", "flat random", "signed zeros"])
 def test_harmonic_fill_copies_a_coordinate_constant_on_the_boundary(mesh, monkeypatch):
-    import scipy.sparse.linalg as spla
-    cg, sizes = spla.cg, []
+    cg, sizes = analysis._cg, []
 
-    def recorded(a, b, **kwargs):
+    def recorded(a, b, *args, **kwargs):
         sizes.append(b.size)
-        return cg(a, b, **kwargs)
+        return cg(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(spla, "cg", recorded)
+    monkeypatch.setattr(analysis, "_cg", recorded)
     interior = np.setdiff1d(np.arange(len(mesh.vertices)), mesh.boundary)
     z = harmonic_fill(mesh).vertices[:, 2]
     assert sizes == [2 * len(interior)]
@@ -397,9 +398,9 @@ def test_harmonic_without_interior_vertices_is_unchanged():
 def test_harmonic_solve_that_does_not_converge_is_numeric_error(monkeypatch):
     # one CG step leaves the square's m = 20 interior far from its solution (at m = 6 the
     # whole system is the V-cycle's dense level, and one step solves it)
-    import scipy.sparse.linalg as spla
-    cg = spla.cg
-    monkeypatch.setattr(spla, "cg", lambda *args, **kwargs: cg(*args, **{**kwargs, "maxiter": 1}))
+    cg = analysis._cg
+    monkeypatch.setattr(analysis, "_cg",
+                        lambda *args, **kwargs: cg(*args, **{**kwargs, "maxiter": 1}))
     mesh = mesh_patch(make_patch(bundled_loop("square")), 20)
     with pytest.raises(NumericError, match=r"harmonic solve did not converge \(residual "):
         harmonic_fill(mesh)
@@ -414,8 +415,7 @@ def test_harmonic_isolated_interior_vertex_is_numeric_error():
 
 def test_harmonic_umbrella_check_refuses_a_wrong_solve(monkeypatch):
     # a solve that reports success but returns its start, the boundary's mean
-    import scipy.sparse.linalg as spla
-    monkeypatch.setattr(spla, "cg", lambda a, b, **kwargs: (kwargs["x0"], 0))
+    monkeypatch.setattr(analysis, "_cg", lambda a, b, x, **kwargs: (x, 0))
     with pytest.raises(NumericError, match="umbrella residual"):
         harmonic_fill(mesh_patch(make_patch(bundled_loop("pentagon")), 6))
 
@@ -426,17 +426,45 @@ SOLVE_BOUND = 20
 
 def test_harmonic_solve_work_is_bounded(monkeypatch):
     # the V-cycle takes 14 CG steps; unpreconditioned CG took 685 over its three solves,
-    # and without the coarse correction the V-cycle takes 135
-    import scipy.sparse.linalg as spla
-    cg = spla.cg
+    # and without the coarse correction the V-cycle takes 135; a step applies the V-cycle once
+    cg = analysis._cg
     steps = []
 
-    def counted(*args, **kwargs):
-        return cg(*args, **{**kwargs, "maxiter": SOLVE_BOUND, "callback": steps.append})
+    def counted(a, b, x, precond, **kwargs):
+        def cycle(r):
+            steps.append(r)
+            return precond(r)
+        return cg(a, b, x, **{**kwargs, "maxiter": SOLVE_BOUND, "precond": cycle})
 
-    monkeypatch.setattr(spla, "cg", counted)
+    monkeypatch.setattr(analysis, "_cg", counted)
     harmonic_fill(mesh_patch(make_patch(bundled_loop("pocket6")), 40))
-    assert len(steps) <= SOLVE_BOUND
+    assert 1 <= len(steps) <= SOLVE_BOUND
+
+
+@pytest.mark.parametrize("maxiter", [1, 4, 100])
+@pytest.mark.parametrize("preconditioned", [False, True], ids=["plain", "V-cycle"])
+def test_cg_repeats_scipys_cg(preconditioned, maxiter):
+    # the package's CG on (k, d) blocks and scipy's cg on the interleaved vector give the same
+    # bits, after 1 or 4 steps (not converged) or on convergence, and the same b = 0 return
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    line = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(20, 20))
+    a = (sp.kron(line, sp.eye(20)) + sp.kron(sp.eye(20), line)).tocsr()  # 400 > COARSE_SIZE
+    rng = np.random.default_rng(3)
+    x0 = rng.normal(size=(400, 3))
+    cycle = analysis._v_cycle(a) if preconditioned else None
+
+    def operator(f):
+        return spla.LinearOperator((1200, 1200), lambda v: f(v.reshape(400, 3)).ravel(),
+                                   dtype=float)
+
+    for b in (rng.normal(size=(400, 3)), np.zeros((400, 3))):
+        tol = {"rtol": 1e-14, "atol": 1e-14, "maxiter": maxiter}
+        x, info = analysis._cg(a, b, x0.copy(), precond=cycle, **tol)
+        expected, expected_info = spla.cg(operator(a.dot), b.ravel(), x0=x0.ravel(),
+                                          M=cycle and operator(cycle), **tol)
+        assert info == expected_info
+        assert np.array_equal(_bits(x), _bits(expected.reshape(400, 3)))
 
 
 def _direct_fill(mesh):
@@ -483,6 +511,17 @@ def test_harmonic_isolated_vertex_of_a_large_interior_is_numeric_error():
     mesh = mesh_patch(make_patch(bundled_loop("pentagon")), 20)
     lone = TriMesh(np.vstack([mesh.vertices, [5.0, 5, 5]]), mesh.triangles, boundary=mesh.boundary)
     with pytest.raises(NumericError, match="vertex %d has no neighbors" % len(mesh.vertices)):
+        harmonic_fill(lone)
+
+
+def test_harmonic_interior_vertex_with_only_a_loop_is_numeric_error():
+    # a triangle of one vertex, [v, v, v], joins v to itself alone: its Laplacian row is 0,
+    # so it has no neighbors to average, as if it were in no triangle
+    mesh = mesh_patch(make_patch(bundled_loop("pocket6")), 40)
+    k = len(mesh.vertices)
+    lone = TriMesh(np.vstack([mesh.vertices, [5.0, 5, 5]]), np.vstack([mesh.triangles, [k] * 3]),
+                   boundary=mesh.boundary)
+    with pytest.raises(NumericError, match="interior vertex %d has no neighbors" % k):
         harmonic_fill(lone)
 
 

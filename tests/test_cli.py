@@ -277,7 +277,7 @@ def test_contours(pentagon_file, tmp_path):
 
 # runs the CLI in a fresh interpreter on the same npatch as the suite (argv[1] is its parent
 # directory); its last line lists the scipy modules loaded before `harmonic`, the npatch it
-# ran and whether scipy.sparse.linalg is loaded after `harmonic`
+# ran and which of scipy.sparse, scipy.sparse.linalg and scipy.linalg are loaded after it
 SCIPY_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -288,7 +288,8 @@ for argv in (["check"], ["eval", "--uv", "0.1,0.2"], ["mesh", "-m", "6", "-o", o
     assert main([argv[0], loop] + argv[1:]) == 0, argv
 before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert main(["harmonic", loop, "-m", "6", "-o", out]) == 0
-print(json.dumps([before, sys.modules["npatch"].__file__, "scipy.sparse.linalg" in sys.modules]))
+after = [m in sys.modules for m in ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg")]
+print(json.dumps([before, sys.modules["npatch"].__file__, after]))
 """
 
 
@@ -298,7 +299,8 @@ def test_only_harmonic_loads_scipy(pentagon_file, tmp_path):
     done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, root, pentagon_file,
                            str(tmp_path / "out")], capture_output=True, text=True, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [[], npatch.__file__, True]
+    # harmonic's solve is the package's own on scipy.sparse's products alone
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], npatch.__file__, [True, False, False]]
 
 
 def test_outputs_deterministic(pentagon_file, tmp_path):
