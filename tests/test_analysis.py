@@ -453,6 +453,7 @@ def test_cg_repeats_scipys_cg(preconditioned, maxiter):
     rng = np.random.default_rng(3)
     x0 = rng.normal(size=(400, 3))
     cycle = analysis._v_cycle(a) if preconditioned else None
+    assert not preconditioned or cycle is not None
 
     def operator(f):
         return spla.LinearOperator((1200, 1200), lambda v: f(v.reshape(400, 3)).ravel(),
