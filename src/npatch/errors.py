@@ -59,7 +59,8 @@ def integer(value, name, least=-math.inf, most=math.inf):
 def real(value, name, least=-math.inf, most=math.inf):
     """value as a Python float; DomainError unless it is a finite number in [least, most]:
     an array() of shape (), so not a boolean."""
-    number = float(array(value, name, ()))  # a narrow numpy float would round in arithmetic
+    # a Python float as it is (a bool is an int); a narrow numpy float would round in arithmetic
+    number = value if type(value) is float else float(array(value, name, ()))
     if not (least <= number <= most and math.isfinite(number)):
         raise DomainError("%s must be a finite number%s, got %r"
                           % (name, _bounds(least, most), value))
@@ -86,7 +87,8 @@ def array(value, name, *shapes):
 
 class overflow:
     """Context that runs its block under np.errstate(over="raise") and turns the
-    FloatingPointError of an overflow into DomainError("<what> overflows the float range")."""
+    FloatingPointError of an overflow into DomainError("<what> overflows the float range");
+    the patch sum enters it only past Patch's float_max / 4 bound (Patch._eval_blocks)."""
 
     def __init__(self, what):  # a class: a contextlib generator costs about 2 µs more per entry
         self.what = what

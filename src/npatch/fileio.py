@@ -226,8 +226,7 @@ def read_loop(text):
     for k, side in enumerate(sides):
         if not isinstance(side, dict):
             raise SchemaError("sides[%d]: must be an object" % k)
-        degree = side.get("degree")
-        cps = side.get("control_points")
+        degree, cps = side.get("degree"), side.get("control_points")
         if type(degree) is not int or not 0 <= degree <= MAX_DEGREE:  # bool is an int subclass
             raise SchemaError("sides[%d].degree: need an integer in 0 .. %d" % (k, MAX_DEGREE))
         if not isinstance(cps, list):
@@ -235,12 +234,17 @@ def read_loop(text):
         if len(cps) != degree + 1:
             raise SchemaError("sides[%d].control_points: degree %d needs %d points, got %d"
                               % (k, degree, degree + 1, len(cps)))
-        for j, p in enumerate(cps):
-            if not (isinstance(p, list) and len(p) == 3
-                    and all(_is_number(c) for c in p)):
-                raise SchemaError("sides[%d].control_points[%d]: need [x, y, z] of finite numbers"
-                                  % (k, j))
-        curves.append(BezierCurve(np.array(cps, dtype=float)))  # one float array: ints past int64 too
+        try:  # by type in one pass, by value on one float array: ints past int64 convert too
+            ok = {type(c) for p in cps for c in p} <= {int, float}
+            points = np.array(cps, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # not lists, ragged, an int past the range
+            ok = False
+        if not (ok and points.shape == (len(cps), 3) and (abs(points) < sys.float_info.max).all()):
+            for j, p in enumerate(cps):  # names the bad point; none if a float max was read right
+                if not (isinstance(p, list) and len(p) == 3 and all(map(_is_number, p))):
+                    raise SchemaError("sides[%d].control_points[%d]: need [x, y, z] of finite "
+                                      "numbers" % (k, j))
+        curves.append(BezierCurve(points))
     tol = doc.get("weld_tolerance")
     if tol is not None and not (_is_number(tol) and tol >= 0):
         raise SchemaError("weld_tolerance: need a finite number >= 0")

@@ -1,5 +1,7 @@
 """The full multi-sided patch: blended sum of one Coons ribbon per side."""
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from .curves import _elevate, bernstein_basis, binomials
@@ -25,7 +27,7 @@ class Patch:
     def __init__(self, loop):
         if not isinstance(loop, BoundaryLoop):
             raise DomainError("a patch needs a BoundaryLoop, got %s" % type(loop).__name__)
-        self.loop = loop
+        self.loop, self.n = loop, loop.n
         self.domain = DomainPolygon(loop.n)
         # the n sides and the n opposite curves, elevated to the highest degree
         # D among them; the control tensor (D + 1, 4n, 3) holds in column
@@ -54,14 +56,13 @@ class Patch:
         self._controls_t = np.concatenate(
             [folded[:, :n], sides[:, i - 1], sides[:, (i + 1) % n], folded[:, n:]], axis=1
         ).reshape(-1, 3).T.copy()
-
-    @property
-    def n(self):
-        return self.loop.n
+        # no partial sum of controls @ basis passes 2 max|C|: its weights times Bernstein values,
+        # all >= 0, sum to sum_i (1 - d_i) / 2 * 2 = 2; the guard is for max|C| > float_max / 4
+        self._near_range = np.abs(self._controls_t).max() > np.finfo(float).max / 4
 
     def eval(self, p):
-        """Surface point at a single 2D domain point."""
-        return self.eval_many([p])[0]
+        """Surface point at a single 2D domain point, shape (2,) -> (3,)."""
+        return self._eval_blocks(array(p, "domain point", (2,))[None], self._controls_t)[0]
 
     def eval_many(self, points):
         """Surface points at an array of 2D domain points, shape (k, 2) -> (k, 3).
@@ -73,7 +74,7 @@ class Patch:
         base and opposite columns hold the corner terms.  A sum past the
         float range raises DomainError.
         """
-        return self._eval_blocks(points, self._controls_t)
+        return self._eval_blocks(array(points, "domain points", (None, 2)), self._controls_t)
 
     def eval_rotations(self, points):
         """Surface points at every rotation of the domain points by 2 pi q / n,
@@ -86,14 +87,15 @@ class Patch:
         """
         n = self.n
         roll = (np.arange(n)[:, None] + np.arange(n)) % n  # [q, j] -> side j + q
+        points = array(points, "domain points", (None, 2))
         controls = np.moveaxis(self._controls_t.reshape(3, -1, 4, n)[..., roll], 3, 0)
         return self._eval_blocks(points, controls.reshape(3 * n, -1)).reshape(-1, n, 3)
 
     def _eval_blocks(self, points, controls):
-        points = array(points, "domain points", (None, 2))
+        """_eval_block over checked (k, 2) points per block; guarded only past __init__'s bound."""
         out = np.empty((len(points), len(controls)))
         block = max(1, BLOCK_VALUES // (4 * self.n))
-        with overflow("patch evaluation"):
+        with overflow("patch evaluation") if self._near_range else nullcontext():
             for start in range(0, len(points), block):
                 out[start:start + block] = self._eval_block(points[start:start + block], controls)
         return out
@@ -116,10 +118,11 @@ class Patch:
         """Surface point on domain edge i (an integer, taken cyclically) at t in [0, 1].
 
         By the interpolation property this equals curve i evaluated at t;
-        it is still computed through the full patch.
+        it is still computed through the full patch, at (1 - t) v_{i-1} + t v_i.
         """
-        point = self.domain._edge_point(integer(i, "side index"), real(t, "edge parameter", 0, 1))
-        return self.eval(point)
+        i, t, v = integer(i, "side index"), real(t, "edge parameter", 0, 1), self.domain.vertices
+        point = (1.0 - t) * v[(i - 1) % self.n] + t * v[i % self.n]
+        return self._eval_blocks(point[None], self._controls_t)[0]
 
 
 def make_patch(loop):

@@ -157,6 +157,15 @@ MUTANTS = [
     Mutant("preconditioner skipped (z = r)", "analysis.py",
            "z = r if precond is None else precond(r)", "z = r",
            "tests/test_analysis.py::test_harmonic_solve_work_is_bounded"),
+    # past float_max / 4 and below float_max the patch sum would run unguarded, and a far
+    # bulging triangle's would overflow to inf
+    Mutant("overflow bound float_max/4 -> float_max", "surface.py",
+           "np.finfo(float).max / 4", "np.finfo(float).max",
+           "tests/test_errors.py::test_patch_sum_is_guarded_only_past_float_max_over_4"),
+    # a string, or a point of one or three coordinates, then escapes as numpy's ValueError
+    Mutant("eval skips its point check", "surface.py",
+           'array(p, "domain point", (2,))[None]', "np.asarray(p)[None]",
+           "tests/test_errors.py::test_library_checks_raise_domain_error"),
     Mutant("index 0 prints as nothing", "fileio.py",
            "    keep[-1] = True\n", "",
            "tests/test_writers.py::test_int_fields_print_as_percent_d"),

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from npatch import (BezierCurve, BoundaryLoop, DomainPolygon, Patch, TriMesh, make_loop,
-                    make_patch, mesh_patch)
+from npatch import (BezierCurve, BoundaryLoop, DomainPolygon, Patch, TriMesh, errors, make_loop,
+                    make_patch, mesh_patch, surface)
 from npatch.analysis import (ContourSet, contours, curvature_map, dirichlet_energy,
                              harmonic_fill, mean_curvature)
 from npatch.curves import MAX_DEGREE
@@ -250,6 +250,41 @@ def test_evaluating_a_far_bulging_triangle_names_the_overflow(z):
             patch.eval_many([[0.0, 0.0]])
         with pytest.raises(DomainError, match="overflows the float range"):
             mesh_patch(patch, 2)
+
+
+# the patch sum's bound: its weights times Bernstein values sum to 2, so no partial sum passes
+# 2 max|C|, and a patch runs its sum under the overflow guard only past max|C| = float_max / 4
+QUARTER = np.finfo(float).max / 4
+
+
+def _bulging_triangle(above):
+    # its largest control entry is its interior z exactly: the corners and chords are at z = 0
+    return read_loop(bulging_triangle_doc(3, 0.0, np.nextafter(QUARTER, np.inf if above else 0)))
+
+
+def _random_loop(above):
+    loop = random_loop(6, 5, np.random.default_rng(0))
+    scale = QUARTER * (1 + (1e-9 if above else -1e-9)) / np.abs(make_patch(loop)._controls_t).max()
+    return make_loop([BezierCurve(c.control_points * scale) for c in loop.sides])
+
+
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("make", [_bulging_triangle, _random_loop])
+def test_patch_sum_is_guarded_only_past_float_max_over_4(monkeypatch, make, above):
+    patch = make_patch(make(above))
+    top = np.abs(patch._controls_t).max()
+    assert (top > QUARTER) == above
+    entered = []
+    monkeypatch.setattr(surface, "overflow",
+                        lambda what: entered.append(what) or errors.overflow(what))
+    points = np.vstack([[0.0, 0.0], [0.1, -0.2], patch.domain.vertices])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [patch.eval(points[1]), patch.eval_boundary(-1, 0.3), patch.eval_many(points),
+                  patch.eval_rotations(points), mesh_patch(patch, 6).vertices]
+    # finite on both sides of the bound, and within 2 max|C|
+    assert all(np.isfinite(v).all() and np.abs(v).max() <= 2 * top for v in values)
+    assert set(entered) == ({"patch evaluation"} if above else set())
 
 
 def test_patch_of_the_pentagon_past_the_float_range_names_the_overflow():

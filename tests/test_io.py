@@ -1,4 +1,5 @@
 import json
+import sys
 from contextlib import suppress
 
 import numpy as np
@@ -243,21 +244,23 @@ def test_deterministic_output():
     (r"sides\[1\].control_points\[0\]", ("sides", 1, "control_points", 0, 2)),
     ("weld_tolerance", ("weld_tolerance",)),
 ], ids=["coordinate", "weld_tolerance"])
-def test_integer_beyond_float_range(field, path):
+# the float maximum plus one rounds to the float maximum, which is itself a number (below)
+@pytest.mark.parametrize("value", [10**400, int(sys.float_info.max) + 1])
+def test_integer_beyond_float_range(field, path, value):
     doc = json.loads(SQUARE_DOC)
     doc["weld_tolerance"] = 1e-9
     target = doc
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = 10**400
+    target[path[-1]] = value
     with pytest.raises(SchemaError, match=field):
         read_loop(json.dumps(doc))
 
 
-@pytest.mark.parametrize("value", [2**63, 10**20, -10**20])
+@pytest.mark.parametrize("value", [2**63, 10**20, -10**20, int(sys.float_info.max)])
 def test_integer_past_int64_reads_as_its_float(value):
     # up to the float maximum a JSON integer is a number, read as its nearest float, past the
-    # int64 range too
+    # int64 range too, and the float maximum itself
     doc = json.loads(SQUARE_DOC)
     doc["sides"][0]["control_points"][-1][2] = value  # corner 0, on sides 0 and 1
     doc["sides"][1]["control_points"][0][2] = value

@@ -155,6 +155,27 @@ def test_eval_boundary_matches_curves():
             assert err <= EPS64 * bbox_diagonal(loop)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=40)
+@given(n=st.sampled_from(SIDES), degree=DEGREES, seed=SEEDS)
+def test_one_point_queries_are_one_point_batches_bit_for_bit(n, degree, seed):
+    # eval runs eval_many's kernel on its point as a batch of one (a point inside a larger
+    # batch may differ in its last bits), and eval_boundary on the edge point it makes
+    rng = np.random.default_rng(seed)
+    patch = make_patch(random_loop(n, degree, rng))
+    v = patch.domain.vertices
+    for p in np.vstack([random_interior_points(rng, patch.domain, 4), v]):
+        assert (_bits(patch.eval(p)) == _bits(patch.eval_many(p[None])[0])).all()
+    # side indices outside 0 .. n - 1 are taken cyclically; numpy scalars are checked as arrays
+    for i, t in zip(rng.integers(-2 * n, 3 * n, 8), [0.0, 1.0, *rng.uniform(0, 1, 6)]):
+        want = _bits(patch.eval((1 - t) * v[(i - 1) % n] + t * v[i % n]))
+        assert (_bits(patch.eval_boundary(int(i), float(t))) == want).all()
+        assert (_bits(patch.eval_boundary(i, np.float64(t))) == want).all()
+
+
 def test_continuity_across_skip_threshold():
     # 1e-8 and 3e-8 inside an edge the far sides' lambda_{i-1} + lambda_i are about 1e-9 to
     # 3e-8, so their weights are tiny and their s_i ratios of tiny numbers: the patch must not
