@@ -239,8 +239,8 @@ def read_loop(text):
             points = np.array(cps, dtype=float)
         except (TypeError, ValueError, OverflowError):  # not lists, ragged, an int past the range
             ok = False
-        if not (ok and points.shape == (len(cps), 3) and (abs(points) < sys.float_info.max).all()):
-            for j, p in enumerate(cps):  # names the bad point; none if a float max was read right
+        if not (ok and points.shape == (len(cps), 3) and abs(points).max() < sys.float_info.max):
+            for j, p in enumerate(cps):  # the first bad point; none if one is the float maximum
                 if not (isinstance(p, list) and len(p) == 3 and all(map(_is_number, p))):
                     raise SchemaError("sides[%d].control_points[%d]: need [x, y, z] of finite "
                                       "numbers" % (k, j))

@@ -157,8 +157,8 @@ MUTANTS = [
     Mutant("preconditioner skipped (z = r)", "analysis.py",
            "z = r if precond is None else precond(r)", "z = r",
            "tests/test_analysis.py::test_harmonic_solve_work_is_bounded"),
-    # past float_max / 4 and below float_max the patch sum would run unguarded, and a far
-    # bulging triangle's would overflow to inf
+    # the bound test's loops just past float_max / 4 would then run unguarded, as would the
+    # 1.7e308 bulging triangle, whose sum overflows
     Mutant("overflow bound float_max/4 -> float_max", "surface.py",
            "np.finfo(float).max / 4", "np.finfo(float).max",
            "tests/test_errors.py::test_patch_sum_is_guarded_only_past_float_max_over_4"),

@@ -244,20 +244,27 @@ def test_deterministic_output():
     (r"sides\[1\].control_points\[0\]", ("sides", 1, "control_points", 0, 2)),
     ("weld_tolerance", ("weld_tolerance",)),
 ], ids=["coordinate", "weld_tolerance"])
-# the float maximum plus one rounds to the float maximum, which is itself a number (below)
-@pytest.mark.parametrize("value", [10**400, int(sys.float_info.max) + 1])
-def test_integer_beyond_float_range(field, path, value):
+def test_integer_beyond_float_range(field, path):
     doc = json.loads(SQUARE_DOC)
     doc["weld_tolerance"] = 1e-9
     target = doc
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    target[path[-1]] = 10**400
     with pytest.raises(SchemaError, match=field):
         read_loop(json.dumps(doc))
 
 
-@pytest.mark.parametrize("value", [2**63, 10**20, -10**20, int(sys.float_info.max)])
+def test_integer_just_past_the_float_maximum_is_refused():
+    # it rounds to the float maximum, which is itself a number (below)
+    doc = json.loads(SQUARE_DOC)
+    doc["sides"][2]["control_points"][1][0] = int(sys.float_info.max) + 1
+    with pytest.raises(SchemaError, match=r"^sides\[2\].control_points\[1\]: need"):
+        read_loop(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [2**63, 10**20, -10**20,
+                                   pytest.param(int(sys.float_info.max), id="float_max")])
 def test_integer_past_int64_reads_as_its_float(value):
     # up to the float maximum a JSON integer is a number, read as its nearest float, past the
     # int64 range too, and the float maximum itself
