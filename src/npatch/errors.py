@@ -74,11 +74,15 @@ def array(value, name, *shapes):
         value = np.asarray(value)
     except (TypeError, ValueError):  # ragged nesting; numpy's message varies by version
         raise DomainError("%s must be a rectangular array of numbers" % name) from None
-    got = value.shape
+    got, fits = value.shape, not shapes
+    for shape in shapes:  # plain loops that build nothing: every query runs this check
+        for want, have in zip(shape, got):
+            if want is not None and want != have:
+                break
+        else:
+            fits |= len(shape) == len(got)
     # by kind, before any cast: bool, complex, str and object arrays fail without a warning
-    if value.dtype.kind not in "iuf" or shapes and got not in [
-            tuple([v if k is None else k for k, v in zip(shape, got)])
-            for shape in shapes if len(shape) == len(got)]:
+    if value.dtype.kind not in "iuf" or not fits:
         raise DomainError("%s must be numbers of shape %s, got %s %s" % (name, " or ".join(
             map(str, shapes)).replace("None, None", "k, d").replace("None", "k") or "any",
             value.dtype, got))

@@ -95,8 +95,8 @@ def tessellate_domain(poly, m):
     at = np.stack([a, np.where(inner, b, a) + 1, b], axis=-1)
     corners = np.r_[0, index[slot[:, 0] == 0, 0]][ring] + at + s[:, None, None] * ring
     corners[-1] -= n * ring * (at == ring)
-    triangles = np.empty((n * m * m, 3), dtype=int)
-    triangles[n * (lev - 1) ** 2 + s[:, None] * (2 * lev - 1) + k] = corners
+    triangles = np.concatenate([corners[:, (l - 1) ** 2:l * l].reshape(-1, 3)  # level l, side-major
+                                for l in range(1, m + 1)])
     return vertices, triangles, index[-m:].T.ravel()
 
 

@@ -117,12 +117,11 @@ class Patch:
     def eval_boundary(self, i, t):
         """Surface point on domain edge i (an integer, taken cyclically) at t in [0, 1].
 
-        By the interpolation property this equals curve i evaluated at t;
-        it is still computed through the full patch, at (1 - t) v_{i-1} + t v_i.
+        The patch interpolates its boundary: this is loop.sides[i % n].eval(t), bit for
+        bit, and eval at the edge point (1 - t) v_{i-1} + t v_i agrees within round-off.
         """
-        i, t, v = integer(i, "side index"), real(t, "edge parameter", 0, 1), self.domain.vertices
-        point = (1.0 - t) * v[(i - 1) % self.n] + t * v[i % self.n]
-        return self._eval_blocks(point[None], self._controls_t)[0]
+        i, t = integer(i, "side index"), real(t, "edge parameter", 0, 1)
+        return self.loop.sides[i % self.n].eval(t)
 
 
 def make_patch(loop):

@@ -166,6 +166,13 @@ MUTANTS = [
     Mutant("eval skips its point check", "surface.py",
            'array(p, "domain point", (2,))[None]', "np.asarray(p)[None]",
            "tests/test_errors.py::test_library_checks_raise_domain_error"),
+    # the patch sum at the edge point agrees with the curve only within round-off
+    Mutant("eval_boundary through the patch sum", "surface.py",
+           "        return self.loop.sides[i % self.n].eval(t)\n",
+           "        v = self.domain.vertices\n"
+           "        point = (1.0 - t) * v[(i - 1) % self.n] + t * v[i % self.n]\n"
+           "        return self._eval_blocks(point[None], self._controls_t)[0]\n",
+           "tests/test_surface.py::test_one_point_queries_are_one_point_batches_bit_for_bit"),
     Mutant("index 0 prints as nothing", "fileio.py",
            "    keep[-1] = True\n", "",
            "tests/test_writers.py::test_int_fields_print_as_percent_d"),

@@ -146,13 +146,18 @@ def test_matches_per_ribbon_sum(n):
     assert np.abs(patch.eval(pts[0]) - want[0]).max() <= tol
 
 
-def test_eval_boundary_matches_curves():
-    loop = random_loop(5, 5, np.random.default_rng(63))
+@settings(max_examples=30)
+@given(n=st.sampled_from(SIDES), degree=DEGREES, seed=SEEDS)
+def test_eval_boundary_matches_curves(n, degree, seed):
+    # eval_boundary reads side i's curve; the patch sum at the edge point must agree with it
+    rng = np.random.default_rng(seed)
+    loop = random_loop(n, degree, rng)
     patch = make_patch(loop)
-    for i in range(5):
-        for t in (0.0, 0.37, 1.0):
-            err = np.abs(patch.eval_boundary(i, t) - loop.sides[i].eval(t)).max()
-            assert err <= EPS64 * bbox_diagonal(loop)
+    v = patch.domain.vertices
+    for i in range(n):
+        for t in (0.0, 0.37, 1.0, rng.uniform(0, 1)):
+            err = np.abs(patch.eval((1 - t) * v[i - 1] + t * v[i]) - patch.eval_boundary(i, t))
+            assert err.max() <= EPS64 * bbox_diagonal(loop)
 
 
 def _bits(values):
@@ -163,7 +168,7 @@ def _bits(values):
 @given(n=st.sampled_from(SIDES), degree=DEGREES, seed=SEEDS)
 def test_one_point_queries_are_one_point_batches_bit_for_bit(n, degree, seed):
     # eval runs eval_many's kernel on its point as a batch of one (a point inside a larger
-    # batch may differ in its last bits), and eval_boundary on the edge point it makes
+    # batch may differ in its last bits), and eval_boundary is side i's curve at t
     rng = np.random.default_rng(seed)
     patch = make_patch(random_loop(n, degree, rng))
     v = patch.domain.vertices
@@ -171,7 +176,7 @@ def test_one_point_queries_are_one_point_batches_bit_for_bit(n, degree, seed):
         assert (_bits(patch.eval(p)) == _bits(patch.eval_many(p[None])[0])).all()
     # side indices outside 0 .. n - 1 are taken cyclically; numpy scalars are checked as arrays
     for i, t in zip(rng.integers(-2 * n, 3 * n, 8), [0.0, 1.0, *rng.uniform(0, 1, 6)]):
-        want = _bits(patch.eval((1 - t) * v[(i - 1) % n] + t * v[i % n]))
+        want = _bits(patch.loop.sides[i % n].eval(t))
         assert (_bits(patch.eval_boundary(int(i), float(t))) == want).all()
         assert (_bits(patch.eval_boundary(i, np.float64(t))) == want).all()
 
