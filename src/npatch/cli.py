@@ -56,26 +56,26 @@ def _cmd_eval(args):
 
 def _cmd_mesh(args):
     mesh = mesh_patch(make_patch(_load(args.loop)), args.m)
-    Path(args.output).write_text(fileio.write_obj(mesh), newline="\n")
+    Path(args.output).write_bytes(fileio.write_obj(mesh).encode("ascii"))
 
 
 def _cmd_harmonic(args):
     patch_mesh = mesh_patch(make_patch(_load(args.loop)), args.m)
     harmonic = analysis.harmonic_fill(patch_mesh)
-    Path(args.output).write_text(fileio.write_obj(harmonic), newline="\n")
+    Path(args.output).write_bytes(fileio.write_obj(harmonic).encode("ascii"))
     print("dirichlet energy harmonic: %.9g" % analysis.dirichlet_energy(harmonic))
     print("dirichlet energy patch: %.9g" % analysis.dirichlet_energy(patch_mesh))
 
 
 def _cmd_curvature(args):
     mesh, h = analysis.curvature_map(make_patch(_load(args.loop)), args.m)
-    Path(args.output).write_text(fileio.write_ply_scalar(mesh, h), newline="\n")
+    Path(args.output).write_bytes(fileio.write_ply_scalar(mesh, h).encode("ascii"))
 
 
 def _cmd_contours(args):
     mesh = mesh_patch(make_patch(_load(args.loop)), args.m)
     contour_set = analysis.contours(mesh, np.array(AXES[args.axis]), args.count)
-    Path(args.output).write_text(fileio.write_obj(mesh, contour_set), newline="\n")
+    Path(args.output).write_bytes(fileio.write_obj(mesh, contour_set).encode("ascii"))
 
 
 def _parser():

@@ -4,7 +4,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import DomainError, array
+from .errors import DomainError, array, real
 
 # C(1030, 515) is past the float range: 1029 is the highest degree with finite binomials
 MAX_DEGREE = 1029
@@ -20,7 +20,7 @@ class BezierCurve:
 
     def __init__(self, control_points):
         pts = array(control_points, "control points", (None, 3)).astype(float)  # a copy
-        if not 0 < len(pts) <= MAX_DEGREE + 1 or not np.all(np.isfinite(pts)):
+        if not 0 < len(pts) <= MAX_DEGREE + 1 or not np.isfinite(pts).all():
             raise DomainError("a curve needs 1 to %d control points, all finite" % (MAX_DEGREE + 1))
         pts.setflags(write=False)
         self.control_points = pts
@@ -30,14 +30,17 @@ class BezierCurve:
         return self.control_points.shape[0] - 1
 
     def eval(self, t):
-        """Point at parameter t in [0, 1]."""
-        return self.eval_many(array(t, "curve parameter", ()))[0]
+        """Point at parameter t, one number in [0, 1]."""
+        return self._points(np.float64(real(t, "curve parameter", 0, 1)))[0]
 
     def eval_many(self, t):
         """Bernstein-basis evaluation: t in [0, 1] of shape (k,) -> points of shape (k, 3)."""
         t = array(t, "curve parameter").astype(float, copy=False)
-        if not np.all((t >= 0.0) & (t <= 1.0)):
+        if not ((t >= 0.0) & (t <= 1.0)).all():
             raise DomainError("curve parameter outside [0, 1]")
+        return self._points(t)
+
+    def _points(self, t):  # checked float t of shape () or (k,): a scalar is a batch of one
         basis = bernstein_basis(t, binomials(self.degree))
         return basis.reshape(self.degree + 1, -1).T @ self.control_points
 

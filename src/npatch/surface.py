@@ -93,9 +93,11 @@ class Patch:
 
     def _eval_blocks(self, points, controls):
         """_eval_block over checked (k, 2) points per block; guarded only past __init__'s bound."""
-        out = np.empty((len(points), len(controls)))
         block = max(1, BLOCK_VALUES // (4 * self.n))
         with overflow("patch evaluation") if self._near_range else nullcontext():
+            if 0 < len(points) <= block:  # one block: the kernel's own array
+                return self._eval_block(points, controls)
+            out = np.empty((len(points), len(controls)))
             for start in range(0, len(points), block):
                 out[start:start + block] = self._eval_block(points[start:start + block], controls)
         return out

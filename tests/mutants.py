@@ -162,6 +162,15 @@ MUTANTS = [
     Mutant("overflow bound float_max/4 -> float_max", "surface.py",
            "np.finfo(float).max / 4", "np.finfo(float).max",
            "tests/test_errors.py::test_patch_sum_is_guarded_only_past_float_max_over_4"),
+    # a one-point eval or one-block eval_many past the bound would then run unguarded
+    Mutant("one-block return outside the overflow guard", "surface.py",
+           "        with overflow(\"patch evaluation\") if self._near_range else nullcontext():\n"
+           "            if 0 < len(points) <= block:  # one block: the kernel's own array\n"
+           "                return self._eval_block(points, controls)\n",
+           "        if 0 < len(points) <= block:  # one block: the kernel's own array\n"
+           "            return self._eval_block(points, controls)\n"
+           "        with overflow(\"patch evaluation\") if self._near_range else nullcontext():\n",
+           "tests/test_errors.py::test_patch_sum_is_guarded_only_past_float_max_over_4"),
     # a string, or a point of one or three coordinates, then escapes as numpy's ValueError
     Mutant("eval skips its point check", "surface.py",
            'array(p, "domain point", (2,))[None]', "np.asarray(p)[None]",
@@ -173,6 +182,10 @@ MUTANTS = [
            "        point = (1.0 - t) * v[(i - 1) % self.n] + t * v[i % self.n]\n"
            "        return self._eval_blocks(point[None], self._controls_t)[0]\n",
            "tests/test_surface.py::test_one_point_queries_are_one_point_batches_bit_for_bit"),
+    # a parameter just past 1 or below 0 would then evaluate the polynomial outside the curve
+    Mutant("BezierCurve.eval without its [0, 1] bounds", "curves.py",
+           'real(t, "curve parameter", 0, 1)', 'real(t, "curve parameter")',
+           "tests/test_curves.py::test_eval_checks_one_number_and_is_a_batch_of_one_bit_for_bit"),
     Mutant("index 0 prints as nothing", "fileio.py",
            "    keep[-1] = True\n", "",
            "tests/test_writers.py::test_int_fields_print_as_percent_d"),

@@ -72,6 +72,23 @@ def test_parameter_out_of_range():
         c.eval_many([0.5, np.nan])
 
 
+@pytest.mark.parametrize("degree", range(8))
+def test_eval_checks_one_number_and_is_a_batch_of_one_bit_for_bit(degree):
+    curve = BezierCurve(np.random.default_rng(20 + degree).normal(size=(degree + 1, 3)))
+    for t in (0.0, 1.0, -0.0, 5e-324, 1 - 2.0**-53, 0.37, np.float32(0.3), np.float32(1),
+              np.int64(0), np.uint8(1), 1, np.array(0.6)):
+        got = curve.eval(t)
+        assert got.shape == (3,) and got.dtype == np.float64
+        assert (got.view(np.uint64) == curve.eval_many([t])[0].view(np.uint64)).all()
+    for t in (np.nan, np.inf, -np.inf, 1 + 2.0**-52, -1e-300):
+        with pytest.raises(DomainError, match=r"^curve parameter must be a finite number >= 0 "
+                                              r"and <= 1, got "):
+            curve.eval(t)
+    for t in (True, np.bool_(False), np.array([0.5]), "0.5"):
+        with pytest.raises(DomainError, match=r"^curve parameter must be numbers of shape \(\)"):
+            curve.eval(t)
+
+
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         BezierCurve(np.zeros((0, 3)))

@@ -278,13 +278,22 @@ def test_patch_sum_is_guarded_only_past_float_max_over_4(monkeypatch, make, abov
     monkeypatch.setattr(surface, "overflow",
                         lambda what: entered.append(what) or errors.overflow(what))
     points = np.vstack([[0.0, 0.0], [0.1, -0.2], patch.domain.vertices])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        values = [patch.eval(points[1]), patch.eval_boundary(-1, 0.3), patch.eval_many(points),
-                  patch.eval_rotations(points), mesh_patch(patch, 6).vertices]
-    # finite on both sides of the bound, and within 2 max|C|
-    assert all(np.isfinite(v).all() and np.abs(v).max() <= 2 * top for v in values)
-    assert set(entered) == ({"patch evaluation"} if above else set())
+    two_blocks = np.resize(points, (surface.BLOCK_VALUES // (4 * patch.n) + 1, 2))
+    # each query with the guards it enters past the bound: one per patch sum, whichever
+    # branch of _eval_blocks runs it; a boundary query evaluates its side curve, no sum
+    for query, sums in ((lambda: patch.eval(points[1]), 1),
+                        (lambda: patch.eval_many(points), 1),
+                        (lambda: patch.eval_many(two_blocks), 1),
+                        (lambda: patch.eval_rotations(points), 1),
+                        (lambda: patch.eval_boundary(-1, 0.3), 0),
+                        (lambda: mesh_patch(patch, 6).vertices, 2)):
+        entered.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = query()
+        # finite on both sides of the bound, and within 2 max|C|
+        assert np.isfinite(value).all() and np.abs(value).max() <= 2 * top
+        assert entered == ["patch evaluation"] * (sums if above else 0)
 
 
 def test_patch_of_the_pentagon_past_the_float_range_names_the_overflow():

@@ -342,6 +342,29 @@ def test_rotations_of_several_blocks_match_rotated_points():
         assert np.abs(got[:, q] - patch.eval_many(rotated)).max() <= 1e-14 * bbox_diagonal(loop)
 
 
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_block_edges_are_blocks_of_the_kernel_bit_for_bit(monkeypatch, n):
+    # a batch of one block returns the kernel's array and a longer one fills an array block by
+    # block: either way the bits are those of _eval_block run on each block alone
+    patch = make_patch(random_loop(n, 3, np.random.default_rng(78 + n)))
+    block = BLOCK_VALUES // (4 * n)
+    kernel, seen = patch._eval_block, []
+    monkeypatch.setattr(patch, "_eval_block",
+                        lambda points, controls: seen.append(controls) or kernel(points, controls))
+    rng = np.random.default_rng(81 + n)
+    for k in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+        points = random_interior_points(rng, patch.domain, k)
+        for query, shape in ((patch.eval_many, (k, 3)), (patch.eval_rotations, (k, n, 3))):
+            seen.clear()
+            got = query(points)
+            assert got.shape == shape and got.dtype == np.float64
+            assert len(seen) == -(-k // block)  # one kernel call per block, none for no points
+            want = np.concatenate([np.empty((0, np.prod(shape[1:])))] + [
+                kernel(points[start:start + block], controls)
+                for start, controls in zip(range(0, k, block), seen)])
+            assert (_bits(got).reshape(want.shape) == _bits(want)).all()
+
+
 def test_huge_degree_seven_loop_evaluates_finitely():
     # the binomials stay in the basis: control points near 2e307 times
     # C(7, 3) = 35 would overflow
