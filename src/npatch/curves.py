@@ -1,5 +1,6 @@
 """Bezier space curves: the only curve primitive used by the rest of the package."""
 
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -48,22 +49,26 @@ class BezierCurve:
         return "BezierCurve(degree=%d)" % self.degree
 
 
+@cache  # one read-only row per degree (MAX_DEGREE + 1 at most), shared by every curve and patch
 def binomials(degree):
-    return np.array([comb(degree, j) for j in range(degree + 1)], dtype=float)
+    row = np.array([comb(degree, j) for j in range(degree + 1)], dtype=float)
+    row.setflags(write=False)
+    return row
 
 
 def bernstein_basis(t, binomials):
     """Bernstein basis, unchecked, of float parameters t in [0, 1] of any shape: row j of the
     (degree + 1,) + t.shape result is binomials(degree)[j] t^j (1 - t)^(degree - j)."""
-    powers = np.empty((2, len(binomials)) + t.shape)  # t^j and (1 - t)^j
-    powers[:, 0] = 1.0
-    powers[0, 1:2] = t  # j = 1, none for degree 0
-    np.subtract(1.0, t, out=powers[1, 1:2])
+    basis = np.empty((len(binomials),) + t.shape)  # t^j, then the basis
+    rest = np.empty_like(basis)  # (1 - t)^j; rows as [j, ...], views even for a 0-d t
+    basis[0] = rest[0] = 1.0
+    basis[1:2] = t  # j = 1, none for degree 0
+    np.subtract(1.0, t, out=rest[1:2])
     for j in range(1, len(binomials) - 1):
-        np.multiply(powers[:, j], powers[:, 1], out=powers[:, j + 1])
-    basis = powers[0]
+        np.multiply(basis[j, ...], basis[1, ...], out=basis[j + 1, ...])
+        np.multiply(rest[j, ...], rest[1, ...], out=rest[j + 1, ...])
     basis *= binomials.reshape((-1,) + (1,) * t.ndim)
-    basis *= powers[1, ::-1]
+    basis *= rest[::-1]
     return basis
 
 

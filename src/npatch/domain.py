@@ -89,7 +89,7 @@ def local_params(lam):
     """Compute (s_i, d_i) from Wachspress coordinates, all >= 0 (last axis = side):
     s_i = lambda_i / (lambda_{i-1} + lambda_i), d_i = 1 - lambda_{i-1} - lambda_i."""
     lam = np.asarray(lam, dtype=float)
-    den = lam[..., np.arange(-1, lam.shape[-1] - 1)] + lam  # lambda_{i-1} + lambda_i >= 0
+    den = np.concatenate((lam[..., -1:], lam[..., :-1]), -1) + lam  # lambda_{i-1} + lambda_i >= 0
     d = np.maximum(1.0 - den, 0.0)
     valid = den > 0
     s = lam / np.where(valid, den, 1.0)  # lambda_i = 0 where den = 0

@@ -64,13 +64,14 @@ def _sectors(n, m):
 
 
 def tessellate_domain(poly, m):
-    """Ring tessellation of the regular n-gon, m steps a side: (vertices, triangles, boundary).
+    """Ring tessellation of the n-gon, m steps a side: (vertices, triangles, boundary, sectors).
 
     Ring l (l = m..1) is the polygon scaled by l/m about the center
     with l vertices per edge; ring 0 is the center point.  Ring m's
     vertices are the boundary, side by side: boundary[q*m + j] lies on
-    side q at t = j/m.  DomainError: m is not an integer >= 1, or the
-    n*m*m triangles pass errors.SIZE_BUDGET.
+    side q at t = j/m; sectors[:, q] are side q's ring vertices, level
+    by level.  DomainError: m is not an integer >= 1, or the n*m*m
+    triangles pass errors.SIZE_BUDGET.
 
     The strip between rings l and l-1 on side 0 alternates its l outer
     and l-1 inner steps, outer first, save that it ends with the last
@@ -97,7 +98,7 @@ def tessellate_domain(poly, m):
     corners[-1] -= n * ring * (at == ring)
     triangles = np.concatenate([corners[:, (l - 1) ** 2:l * l].reshape(-1, 3)  # level l, side-major
                                 for l in range(1, m + 1)])
-    return vertices, triangles, index[-m:].T.ravel()
+    return vertices, triangles, index[-m:].T.ravel(), index
 
 
 def mesh_patch(patch, m):
@@ -109,9 +110,8 @@ def mesh_patch(patch, m):
     vertices are evaluated directly on their boundary curve, at the edge
     parameters j/m, so the mesh boundary lies exactly on the input curves.
     """
-    domain, triangles, boundary = tessellate_domain(patch.domain, m)
+    domain, triangles, boundary, index = tessellate_domain(patch.domain, m)
     m = len(boundary) // patch.n  # a Python int, checked there
-    index = _sectors(patch.n, m)[2]
     pts = np.empty((len(domain), 3))
     pts[:1] = patch.eval_many(domain[:1])
     pts[index] = patch.eval_rotations(domain[index[:, 0]])

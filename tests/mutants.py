@@ -186,6 +186,14 @@ MUTANTS = [
     Mutant("BezierCurve.eval without its [0, 1] bounds", "curves.py",
            'real(t, "curve parameter", 0, 1)', 'real(t, "curve parameter")',
            "tests/test_curves.py::test_eval_checks_one_number_and_is_a_batch_of_one_bit_for_bit"),
+    # the basis is then C(D, j) t^j (1 - t)^j, not C(D, j) t^j (1 - t)^(D - j)
+    Mutant("(1 - t) powers not reversed", "curves.py",
+           "basis *= rest[::-1]\n", "basis *= rest\n",
+           "tests/test_curves.py::test_bernstein_basis_rounds_as_its_running_products"),
+    # a caller's write into the shared row would then reach every curve and patch of its degree
+    Mutant("binomials row left writeable", "curves.py",
+           "    row.setflags(write=False)\n", "",
+           "tests/test_curves.py::test_binomials_row_is_shared_and_read_only"),
     Mutant("index 0 prints as nothing", "fileio.py",
            "    keep[-1] = True\n", "",
            "tests/test_writers.py::test_int_fields_print_as_percent_d"),

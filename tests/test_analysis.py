@@ -293,7 +293,7 @@ def _lifted(mesh):
 # (it raised numpy's IndexError), and 4-D vertices as their 3-D columns (the fourth
 # was left unsolved, and the umbrella check failed)
 @pytest.mark.parametrize("mesh, columns", [
-    (_lifted(TriMesh(*tessellate_domain(DomainPolygon(5), 3))), [0, 1]),
+    (_lifted(TriMesh(*tessellate_domain(DomainPolygon(5), 3)[:3])), [0, 1]),
     (mesh_patch(make_patch(bundled_loop("pentagon")), 6), [0, 1, 2, 2]),
 ], ids=["2-D", "4-D"])
 def test_harmonic_fill_solves_every_coordinate(mesh, columns):

@@ -147,3 +147,39 @@ def test_bernstein_basis_of_any_parameter_shape(shape, degree):
     for j in range(degree + 1):
         want = [comb(degree, j) * x**j * (1 - x) ** (degree - j) for x in t.flat]
         assert np.abs(basis[j].ravel() - want).max() <= 4 * np.finfo(float).eps * max(want)
+
+
+def reference_basis(x, degree):
+    """The basis at one Python float through the kernel's running products, in its order:
+    t^j = t^(j - 1) t, times C(degree, j), times (1 - t)^(degree - j), a running product too."""
+    up, down = [1.0], [1.0]
+    for _ in range(degree):
+        up.append(up[-1] * x)
+        down.append(down[-1] * (1.0 - x))
+    return [up[j] * float(comb(degree, j)) * down[degree - j] for j in range(degree + 1)]
+
+
+@pytest.mark.parametrize("degree", [*range(8), 40])
+@pytest.mark.parametrize("shape", [(), (7,), (32, 5)])
+def test_bernstein_basis_rounds_as_its_running_products(shape, degree):
+    # bit for bit: every output of the package rests on this order of multiplies; the shapes
+    # are a curve's one point and batch and the patch kernel's (4n, k) block
+    rng = np.random.default_rng(degree)
+    ends = [0.0, 1.0, 5e-324, 1 - 2.0**-53]
+    if shape:
+        t = rng.uniform(0, 1, shape)
+        t.flat[:4] = ends
+        params = [t]
+    else:  # BezierCurve.eval's np.float64 and a 0-d array
+        params = [make(x) for x in [*ends, rng.uniform()] for make in (np.float64, np.array)]
+    for t in params:
+        basis = bernstein_basis(t, binomials(degree))
+        want = np.array([reference_basis(x, degree) for x in np.ravel(t)]).T.reshape(basis.shape)
+        assert (basis.view(np.uint64) == want.view(np.uint64)).all()
+
+
+def test_binomials_row_is_shared_and_read_only():
+    row = binomials(5)
+    assert binomials(5) is row and row.tolist() == [1, 5, 10, 10, 5, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 2.0

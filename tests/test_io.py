@@ -164,7 +164,7 @@ def test_obj_single_triangle():
 
 
 def test_obj_counts_for_small_mesh():
-    mesh = TriMesh(*tessellate_domain(DomainPolygon(4), 2))
+    mesh = TriMesh(*tessellate_domain(DomainPolygon(4), 2)[:3])
     mesh3 = TriMesh(np.column_stack([mesh.vertices, np.zeros(len(mesh.vertices))]),
                     mesh.triangles)
     lines = write_obj(mesh3).strip().splitlines()

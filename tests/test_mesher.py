@@ -4,7 +4,7 @@ from conftest import DEGREES, SEEDS, bbox_diagonal, bundled_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch
+from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch, mesher
 from npatch.analysis import dirichlet_energy, harmonic_fill
 from npatch.fixtures import random_loop
 from npatch.mesher import tessellate_domain
@@ -13,7 +13,7 @@ from npatch.mesher import tessellate_domain
 def reference_tessellation(poly, m):
     """The ring tessellation through a cyclic ring index: the oracle of tessellate_domain.
 
-    Returns (vertices, triangles, (index, side, t)) of the boundary table.
+    Returns (vertices, triangles, (index, side, t) of the boundary table, sectors).
     """
     n = poly.n
 
@@ -44,7 +44,9 @@ def reference_tessellation(poly, m):
                  ring_vertex(lev, s * lev + a + 1)),
         ring_vertex(lev - 1, s * (lev - 1) + b),
     ], axis=-1)
-    return np.vstack([np.zeros((1, 2)), ring]), triangles, boundary
+    # side q's ring vertices, level by level and slot by slot
+    sectors = 1 + np.stack([np.nonzero(side == q)[0] for q in range(n)], axis=1)
+    return np.vstack([np.zeros((1, 2)), ring]), triangles, boundary, sectors
 
 
 def boundary_table(mesh, n, m):
@@ -58,8 +60,10 @@ def test_tessellation_matches_the_reference(n):
     # hold long strips, whose closed-form order must still be the merge by normalized ends
     poly = DomainPolygon(n)
     for m in [*range(1, 14), 31, 64]:
-        mesh = TriMesh(*tessellate_domain(poly, m))
-        vertices, triangles, boundary = reference_tessellation(poly, m)
+        *arrays, sectors = tessellate_domain(poly, m)
+        mesh = TriMesh(*arrays)
+        vertices, triangles, boundary, want = reference_tessellation(poly, m)
+        assert sectors.dtype == want.dtype and sectors.tobytes() == want.tobytes()
         assert mesh.vertices.tobytes() == vertices.tobytes()
         assert mesh.triangles.dtype == triangles.dtype
         assert np.array_equal(mesh.triangles, triangles)
@@ -76,13 +80,13 @@ def edge_counts(mesh):
 
 
 def test_smallest_tessellation():
-    mesh = TriMesh(*tessellate_domain(DomainPolygon(3), 1))
+    mesh = TriMesh(*tessellate_domain(DomainPolygon(3), 1)[:3])
     assert len(mesh.vertices) == 4
     assert len(mesh.triangles) == 3
 
 
 def test_square_m2_counts():
-    mesh = TriMesh(*tessellate_domain(DomainPolygon(4), 2))
+    mesh = TriMesh(*tessellate_domain(DomainPolygon(4), 2)[:3])
     assert len(mesh.vertices) == 13  # 8 boundary + 4 inner ring + center
     assert len(mesh.triangles) == 16
 
@@ -90,7 +94,7 @@ def test_square_m2_counts():
 @pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("m", [1, 2, 5, 8, 30])
 def test_counts_and_euler(n, m):
-    mesh = TriMesh(*tessellate_domain(DomainPolygon(n), m))
+    mesh = TriMesh(*tessellate_domain(DomainPolygon(n), m)[:3])
     v = len(mesh.vertices)
     f = len(mesh.triangles)
     assert f == n * m * m
@@ -106,7 +110,7 @@ def test_counts_and_euler(n, m):
 
 @pytest.mark.parametrize("m", [1, 3, 6])
 def test_no_degenerate_triangles(m):
-    mesh = TriMesh(*tessellate_domain(DomainPolygon(5), m))
+    mesh = TriMesh(*tessellate_domain(DomainPolygon(5), m)[:3])
     t = mesh.triangles
     assert np.all(t >= 0) and np.all(t < len(mesh.vertices))
     assert np.all(t[:, 0] != t[:, 1])
@@ -120,7 +124,7 @@ def test_no_degenerate_triangles(m):
 
 def test_boundary_table_covers_outer_ring():
     n, m = 5, 4
-    mesh = TriMesh(*tessellate_domain(DomainPolygon(n), m))
+    mesh = TriMesh(*tessellate_domain(DomainPolygon(n), m)[:3])
     index, side, t = boundary_table(mesh, n, m)
     assert len(index) == len(side) == len(t) == n * m
     assert sorted(index) == list(range(len(mesh.vertices) - n * m, len(mesh.vertices)))
@@ -166,7 +170,7 @@ def test_bad_resolution():
 
 
 def test_edge_table_follows_the_triangles():
-    dm = TriMesh(*tessellate_domain(DomainPolygon(5), 3))
+    dm = TriMesh(*tessellate_domain(DomainPolygon(5), 3)[:3])
     table = dm.edges()
     # a triangle that repeats a vertex has a side from that vertex to itself
     mesh = TriMesh(dm.vertices, np.vstack([dm.triangles[::2], [[4, 7, 4]]]))
@@ -234,10 +238,18 @@ def test_mesh_patch_builds_one_mesh(monkeypatch):
     assert built == [len(mesh.vertices)]
 
 
+def test_mesh_patch_builds_one_sector_table(monkeypatch):
+    # the tessellation hands its sector table on for the rotation scatter
+    calls, sectors = [], mesher._sectors
+    monkeypatch.setattr(mesher, "_sectors", lambda *args: calls.append(args) or sectors(*args))
+    mesh_patch(make_patch(bundled_loop("pentagon")), 4)
+    assert calls == [(5, 4)]
+
+
 def test_mesh_patch_keeps_its_domain_points():
     patch = make_patch(bundled_loop("pentagon"))
     mesh = mesh_patch(patch, 4)
-    domain_mesh = TriMesh(*tessellate_domain(patch.domain, 4))
+    domain_mesh = TriMesh(*tessellate_domain(patch.domain, 4)[:3])
     assert np.array_equal(mesh.domain, domain_mesh.vertices)
     assert np.array_equal(mesh.triangles, domain_mesh.triangles)
 
@@ -266,8 +278,8 @@ def test_narrow_numpy_integers_mesh_like_ints(dtype):
     # n and m are kept as Python ints: a narrow numpy int overflowed in the index arithmetic
     patch = make_patch(bundled_loop("pentagon"))
     for got, want in [(mesh_patch(patch, dtype(100)), mesh_patch(patch, 100)),
-                      (TriMesh(*tessellate_domain(DomainPolygon(dtype(100)), 10)),
-                       TriMesh(*tessellate_domain(DomainPolygon(100), 10)))]:
+                      (TriMesh(*tessellate_domain(DomainPolygon(dtype(100)), 10)[:3]),
+                       TriMesh(*tessellate_domain(DomainPolygon(100), 10)[:3]))]:
         assert got.vertices.tobytes() == want.vertices.tobytes()
         assert got.triangles.tobytes() == want.triangles.tobytes()
         assert got.boundary.dtype == want.boundary.dtype
