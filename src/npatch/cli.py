@@ -28,8 +28,7 @@ def _load(path):
 
 def _cmd_check(args):
     loop = _load(args.loop)
-    pts = np.vstack([c.control_points for c in loop.sides])
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    lo, hi = loop.points.min(axis=0), loop.points.max(axis=0)
     print("n=%d" % loop.n)
     print("closure residuals: " + " ".join("%.3g" % g for g in loop.corner_gaps))
     print("bbox min: " + _point_str(lo))

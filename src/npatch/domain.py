@@ -32,8 +32,8 @@ class DomainPolygon:
         self.vertices = np.column_stack([np.cos(angles), np.sin(angles)])
         self.apothem = np.cos(np.pi / n)
         # outward unit normal of edge i (spanning vertex i-1 -> vertex i)
-        mids = 0.5 * (np.roll(self.vertices, 1, axis=0) + self.vertices)
-        self.edge_normals = mids / np.linalg.norm(mids, axis=1, keepdims=True)
+        mids = 0.5 * (self.vertices[np.arange(n) - 1] + self.vertices)
+        self.edge_normals = mids / np.sqrt((mids * mids).sum(axis=1, keepdims=True))
         # row i: the edges vertex i does not lie on (it lies on edges i, i+1), ascending
         self._off_edges = np.sort((np.arange(n)[:, None] + np.arange(2, n)) % n, axis=1)
 

@@ -204,8 +204,8 @@ def _is_number(x):
 
 
 def read_loop(text):
-    """Parse and validate a loop document (str, or bytes in a JSON encoding);
-    returns a welded BoundaryLoop."""
+    """Parse and validate a loop document (str, or bytes in a JSON encoding), every side's
+    structure before any coordinate; returns a welded BoundaryLoop."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -222,7 +222,7 @@ def read_loop(text):
         raise SchemaError("sides: missing or not a list")
     if len(sides) < 3:
         raise SchemaError("sides: need >= 3, got %d" % len(sides))
-    curves = []
+    rows, starts = [], [0]  # every point in document order; each side's first row, then the end
     for k, side in enumerate(sides):
         if not isinstance(side, dict):
             raise SchemaError("sides[%d]: must be an object" % k)
@@ -234,17 +234,20 @@ def read_loop(text):
         if len(cps) != degree + 1:
             raise SchemaError("sides[%d].control_points: degree %d needs %d points, got %d"
                               % (k, degree, degree + 1, len(cps)))
-        try:  # by type in one pass, by value on one float array: ints past int64 convert too
-            ok = {type(c) for p in cps for c in p} <= {int, float}
-            points = np.array(cps, dtype=float)
-        except (TypeError, ValueError, OverflowError):  # not lists, ragged, an int past the range
-            ok = False
-        if not (ok and points.shape == (len(cps), 3) and abs(points).max() < sys.float_info.max):
-            for j, p in enumerate(cps):  # the first bad point; none if one is the float maximum
+        rows += cps
+        starts.append(len(rows))
+    try:  # by type in one pass, by value on the document's one float array: ints past int64 too
+        ok = {type(c) for p in rows for c in p} <= {int, float}
+        points = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not lists, ragged, an int past the range
+        ok = False
+    if not (ok and points.shape == (len(rows), 3) and abs(points).max() < sys.float_info.max):
+        for k, side in enumerate(sides):  # the first bad point; none if one is the float maximum
+            for j, p in enumerate(side["control_points"]):
                 if not (isinstance(p, list) and len(p) == 3 and all(map(_is_number, p))):
                     raise SchemaError("sides[%d].control_points[%d]: need [x, y, z] of finite "
                                       "numbers" % (k, j))
-        curves.append(BezierCurve(points))
+    curves = [BezierCurve(points[a:b]) for a, b in zip(starts, starts[1:])]
     tol = doc.get("weld_tolerance")
     if tol is not None and not (_is_number(tol) and tol >= 0):
         raise SchemaError("weld_tolerance: need a finite number >= 0")

@@ -17,9 +17,10 @@ class BoundaryLoop:
     """Ordered cyclic list of n >= 3 Bezier curves, closure checked and corners welded.
 
     Side i's last control point and side i+1's first are both their average, bit-identical;
-    corner_gaps holds the pre-weld residuals, a diagnostic only.  DomainError unless curves is
-    a sequence of BezierCurve instances and weld_tolerance (default 1e-9 of the control points'
-    bbox diagonal) finite and >= 0.
+    corner_gaps holds the pre-weld residuals, a diagnostic only.  The welded table is kept,
+    read-only: points stacks every side's control points, side i in rows first[i] to last[i].
+    DomainError unless curves is a sequence of BezierCurve instances and weld_tolerance (default
+    1e-9 of the control points' bbox diagonal) finite and >= 0.
     """
 
     def __init__(self, curves, weld_tolerance=None):
@@ -27,7 +28,10 @@ class BoundaryLoop:
             raise DomainError("loop sides must be a sequence of BezierCurve instances")
         if len(curves) < 3:
             raise ClosureError("need at least 3 sides, got %d" % len(curves))
-        pts, first, last = _stack(curves)  # pts a copy, welded below
+        counts = [len(c.control_points) for c in curves]
+        last = np.cumsum(counts) - 1
+        first = last - counts + 1
+        pts = np.concatenate([c.control_points for c in curves])  # a copy, welded below
         if weld_tolerance is None:
             # the bbox diagonal, scaled: inf only when the diagonal is
             weld_tolerance = 1e-9 * math.dist(pts.max(axis=0), pts.min(axis=0))
@@ -48,6 +52,9 @@ class BoundaryLoop:
         pts[last] = corners  # after the starts: a side of degree 0 ends at its corner
         self.sides = tuple(BezierCurve(pts[a:b + 1]) for a, b in zip(first, last))
         self.corner_gaps = gaps
+        for table in (pts, first, last):
+            table.setflags(write=False)
+        self.points, self.first, self.last = pts, first, last
 
     @property
     def n(self):
@@ -58,19 +65,12 @@ def make_loop(curves, weld_tolerance=None):
     return BoundaryLoop(curves, weld_tolerance)
 
 
-def _stack(curves):
-    """The curves' control points stacked in one new array, and each one's first and last row."""
-    counts = [len(c.control_points) for c in curves]
-    last = np.cumsum(counts) - 1
-    return np.concatenate([c.control_points for c in curves]), last - counts + 1, last
-
-
 def opposite_curve(loop):
-    """Control points (4, n, 3) of the n curves closing the ribbons across the far side of
-    the loop: for n >= 4 column i is the cubic bridging corner i+1 to corner i-2 with end
-    tangents borrowed from sides i+2 and i-2 (zero for a side of degree 0).  For n = 3 the
-    far corners coincide and the shape is (1, 3, 3).  DomainError: a point overflows."""
-    points, first, last = _stack(loop.sides)
+    """Control points (4, n, 3), from the loop's welded table, of the n curves closing the
+    ribbons across the far side: for n >= 4 column i is the cubic bridging corner i+1 to corner
+    i-2 with end tangents borrowed from sides i+2 and i-2 (zero for a side of degree 0).  For
+    n = 3 the far corners coincide and the shape is (1, 3, 3).  DomainError: a point overflows."""
+    points, first, last = loop.points, loop.first, loop.last
     n, i = loop.n, np.arange(loop.n)
     p0, p3 = points[last[(i + 1) % n]], points[first[i - 1]]
     if n == 3:

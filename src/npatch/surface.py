@@ -13,6 +13,8 @@ from .loop import BoundaryLoop, opposite_curve
 # the block's transients, the (points, n, n - 2) Wachspress gather
 # included, whatever n is
 BLOCK_VALUES = 2**14
+_COONS = np.array([1, 3, 0, 2])  # _eval_block's t = (s, 1 - d, d, 1 - s) in Coons weight order
+_UNGUARDED = nullcontext()  # reusable: a patch sum within __init__'s bound needs no errstate
 
 
 class Patch:
@@ -29,17 +31,18 @@ class Patch:
             raise DomainError("a patch needs a BoundaryLoop, got %s" % type(loop).__name__)
         self.loop, self.n = loop, loop.n
         self.domain = DomainPolygon(loop.n)
+        self._block = max(1, BLOCK_VALUES // (4 * loop.n))  # points per evaluation block
         # the n sides and the n opposite curves, elevated to the highest degree
         # D among them; the control tensor (D + 1, 4n, 3) holds in column
         # block r = 0..3 ribbon i's base, prev, next and opposite curve, and is
         # kept flattened and transposed, (3, (D + 1) 4n), for the kernel's matmul
-        n, curves, opposite = loop.n, loop.sides, opposite_curve(loop)
-        degree = max(len(opposite) - 1, *(c.degree for c in curves))
+        n, opposite, degrees = loop.n, opposite_curve(loop), loop.last - loop.first
+        degree = max(len(opposite) - 1, int(degrees.max()))
         controls = np.empty((degree + 1, 2 * n, 3))
-        for d in {c.degree for c in curves}:
-            group = [j for j, c in enumerate(curves) if c.degree == d]
-            controls[:, group] = _elevate(
-                np.stack([curves[j].control_points for j in group], axis=1), degree)
+        for d in set(degrees.tolist()):  # the sides of degree d, (d + 1, sides, 3) from the table
+            group = np.flatnonzero(degrees == d)
+            rows = loop.first[group] + np.arange(d + 1)[:, None]
+            controls[:, group] = _elevate(loop.points[rows], degree)
         controls[:, n:] = _elevate(opposite, degree)
         self._binomials = binomials(degree)
         i = np.arange(n)
@@ -93,8 +96,8 @@ class Patch:
 
     def _eval_blocks(self, points, controls):
         """_eval_block over checked (k, 2) points per block; guarded only past __init__'s bound."""
-        block = max(1, BLOCK_VALUES // (4 * self.n))
-        with overflow("patch evaluation") if self._near_range else nullcontext():
+        block = self._block
+        with overflow("patch evaluation") if self._near_range else _UNGUARDED:
             if 0 < len(points) <= block:  # one block: the kernel's own array
                 return self._eval_block(points, controls)
             out = np.empty((len(points), len(controls)))
@@ -110,7 +113,7 @@ class Patch:
         # leave them, and weights of ribbon i's base, prev, next and opposite curve
         s, d = s.T, d.T
         t = np.concatenate([s, 1.0 - d, d, 1.0 - s])
-        c = t.reshape(4, n, k).take((1, 3, 0, 2), axis=0)  # Coons weights 1 - d, 1 - s, s, d
+        c = t.reshape(4, n, k).take(_COONS, axis=0)  # Coons weights 1 - d, 1 - s, s, d
         c *= 0.5 * c[0]  # times the ribbon weights (1 - d) / 2
         basis = bernstein_basis(t, self._binomials)
         basis *= c.reshape(4 * n, k)

@@ -164,12 +164,12 @@ MUTANTS = [
            "tests/test_errors.py::test_patch_sum_is_guarded_only_past_float_max_over_4"),
     # a one-point eval or one-block eval_many past the bound would then run unguarded
     Mutant("one-block return outside the overflow guard", "surface.py",
-           "        with overflow(\"patch evaluation\") if self._near_range else nullcontext():\n"
+           "        with overflow(\"patch evaluation\") if self._near_range else _UNGUARDED:\n"
            "            if 0 < len(points) <= block:  # one block: the kernel's own array\n"
            "                return self._eval_block(points, controls)\n",
            "        if 0 < len(points) <= block:  # one block: the kernel's own array\n"
            "            return self._eval_block(points, controls)\n"
-           "        with overflow(\"patch evaluation\") if self._near_range else nullcontext():\n",
+           "        with overflow(\"patch evaluation\") if self._near_range else _UNGUARDED:\n",
            "tests/test_errors.py::test_patch_sum_is_guarded_only_past_float_max_over_4"),
     # a string, or a point of one or three coordinates, then escapes as numpy's ValueError
     Mutant("eval skips its point check", "surface.py",
@@ -194,6 +194,16 @@ MUTANTS = [
     Mutant("binomials row left writeable", "curves.py",
            "    row.setflags(write=False)\n", "",
            "tests/test_curves.py::test_binomials_row_is_shared_and_read_only"),
+    # True then reads as 1.0, and a document with a boolean coordinate as a loop
+    Mutant("read_loop accepts boolean coordinates", "fileio.py",
+           "<= {int, float}", "<= {bool, int, float}",
+           "tests/test_io.py::test_read_loop_names_a_single_bad_point"),
+    # the opposite curves then leave the patch's welded corners by the pre-weld gaps
+    Mutant("opposite curves from the unwelded table", "loop.py",
+           "self.points, self.first, self.last = pts, first, last",
+           "self.points, self.first, self.last = np.concatenate("
+           "[c.control_points for c in curves]), first, last",
+           "tests/test_loop.py::test_opposite_curve_equals_the_restacked_sides_on_mixed_degrees"),
     Mutant("index 0 prints as nothing", "fileio.py",
            "    keep[-1] = True\n", "",
            "tests/test_writers.py::test_int_fields_print_as_percent_d"),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_writers import reference_obj, reference_ply
 
-from npatch import DomainPolygon, TriMesh, make_patch, mesh_patch
+from npatch import BezierCurve, DomainPolygon, TriMesh, make_loop, make_patch, mesh_patch
 from npatch.analysis import contours, curvature_map
 from npatch.errors import ClosureError, DomainError, NPatchError, ParseError, SchemaError
 from npatch.fileio import read_loop, write_obj, write_ply_scalar
@@ -132,6 +132,10 @@ def test_loop_document_roundtrip():
         assert np.abs(a.control_points - b.control_points).max() <= 1e-15
 
 
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
 @settings(max_examples=30)
 @given(n=st.integers(3, 16), degree=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
 def test_loop_document_roundtrip_on_random_loops(n, degree, seed):
@@ -139,9 +143,85 @@ def test_loop_document_roundtrip_on_random_loops(n, degree, seed):
     loop = random_loop(n, degree, rng)
     again = read_loop(write_loop(loop))
     for a, b in zip(loop.sides, again.sides, strict=True):
-        assert np.array_equal(a.control_points, b.control_points)
+        assert np.array_equal(_bits(a.control_points), _bits(b.control_points))
     pts = random_interior_points(rng, DomainPolygon(n), 50)
     assert np.array_equal(make_patch(again).eval_many(pts), make_patch(loop).eval_many(pts))
+    # with every side's start moved by about 1e-12, read_loop's sides and corner gaps are those
+    # of the loop made from one curve per side, bit for bit
+    doc = json.loads(write_loop(loop))
+    for side in doc["sides"]:
+        side["control_points"][0] = (side["control_points"][0]
+                                     + rng.normal(scale=1e-12, size=3)).tolist()
+    again = read_loop(json.dumps(doc))
+    made = make_loop([BezierCurve(side["control_points"]) for side in doc["sides"]])
+    for a, b in zip(made.sides, again.sides, strict=True):
+        assert np.array_equal(_bits(a.control_points), _bits(b.control_points))
+    assert again.corner_gaps.all()
+    assert np.array_equal(_bits(again.corner_gaps), _bits(made.corner_gaps))
+
+
+# a loop document whose sides have 4 points each, corners at points 0 and 3
+FAULT_DOC = json.loads(write_loop(random_loop(5, 3, np.random.default_rng(7))))
+POINT_FAULTS = {  # a point of FAULT_DOC -> the point with one fault
+    "boolean": lambda p: [p[0], True, p[2]],
+    "two_numbers": lambda p: p[:2],
+    "string": lambda p: [p[0], "1", p[2]],
+    "past_the_float_range": lambda p: [p[0], 10**400, p[2]],
+    "nan": lambda p: [p[0], float("nan"), p[2]],  # json writes the NaN and Infinity tokens
+    "infinity": lambda p: [p[0], float("inf"), p[2]],
+    "minus_infinity": lambda p: [p[0], -float("inf"), p[2]],
+    "not_a_list": lambda p: 7,
+}
+
+
+def _fault_doc(side, point, fault):
+    """FAULT_DOC text with point `point` of side `side` replaced by fault(that point)."""
+    doc = json.loads(json.dumps(FAULT_DOC))
+    cps = doc["sides"][side]["control_points"]
+    cps[point] = fault(cps[point])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("side", [0, 4])
+@pytest.mark.parametrize("point", [0, 3])
+@pytest.mark.parametrize("fault", POINT_FAULTS)
+def test_read_loop_names_a_single_bad_point(fault, side, point):
+    with pytest.raises(SchemaError) as error:
+        read_loop(_fault_doc(side, point, POINT_FAULTS[fault]))
+    assert type(error.value) is SchemaError
+    assert str(error.value) == ("sides[%d].control_points[%d]: need [x, y, z] of finite numbers"
+                                % (side, point))
+
+
+@pytest.mark.parametrize("side", [0, 4])
+@pytest.mark.parametrize("point", [0, 3])
+@pytest.mark.parametrize("value", [sys.float_info.max, -sys.float_info.max])
+def test_read_loop_reads_the_float_maximum_as_a_number(value, side, point):
+    # the document passes read_loop's checks; the corner the value moves is then open
+    corner = side - (point == 0)  # side i runs from corner i - 1 to corner i
+    with pytest.raises(ClosureError) as error:
+        read_loop(_fault_doc(side, point, lambda p: [p[0], value, p[2]]))
+    assert type(error.value) is ClosureError
+    assert str(error.value) == ("sides %d and %d do not meet: gap 1.798e+308 > tolerance "
+                                "1.798e+299" % (corner % 5 + 1, (corner + 1) % 5 + 1))
+
+
+@pytest.mark.parametrize("later, message", [
+    ("count", "sides[4].control_points: degree 3 needs 4 points, got 3"),
+    ("coordinate", "sides[0].control_points[3]: need [x, y, z] of finite numbers"),
+], ids=["count", "coordinate"])
+def test_read_loop_checks_every_side_before_any_coordinate(later, message):
+    # sides are checked in document order, first their structure (object, degree, list and
+    # point count), then every coordinate at once: a later side's structure fault comes
+    # before an earlier side's coordinate fault, and coordinate faults come in document order
+    doc = json.loads(_fault_doc(0, 3, POINT_FAULTS["string"]))
+    if later == "count":
+        del doc["sides"][4]["control_points"][1]
+    else:
+        doc["sides"][4]["control_points"][0][2] = True
+    with pytest.raises(SchemaError) as error:
+        read_loop(json.dumps(doc))
+    assert str(error.value) == message
 
 
 def test_bundled_loops_are_the_canonical_fixture_files():

@@ -160,3 +160,60 @@ def test_opposite_curve_past_the_float_range_names_the_overflow():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="opposite curve overflows the float range"):
             opposite_curve(loop)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def _mixed_degree_loop(n, rng):
+    """Loop of n random sides of degree 0 to 7 (side 0 at least 1), each side's ends moved by
+    about 1e-12 so that welding moves them back."""
+    degrees = rng.integers(0, 8, size=n)
+    degrees[0] = max(degrees[0], 1)
+    corners = rng.normal(size=(n, 3))
+    for i in range(1, n):  # a side of degree 0 joins two equal corners
+        if degrees[i] == 0:
+            corners[i] = corners[i - 1]
+    sides = []
+    for i, degree in enumerate(degrees):
+        pts = rng.normal(size=(degree + 1, 3))
+        pts[[0, -1]] = corners[[i - 1, i]] + rng.normal(scale=1e-12, size=(2, 3))
+        sides.append(BezierCurve(pts))
+    return make_loop(sides)
+
+
+def _restacked_opposite(loop):
+    """opposite_curve's formula on the sides' control points stacked again, not the loop's table."""
+    counts = [len(c.control_points) for c in loop.sides]
+    last = np.cumsum(counts) - 1
+    points, first = np.concatenate([c.control_points for c in loop.sides]), last - counts + 1
+    n, i = loop.n, np.arange(loop.n)
+    p0, p3 = points[last[(i + 1) % n]], points[first[i - 1]]
+    if n == 3:
+        return p0[None]
+    degree = (last - first)[:, None]
+    step = np.minimum(1, last - first)
+    start = degree * (points[first + step] - points[first]) / 3.0
+    end = degree * (points[last] - points[last - step]) / 3.0
+    return np.stack([p0, p0 + start[(i + 2) % n], p3 - end[i - 2], p3])
+
+
+def test_the_welded_table_is_the_sides_stacked_and_read_only():
+    loop = _mixed_degree_loop(9, np.random.default_rng(11))
+    assert loop.corner_gaps.all()  # welding moved every corner
+    stacked = np.concatenate([c.control_points for c in loop.sides])
+    assert np.array_equal(_bits(loop.points), _bits(stacked))
+    assert np.array_equal(loop.last - loop.first, [c.degree for c in loop.sides])
+    assert np.array_equal(loop.first[1:], loop.last[:-1] + 1)
+    assert loop.first[0] == 0 and loop.last[-1] == len(stacked) - 1
+    for table in (loop.points, loop.first, loop.last):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_opposite_curve_equals_the_restacked_sides_on_mixed_degrees(n):
+    for seed in range(4):
+        loop = _mixed_degree_loop(n, np.random.default_rng([n, seed]))
+        assert np.array_equal(_bits(opposite_curve(loop)), _bits(_restacked_opposite(loop)))
