@@ -184,7 +184,8 @@ def _mixed_degree_loop(n, rng):
 
 
 def _restacked_opposite(loop):
-    """opposite_curve's formula on the sides' control points stacked again, not the loop's table."""
+    """opposite_curve's formula on the sides' control points stacked again, not on the loop's
+    table."""
     counts = [len(c.control_points) for c in loop.sides]
     last = np.cumsum(counts) - 1
     points, first = np.concatenate([c.control_points for c in loop.sides]), last - counts + 1
